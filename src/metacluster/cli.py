@@ -1,9 +1,9 @@
 """Batch command line: cluster, select-fields, sample-eval, stats.
 
 Seeds default to a fixed constant so repeated runs are reproducible; pass a
-different ``--seed`` to vary. With ``--workers 1`` all outputs except
+different ``--seed`` to vary. For a fixed seed all outputs except
 ``manifest.json`` and ``timings.tsv`` (which carry wall-clock data) are
-byte-identical across repeated runs.
+byte-identical across repeated runs, whatever ``--workers`` is set to.
 """
 
 from __future__ import annotations
@@ -77,7 +77,12 @@ def _parse_group_sizes(text: str) -> dict[int, int]:
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="run seed (fixed default)")
-    parser.add_argument("--workers", type=int, default=1, help="worker threads per level pass")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker threads per level pass (speed only; outputs do not depend on it)",
+    )
     parser.add_argument("--minhash-count", type=int, default=64, help="signature length H")
     parser.add_argument(
         "--band-group-sizes",

@@ -18,21 +18,22 @@ a head is itself absorbed as a member of a new cluster, its cluster dissolves
 into the absorbing one (its former members become "transferred" members of
 the new head, preserving the partition of the input).
 
-RNG sequence contract (single-worker mode, relied on by the reference
-implementation in the test suite): one ``random.Random`` seeded with
-``derive_seed(seed, "level", level)``; each iteration sorts its groups and
-pops them in ascending order (rejected sets re-enter LIFO); every processed
+RNG sequence contract (relied on by the reference implementation in the test
+suite): every processed group gets its own ``random.Random`` seeded with
+``derive_seed(seed, "level", level, iteration, visit, *group)``, where
+``iteration`` counts from 1 within the level, ``group`` is the sorted id
+tuple and ``visit`` is how often that exact tuple was processed before at
+this level (0 or 1; a tuple seen twice is dissolved to unclustered).  The
 group consumes exactly one ``rng.shuffle(sorted(group))`` call and nothing
-else.  With ``workers > 1`` each worker owns a derived RNG and pop order
-depends on scheduling, so head choice (but no invariant) may differ between
-runs.
+else.  Groups in flight are pairwise disjoint, so processing order does not
+matter and every ``workers`` value gives identical results.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -241,83 +242,43 @@ def _process_group(
     return accepted, restack
 
 
-def _drain_sequential(
-    work: list[tuple[str, ...]],
-    threshold: float,
-    rng: random.Random,
-    sim: SimilarityFn,
-    guard: Counter,
-) -> list[_Accepted]:
-    stack = sorted(work, reverse=True)
-    accepted: list[_Accepted] = []
-    while stack:
-        group = stack.pop()
-        if guard[group] >= 2:
-            continue  # livelocked set: dissolve to unclustered
-        guard[group] += 1
-        got, restack = _process_group(group, threshold, rng, sim)
-        accepted.extend(got)
-        stack.extend(restack)
-    return accepted
-
-
-def _drain_parallel(
+def _drain(
     work: list[tuple[str, ...]],
     threshold: float,
     sim: SimilarityFn,
     guard: Counter,
-    config: EngineConfig,
+    seed: int,
     level: int,
     iteration: int,
+    mapper: Callable,
 ) -> list[_Accepted]:
-    stack = sorted(work, reverse=True)
-    cv = threading.Condition()
-    outstanding = len(stack)
+    """Process candidate groups in waves until none is restacked.
+
+    Groups in one wave are pairwise disjoint (a restack is a subset of the
+    group it came from) and each draws from its own RNG, so the result does
+    not depend on the order ``mapper`` runs them in.
+    """
+
+    def process(group: tuple[str, ...], visit: int):
+        rng = random.Random(derive_seed(seed, "level", level, iteration, visit, *group))
+        return _process_group(group, threshold, rng, sim)
+
     accepted: list[_Accepted] = []
-    errors: list[BaseException] = []
-
-    def settle(produced: list[_Accepted], restack: list[tuple[str, ...]]) -> None:
-        nonlocal outstanding
-        with cv:
-            accepted.extend(produced)
-            stack.extend(restack)
-            outstanding += len(restack) - 1
-            cv.notify_all()
-
-    def worker(widx: int) -> None:
-        rng = random.Random(derive_seed(config.seed, "level", level, "iter", iteration, "worker", widx))
-        while True:
-            with cv:
-                while not stack and outstanding > 0 and not errors:
-                    cv.wait()
-                if outstanding <= 0 or errors:
-                    return
-                group = stack.pop()
-                dissolved = guard[group] >= 2
-                if not dissolved:
-                    guard[group] += 1
-            if dissolved:
-                settle([], [])
-                continue
-            try:
-                got, restack = _process_group(group, threshold, rng, sim)
-            except BaseException as exc:  # propagate to caller
-                with cv:
-                    errors.append(exc)
-                    cv.notify_all()
-                return
-            settle(got, restack)
-
-    threads = [
-        threading.Thread(target=worker, args=(w,), name=f"level{level}-worker{w}")
-        for w in range(config.workers)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
+    frontier = sorted(work)
+    while frontier:
+        groups: list[tuple[str, ...]] = []
+        visits: list[int] = []
+        for group in frontier:
+            if guard[group] >= 2:
+                continue  # livelocked set: dissolve to unclustered
+            groups.append(group)
+            visits.append(guard[group])
+            guard[group] += 1
+        frontier = []
+        for got, restack in mapper(process, groups, visits):
+            accepted.extend(got)
+            frontier.extend(restack)
+        frontier.sort()
     accepted.sort()
     return accepted
 
@@ -335,7 +296,6 @@ def cluster_level(
     threshold = level / 100.0
     population = set(input_ids)
     input_all = sorted(population)
-    rng = random.Random(derive_seed(config.seed, "level", level))
     guard: Counter = Counter()
 
     direct: dict[str, list[str]] = {}
@@ -343,32 +303,36 @@ def cluster_level(
     sim_sums: dict[str, float] = {}
     sim_counts: dict[str, int] = {}
 
-    iterations = 0
-    while iterations < config.max_iterations:
-        groups = banding.groups(population, mode=config.band_match)
-        work = [g for g in groups if len(g) >= 2]
-        if not work:
-            break
-        iterations += 1
+    with ExitStack() as stack:
+        mapper: Callable = map
         if config.workers > 1:
-            accepted = _drain_parallel(work, threshold, sim, guard, config, level, iterations)
-        else:
-            accepted = _drain_sequential(work, threshold, rng, sim, guard)
-        if not accepted:
-            break
-        for head, members, mean in accepted:
-            entry = direct.setdefault(head, [])
-            inherit = inherited.setdefault(head, [])
-            sim_sums[head] = sim_sums.get(head, 0.0) + mean * len(members)
-            sim_counts[head] = sim_counts.get(head, 0) + len(members)
-            for member in members:
-                entry.append(member)
-                if member in direct:
-                    inherit.extend(direct.pop(member))
-                    inherit.extend(inherited.pop(member))
-                    sim_sums.pop(member)
-                    sim_counts.pop(member)
-            population.difference_update(members)
+            # Imported here so the one-worker path loads no pool machinery.
+            from concurrent.futures import ThreadPoolExecutor
+
+            mapper = stack.enter_context(ThreadPoolExecutor(config.workers)).map
+        iterations = 0
+        while iterations < config.max_iterations:
+            groups = banding.groups(population, mode=config.band_match)
+            work = [g for g in groups if len(g) >= 2]
+            if not work:
+                break
+            iterations += 1
+            accepted = _drain(work, threshold, sim, guard, config.seed, level, iterations, mapper)
+            if not accepted:
+                break
+            for head, members, mean in accepted:
+                entry = direct.setdefault(head, [])
+                inherit = inherited.setdefault(head, [])
+                sim_sums[head] = sim_sums.get(head, 0.0) + mean * len(members)
+                sim_counts[head] = sim_counts.get(head, 0) + len(members)
+                for member in members:
+                    entry.append(member)
+                    if member in direct:
+                        inherit.extend(direct.pop(member))
+                        inherit.extend(inherited.pop(member))
+                        sim_sums.pop(member)
+                        sim_counts.pop(member)
+                population.difference_update(members)
 
     clusters = []
     for head in sorted(direct):

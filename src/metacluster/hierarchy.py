@@ -42,7 +42,7 @@ class HierarchyNode:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to reproduce a run bit-exactly in single-worker mode."""
+    """Everything needed to reproduce a run bit-exactly, for any worker count."""
 
     seed: int
     compressor_id: str
@@ -177,10 +177,12 @@ def run_hierarchy(
 
     masks = dict(masks) if masks else {}
     if 80 in requested:
+        unmasked: dict[str, list[Record]] = {}
         for record in corpus:
             if record.provider not in masks:
-                provider_records = [r for r in corpus if r.provider == record.provider]
-                masks[record.provider] = default_mask_for(provider_records)
+                unmasked.setdefault(record.provider, []).append(record)
+        for provider, provider_records in unmasked.items():
+            masks[provider] = default_mask_for(provider_records)
 
     computer = SignatureComputer(count=config.minhash_count, seed=config.seed)
     results: dict[int, LevelResult] = {}
@@ -283,16 +285,26 @@ def expand(
     index: Mapping[str, HierarchyNode],
     original_ids: set[str],
 ) -> set[str]:
-    """Recursive union of the node's children down to original record ids."""
+    """Recursive union of the node's children down to original record ids.
+
+    Raises IntegrityError on a dangling child id or when two children expand
+    to overlapping sets (the refinement property).
+    """
     out: set[str] = set()
     for child in node.children:
         child_node = index.get(child)
         if child_node is not None:
-            out |= expand(child_node, index, original_ids)
+            part = expand(child_node, index, original_ids)
         elif child in original_ids:
-            out.add(child)
+            part = {child}
         else:
             raise IntegrityError(f"dangling child id {child!r} under {node.cluster_id}")
+        dup = out & part
+        if dup:
+            raise IntegrityError(
+                f"node {node.cluster_id} children overlap on {sorted(dup)[:3]}"
+            )
+        out |= part
     return out
 
 
@@ -329,7 +341,7 @@ def verify_run(run: HierarchyRun, original_ids: set[str]) -> None:
     covered: set[str] = set()
     roots = forest_roots(run.forest)
     for root in roots:
-        expansion = _expand_checked(root, index, original_ids)
+        expansion = expand(root, index, original_ids)
         clash = covered & expansion
         if clash:
             raise IntegrityError(
@@ -360,26 +372,3 @@ def verify_run(run: HierarchyRun, original_ids: set[str]) -> None:
                 f"to level {later.level} ({later.input_count})"
             )
 
-
-def _expand_checked(
-    node: HierarchyNode,
-    index: Mapping[str, HierarchyNode],
-    original_ids: set[str],
-) -> set[str]:
-    # Children expansions must be pairwise disjoint (refinement property).
-    out: set[str] = set()
-    for child in node.children:
-        child_node = index.get(child)
-        if child_node is not None:
-            part = _expand_checked(child_node, index, original_ids)
-        elif child in original_ids:
-            part = {child}
-        else:
-            raise IntegrityError(f"dangling child id {child!r} under {node.cluster_id}")
-        dup = out & part
-        if dup:
-            raise IntegrityError(
-                f"node {node.cluster_id} children overlap on {sorted(dup)[:3]}"
-            )
-        out |= part
-    return out

@@ -14,6 +14,7 @@ import json
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO, Iterable, Iterator
 
 from .config import DATA_PROVIDER_FIELD, DESCRIPTION_FIELD, PROVIDER_FIELD, TITLE_FIELD
@@ -23,6 +24,8 @@ ARTIFICIAL = "artificial"
 
 # Maximal runs of alphanumeric code points (underscore excluded).
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# JSON escape of a UTF-16 surrogate (\uD800-\uDFFF), paired or not.
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD]")
 
 # Single-byte separators for the deterministic compressor payload.
 _VALUE_SEP = b"\x1f"
@@ -107,23 +110,42 @@ def _parse_line(line: str) -> Record:
             fields[name] = tuple(values)
     if not fields.get(TITLE_FIELD) and not fields.get(DESCRIPTION_FIELD):
         raise ValueError("record has neither dc:title nor dc:description")
+    # An unpaired surrogate has no UTF-8 form and would crash serialization
+    # mid-run.  The line was decoded as strict UTF-8, so only a \uD800-\uDFFF
+    # escape can produce one; lines without such an escape skip the check.
+    if _SURROGATE_ESCAPE_RE.search(line):
+        try:
+            "".join([rec_id, *fields, *chain.from_iterable(fields.values())]).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("id, field name or value holds an unpaired surrogate") from None
     return Record(id=rec_id, provider=resolve_provider(fields), fields=fields)
 
 
-def ingest(stream: IO[str] | Iterable[str]) -> IngestResult:
-    """Parse newline-delimited record documents.
+def _split_lines(stream: Iterable[bytes]) -> Iterator[bytes]:
+    # Binary reads end lines only at b"\n"; split CR and CRLF endings as
+    # text mode would.  No multi-byte UTF-8 sequence holds a CR byte.
+    for chunk in stream:
+        if b"\r" in chunk:
+            yield from chunk.splitlines()
+        else:
+            yield chunk
 
-    Malformed lines and duplicate ids are collected in the rejects report
-    instead of aborting the run; blank lines are skipped.
+
+def ingest(stream: IO[bytes] | Iterable[bytes]) -> IngestResult:
+    """Parse newline-delimited UTF-8 record documents.
+
+    Malformed lines (bad UTF-8 included) and duplicate ids are collected in
+    the rejects report instead of aborting the run; blank lines are skipped.
     """
     result = IngestResult()
     seen: set[str] = set()
-    for lineno, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
+    for lineno, raw in enumerate(_split_lines(stream), start=1):
         try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
             record = _parse_line(line)
-        except (ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
             result.rejects.append(RejectedLine(lineno, str(exc)))
             continue
         if record.id in seen:
@@ -135,7 +157,7 @@ def ingest(stream: IO[str] | Iterable[str]) -> IngestResult:
 
 
 def ingest_path(path) -> IngestResult:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return ingest(fh)
 
 

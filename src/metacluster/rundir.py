@@ -4,8 +4,8 @@ Every file the tool writes is re-parseable by the loaders here; the stats and
 sample-eval subcommands work purely from a run directory.  All record-shaped
 outputs are NDJSON with sorted keys; manifest and summary are single JSON
 documents.  Wall-clock data lives only in ``manifest.json`` and
-``timings.tsv`` so that every other file is byte-stable for a fixed seed in
-single-worker mode.
+``timings.tsv`` so that every other file is byte-stable for a fixed seed,
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .clusterer import Cluster, LevelResult
-from .errors import IntegrityError
+from .errors import ConfigurationError, IntegrityError
 from .ga import ProviderMask, ProviderSelection
 from .hierarchy import HierarchyNode, HierarchyRun
 from .records import FieldMask, Record, RejectedLine, export_line, ingest_path
@@ -168,14 +168,33 @@ def write_field_report(path: Path, selection: ProviderSelection) -> None:
     )
 
 
+def _mask_entry(line: bytes) -> tuple[str, list[str]]:
+    doc = json.loads(line.decode("utf-8"))
+    if not isinstance(doc, dict) or "provider" not in doc or "mask" not in doc:
+        raise ValueError('expected an object with "provider" and "mask"')
+    provider, mask = doc["provider"], doc["mask"]
+    names_ok = isinstance(mask, list) and all(isinstance(n, str) for n in mask)
+    if not (isinstance(provider, str) and names_ok):
+        raise ValueError('"provider" must be a string and "mask" a list of strings')
+    if not mask:
+        raise ValueError('"mask" names no field, so level 80 could cluster nothing')
+    # An unpaired surrogate escape would otherwise crash the manifest write.
+    "".join([provider, *mask]).encode("utf-8")
+    return provider, mask
+
+
 def load_masks(path: Path) -> dict[str, FieldMask]:
+    """Read a saved masks file; a malformed line is a ConfigurationError."""
     masks: dict[str, FieldMask] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            masks[doc["provider"]] = FieldMask(frozenset(doc["mask"]))
+    # splitlines() ends lines at LF, CRLF and CR alike, as text mode does.
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            provider, mask = _mask_entry(line)
+        except ValueError as exc:  # JSONDecodeError and UnicodeError included
+            raise ConfigurationError(f"masks file {path} line {lineno}: {exc}") from None
+        masks[provider] = FieldMask(frozenset(mask))
     return masks
 
 

@@ -3,10 +3,11 @@
 Written independently of the production clusterer as a plain single loop:
 candidate groups come from a bucket adjacency + BFS connected components
 (no union-find), head selection / assignment / validation are inlined, and
-bookkeeping uses flat dicts.  It follows the same RNG sequence contract as
-the production code in single-worker mode (one Random per level, groups
-popped in ascending sorted order, one shuffle per processed group), so for a
-fixed seed the two must produce byte-identical results.
+bookkeeping uses flat dicts, and it drains one depth-first stack where the
+production code processes waves.  It follows the same RNG sequence contract
+(one Random per processed group, seeded from the level, iteration, visit
+count and the group's ids; one shuffle per processed group), so for a fixed
+seed the two must produce byte-identical results.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ def reference_cluster_level(
     config: EngineConfig,
 ) -> LevelResult:
     threshold = level / 100.0
-    rng = random.Random(derive_seed(config.seed, "level", level))
     population = set(input_ids)
     guard: Counter = Counter()
 
@@ -99,12 +99,14 @@ def reference_cluster_level(
         accepted: list[tuple[str, tuple[str, ...], float]] = []
         while stack:
             group = stack.pop()
-            if guard[group] >= 2:
+            visit = guard[group]
+            if visit >= 2:
                 continue
-            guard[group] += 1
+            guard[group] = visit + 1
 
             order = sorted(group)
-            rng.shuffle(order)
+            seed = derive_seed(config.seed, "level", level, iterations, visit, *order)
+            random.Random(seed).shuffle(order)
             heads: list[str] = []
             for rid in order:
                 if all(sim(head, rid) < threshold for head in heads):

@@ -321,12 +321,12 @@ def test_criterion_8_full_run_determinism(tmp_path):
         write_records(records, fh)
 
     outputs = []
-    for name in ("one", "two"):
+    for name, workers in (("one", "1"), ("two", "1"), ("threads", "2")):
         out = tmp_path / name
         code = main(
             [
                 "cluster", "--input", str(corpus), "--out", str(out),
-                "--seed", "88", "--workers", "1", "--ga-pop", "8", "--ga-gens", "3",
+                "--seed", "88", "--workers", workers, "--ga-pop", "8", "--ga-gens", "3",
             ]
         )
         assert code == 0
@@ -337,10 +337,10 @@ def test_criterion_8_full_run_determinism(tmp_path):
                 if p.name not in (rundir.MANIFEST_FILE, rundir.TIMINGS_FILE)
             }
         )
-    same = outputs[0] == outputs[1]
+    same = outputs[0] == outputs[1] == outputs[2]
     check(
         8,
         same and len(outputs[0]) >= 15,
         f"{len(outputs[0])} output files byte-identical across repeated seeded runs "
-        "(manifest/timings carry wall-clock data and are excluded)",
+        "with --workers 1, 1 and 2 (manifest/timings carry wall-clock data and are excluded)",
     )

@@ -5,7 +5,7 @@ import pytest
 
 from metacluster import rundir
 from metacluster.cli import EVAL_CATEGORIES, main
-from metacluster.records import write_records
+from metacluster.records import FieldMask, write_records
 from metacluster.synthetic import (
     duplicate_pairs_corpus,
     family_corpus,
@@ -99,6 +99,44 @@ class TestClusterCommand:
         assert (reuse_out / "clusters_level_80.ndjson").read_bytes() == (
             full_run / "clusters_level_80.ndjson"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"mask": ["dc:title"]}',
+            "{not json",
+            '{"provider": "p", "mask": "dc:title"}',
+            '{"provider": "p", "mask": []}',
+            '["p", ["dc:title"]]',
+            b'{"provider": "caf\xe9", "mask": ["dc:title"]}',
+            '{"provider": "\\ud800", "mask": ["dc:title"]}',
+        ],
+    )
+    def test_malformed_masks_file_is_error_exit(self, corpus_path, tmp_path, capsys, bad_line):
+        masks = tmp_path / "masks.ndjson"
+        good = b'{"provider": "p", "mask": ["dc:title"]}\n'
+        bad = bad_line if isinstance(bad_line, bytes) else bad_line.encode("utf-8")
+        masks.write_bytes(good + bad + b"\n")
+        code = main(
+            [
+                "cluster", "--input", str(corpus_path), "--out", str(tmp_path / "out"),
+                "--levels", "80", "--masks", str(masks),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{masks} line 2" in err
+        assert "Traceback" not in err
+
+    def test_masks_file_with_cr_line_endings(self, tmp_path):
+        masks = tmp_path / "masks.ndjson"
+        masks.write_bytes(
+            b'{"provider": "p", "mask": ["dc:title"]}\r'
+            b'{"provider": "q", "mask": ["dc:type"]}\r\n'
+        )
+        loaded = rundir.load_masks(masks)
+        assert sorted(loaded) == ["p", "q"]
+        assert loaded["q"] == FieldMask(frozenset(["dc:type"]))
 
     def test_rejects_report(self, tmp_path):
         corpus = tmp_path / "bad.ndjson"

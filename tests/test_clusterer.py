@@ -257,6 +257,7 @@ class TestClusterLevel:
             assert cluster.mean_head_similarity >= 1.0
         assert sorted(placed) == sorted(r.id for r in records)
         assert len(result.clusters) == 40
+        assert result == run_level(records, 100, replace(config, workers=1))[0]
 
     def test_singleton_groups_stay_unclustered(self):
         records = random_corpus(4, seed=2)

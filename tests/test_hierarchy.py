@@ -251,6 +251,12 @@ class TestExpand:
         with pytest.raises(IntegrityError):
             expand(node, {}, {"h"})
 
+    def test_overlapping_children_are_integrity_error(self):
+        leaf = HierarchyNode("a", 80, "h1", ("h1", "x1"))
+        top = HierarchyNode("t", 60, "a", ("a", "x1"))
+        with pytest.raises(IntegrityError, match="overlap"):
+            expand(top, {"a": leaf}, {"h1", "x1"})
+
 
 class TestVerify:
     def test_tampered_forest_detected(self):

@@ -10,6 +10,7 @@ from metacluster.records import (
     Record,
     export_line,
     ingest,
+    ingest_path,
     serialize_for_compression,
     tokenize,
     write_records,
@@ -17,7 +18,7 @@ from metacluster.records import (
 
 
 def ingest_lines(*lines: str):
-    return ingest(io.StringIO("".join(line + "\n" for line in lines)))
+    return ingest(io.BytesIO("".join(line + "\n" for line in lines).encode("utf-8")))
 
 
 class TestIngest:
@@ -41,7 +42,7 @@ class TestIngest:
         assert "dc:title" in result.rejects[0].reason
 
     def test_empty_stream(self):
-        result = ingest(io.StringIO(""))
+        result = ingest(io.BytesIO(b""))
         assert result.records == []
         assert result.rejects == []
 
@@ -79,7 +80,7 @@ class TestIngest:
 
     def test_blank_lines_skipped(self):
         line = '{"id":"r1","fields":{"dc:title":["a"]}}'
-        result = ingest(io.StringIO("\n" + line + "\n\n"))
+        result = ingest(io.BytesIO(("\n" + line + "\n\n").encode("utf-8")))
         assert len(result.records) == 1
         assert not result.rejects
 
@@ -92,6 +93,45 @@ class TestIngest:
         )
         assert not result.records
         assert [r.line for r in result.rejects] == [1, 2, 3, 4]
+
+    def test_invalid_utf8_line_rejected(self, tmp_path):
+        path = tmp_path / "corpus.ndjson"
+        path.write_bytes(
+            b'{"id":"r1","fields":{"dc:title":["a"]}}\n'
+            b'{"id":"r2","fields":{"dc:title":["caf\xe9"]}}\n'
+            b'{"id":"r3","fields":{"dc:title":["caf\xc3\xa9"]}}\n'
+        )
+        result = ingest_path(path)
+        assert [r.id for r in result.records] == ["r1", "r3"]
+        assert result.records[1].fields["dc:title"] == ("café",)
+        assert [r.line for r in result.rejects] == [2]
+        assert "utf-8" in result.rejects[0].reason
+
+    def test_cr_and_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "corpus.ndjson"
+        path.write_bytes(
+            b'{"id":"r1","fields":{"dc:title":["a"]}}\r'
+            b'{broken\r\n'
+            b'\r'
+            b'{"id":"r2","fields":{"dc:title":["b"]}}\r\n'
+            b'{"id":"r3","fields":{"dc:title":["c"]}}'
+        )
+        result = ingest_path(path)
+        assert [r.id for r in result.records] == ["r1", "r2", "r3"]
+        assert [r.line for r in result.rejects] == [2]
+
+    def test_unpaired_surrogate_rejected(self):
+        result = ingest_lines(
+            '{"id":"r\\ud800","fields":{"dc:title":["a"]}}',
+            '{"id":"r2","fields":{"dc:\\udc00title":["a"],"dc:title":["b"]}}',
+            '{"id":"r3","fields":{"dc:title":["a\\ud800"]}}',
+            '{"id":"r4","fields":{"dc:title":["b\\uDBFF"]}}',
+            '{"id":"r5","fields":{"dc:title":["pair \\ud83d\\ude00"]}}',
+        )
+        assert [r.id for r in result.records] == ["r5"]
+        assert [r.line for r in result.rejects] == [1, 2, 3, 4]
+        assert all("surrogate" in r.reason for r in result.rejects)
+        serialize_for_compression(result.records[0])
 
 
 class TestTokenize:
@@ -178,8 +218,7 @@ def test_export_ingest_round_trip(docs):
     records = [Record(rid, "", {n: tuple(v) for n, v in fields.items()}) for rid, fields in docs]
     buffer = io.StringIO()
     write_records(records, buffer)
-    buffer.seek(0)
-    result = ingest(buffer)
+    result = ingest(io.BytesIO(buffer.getvalue().encode("utf-8")))
     assert not result.rejects
     original = {(r.id, tuple(sorted(r.fields.items()))) for r in records}
     restored = {(r.id, tuple(sorted(r.fields.items()))) for r in result.records}
