@@ -319,7 +319,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     status = 0
     print(f"{'level':>5} {'records':>10} {'clusters':>9} {'unclustered':>11} "
-          f"{'min':>5} {'max':>7} {'mean':>8}   reference")
+          f"{'min':>5} {'max':>7} {'mean':>8} {'iters':>5}   reference")
     for level in manifest["levels"]:
         clusters = rundir.load_clusters(run_dir, level)
         unclustered = rundir.load_unclustered(run_dir, level)
@@ -350,12 +350,21 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print(
             f"{level:>5} {recorded['input_records']:>10} {stats['count']:>9} "
             f"{len(unclustered):>11} {stats['min_size']:>5} {stats['max_size']:>7} "
-            f"{stats['mean_size']:>8.2f}   {ref_text}"
+            f"{stats['mean_size']:>8.2f} {recorded.get('iterations_used', '-'):>5}   {ref_text}"
         )
         if stats["histogram"]:
             print(f"      size histogram: {stats['histogram']}")
     if 20 in manifest["levels"]:
         print(f"reference level-20 mean cluster size: {REFERENCE_LEVEL20_MEAN_SIZE}")
+
+    report = rundir.load_field_report(run_dir)
+    for provider, ga_info in (report or {}).get("ga_providers", {}).items():
+        # null marks a degenerate clustering (fewer than two clusters).
+        history = ["-" if v is None else f"{v:.4f}" for v in ga_info["best_history"]]
+        print(
+            f"ga {provider}: {ga_info['evaluations']} evaluations, best fitness "
+            f"{history[0]} -> {history[-1]} over {len(history) - 1} generations"
+        )
 
     forest = rundir.load_forest(run_dir)
     depths = rundir.forest_depths(forest)

@@ -27,6 +27,18 @@ this level (0 or 1; a tuple seen twice is dissolved to unclustered).  The
 group consumes exactly one ``rng.shuffle(sorted(group))`` call and nothing
 else.  Groups in flight are pairwise disjoint, so processing order does not
 matter and every ``workers`` value gives identical results.
+
+A restack is a subset of the group it came from, and a strict one unless the
+group had a single head: then every member reached the threshold against that
+head, and only float rounding of the mean (``sum([0.2] * 6) / 6 < 0.2``) can
+fail the candidate and restack the whole group.  ``visit`` separates two draws
+only in that corner; otherwise a tuple recurs only in a later iteration, which
+``iteration`` already separates.  It stays in the seed so the RNG contract and
+outputs stay unchanged; dropping it is a contract change of its own.
+
+Within one processed group, each ordered pair's similarity is computed at
+most once (head selection, assignment and validation share a per-group memo),
+so the memo is bounded by the group size and private to one worker.
 """
 
 from __future__ import annotations
@@ -35,14 +47,14 @@ import random
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .config import EngineConfig
 from .errors import ConfigurationError, IntegrityError
 from .hashing import derive_seed, digest_hex
-from .minhash import SignatureComputer, band_key_matrix, group_ids
+from .minhash import SENTINEL, SignatureComputer, band_key_matrix, group_ids
 from .records import FieldMask, Record, tokenize
 from .similarity import Compression, SimilarityContext
 
@@ -123,6 +135,29 @@ class LevelBanding:
         return group_ids([self.ids[i] for i in rows], self.keys[sel], self.empty[sel], mode=mode)
 
 
+def sign_population(
+    records: Mapping[str, Record],
+    ids: list[str],
+    computer: SignatureComputer,
+    mask_for: Callable[[Record], FieldMask | None] | None = None,
+) -> np.ndarray:
+    """Tokenize and sign each record under its mask: one minhash row per id."""
+    signatures = np.empty((len(ids), computer.count), dtype=np.uint64)
+    for i, rid in enumerate(ids):
+        record = records[rid]
+        mask = mask_for(record) if mask_for is not None else None
+        signatures[i] = computer.signature_vector(tokenize(record, mask))
+    return signatures
+
+
+def band_signatures(
+    level: int, ids: list[str], signatures: np.ndarray, config: EngineConfig
+) -> LevelBanding:
+    """Band a signature matrix for one level pass (hierarchy and GA alike)."""
+    keys, empty = band_key_matrix(signatures, level, config.seed, config.group_sizes)
+    return LevelBanding(level, ids, keys, empty)
+
+
 def build_banding(
     records: Mapping[str, Record],
     ids: Iterable[str],
@@ -134,13 +169,43 @@ def build_banding(
     """Tokenize, sign and band a population for one level pass."""
     id_list = list(ids)
     computer = computer or SignatureComputer(count=config.minhash_count, seed=config.seed)
-    signatures = np.empty((len(id_list), computer.count), dtype=np.uint64)
-    for i, rid in enumerate(id_list):
-        record = records[rid]
-        mask = mask_for(record) if mask_for is not None else None
-        signatures[i] = computer.signature_vector(tokenize(record, mask))
-    keys, empty = band_key_matrix(signatures, level, config.seed, config.group_sizes)
-    return LevelBanding(level, id_list, keys, empty)
+    return band_signatures(level, id_list, sign_population(records, id_list, computer, mask_for), config)
+
+
+class FieldRows:
+    """Minhash rows of a fixed population, one per present (record, field) pair.
+
+    The minhash of a union is the elementwise minimum of the parts' minhashes,
+    so a record's signature under any field mask is the minimum over its
+    selected rows, or the sentinel row when none is selected.  Each pair is
+    tokenized and signed once, in record order; the token cache used for that
+    is dropped when the build returns.  Memory: pairs x ``minhash_count`` x 8
+    bytes.
+    """
+
+    def __init__(self, records: Sequence[Record], config: EngineConfig):
+        self.fields = sorted({name for record in records for name in record.fields})
+        self.count = config.minhash_count
+        self.size = len(records)
+        column = {name: f for f, name in enumerate(self.fields)}
+        pairs = [(i, name) for i, record in enumerate(records) for name in sorted(record.fields)]
+        self.record_index = np.fromiter((i for i, _ in pairs), dtype=np.intp, count=len(pairs))
+        self.field_index = np.fromiter((column[name] for _, name in pairs), dtype=np.intp, count=len(pairs))
+        self.rows = np.empty((len(pairs), self.count), dtype=np.uint64)
+        computer = SignatureComputer(count=config.minhash_count, seed=config.seed)
+        for k, (i, name) in enumerate(pairs):
+            self.rows[k] = computer.signature_vector(tokenize(records[i], FieldMask.of(name)))
+
+    def signatures(self, mask: FieldMask) -> np.ndarray:
+        """Signature matrix of the population under ``mask``, in record order."""
+        selected = np.array([name in mask for name in self.fields], dtype=bool)
+        keep = selected[self.field_index]
+        owners = self.record_index[keep]
+        out = np.full((self.size, self.count), SENTINEL, dtype=np.uint64)
+        if len(owners):
+            starts = np.flatnonzero(np.diff(owners, prepend=-1))
+            out[owners[starts]] = np.minimum.reduceat(self.rows[keep], starts, axis=0)
+        return out
 
 
 def level_inputs(
@@ -228,13 +293,21 @@ def _process_group(
     rng: random.Random,
     sim: SimilarityFn,
 ) -> tuple[list[_Accepted], list[tuple[str, ...]]]:
-    heads = select_heads(group, threshold, rng, sim)
+    memo: dict[tuple[str, str], float] = {}
+
+    def once(x: str, y: str) -> float:
+        value = memo.get((x, y))
+        if value is None:
+            value = memo[(x, y)] = sim(x, y)
+        return value
+
+    heads = select_heads(group, threshold, rng, once)
     accepted: list[_Accepted] = []
     restack: list[tuple[str, ...]] = []
-    for candidate in assign_to_heads(group, heads, sim):
+    for candidate in assign_to_heads(group, heads, once):
         if not candidate.members:
             continue
-        ok, mean = validate_candidate(candidate, threshold, sim)
+        ok, mean = validate_candidate(candidate, threshold, once)
         if ok:
             accepted.append((candidate.head, candidate.members, mean))
         else:

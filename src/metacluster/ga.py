@@ -19,15 +19,14 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .clusterer import LevelResult, cluster_level, level_inputs
+from .clusterer import FieldRows, LevelResult, band_signatures, cluster_level
 from .config import DESCRIPTION_FIELD, TITLE_FIELD, EngineConfig, GAConfig
 from .errors import ConfigurationError
 from .hashing import derive_seed
 from .hierarchy import default_mask_for, make_artificial_record
-from .minhash import SignatureComputer
-from .records import FieldMask, Record, serialize_for_compression
+from .records import FieldMask, Record
 from .similarity import Compression, SimilarityContext
 
 FSC_LEVEL = 80
@@ -54,6 +53,10 @@ class ProviderMask:
     mask: FieldMask
     fitness: float | None
     method: str  # "ga" | "default" | "single-field"
+    #: GA only: best fitness so far after the initial population and each generation.
+    best_history: tuple[float, ...] = ()
+    #: GA only: distinct masks scored.
+    evaluations: int = 0
 
 
 @dataclass
@@ -95,21 +98,17 @@ def _pair_by_rank(rank: int, n: int) -> tuple[int, int]:
 
 def fitness(
     clusters: LevelResult,
-    records: Mapping[str, Record],
-    mask: FieldMask | None,
+    ctx: SimilarityContext,
     engine: EngineConfig,
     pair_seed: int = 0,
 ) -> float:
-    """Clusterability of one level-80 result under the mask that produced it."""
+    """Clusterability of one level-80 result, scored through the context of
+    the pass that produced it (its records, mask, compressor and cached
+    C(x) sizes)."""
     accepted = clusters.clusters
     if len(accepted) < 2:
         return SENTINEL_FITNESS
 
-    ctx = SimilarityContext(
-        records,
-        Compression(engine.compressor, engine.compression_level),
-        mask_for=(lambda record: mask) if mask is not None else None,
-    )
     within_terms = []
     for cluster in accepted:
         distances = [1.0 - ctx.similarity(cluster.head, m) for m in cluster.members]
@@ -119,15 +118,14 @@ def fitness(
         return SENTINEL_FITNESS
 
     payloads = []
-    compression = Compression(engine.compressor, engine.compression_level)
     for cluster in accepted:
         summary = make_artificial_record(
             cluster,
-            [records[rid] for rid in cluster.record_ids()],
+            [ctx.records[rid] for rid in cluster.record_ids()],
             engine.artificial_value_cap,
         )
-        payloads.append(serialize_for_compression(summary, mask))
-    sizes = [compression.compressed_size(p) for p in payloads]
+        payloads.append(ctx.serialize(summary))
+    sizes = [ctx.compression.compressed_size(p) for p in payloads]
 
     n = len(payloads)
     total_pairs = n * (n - 1) // 2
@@ -136,10 +134,9 @@ def fitness(
     else:
         rng = random.Random(pair_seed)
         pairs = [_pair_by_rank(r, n) for r in sorted(rng.sample(range(total_pairs), BETWEEN_PAIR_CAP))]
-    scratch = SimilarityContext({}, compression)
     between_sum = 0.0
     for i, j in pairs:
-        between_sum += 1.0 - scratch.similarity_of_payloads(payloads[i], payloads[j], sizes[i], sizes[j])
+        between_sum += 1.0 - ctx.similarity_of_payloads(payloads[i], payloads[j], sizes[i], sizes[j])
     between = between_sum / len(pairs)
 
     avg_size = sum(c.size for c in accepted) / len(accepted)
@@ -211,8 +208,10 @@ def evolve(
     by_id = {record.id: record for record in sample}
     ids = sorted(by_id)
 
-    # Token-level minhash caching is shared across all fitness evaluations.
-    computer = SignatureComputer(count=engine.minhash_count, seed=engine.seed)
+    # Each (record, field) pair is signed once; a mask's signatures are
+    # reduced from those rows.
+    rows = FieldRows([by_id[rid] for rid in ids], engine)
+    compression = Compression(engine.compressor, engine.compression_level)
     eval_engine = replace(engine, workers=1)
     cache: dict[tuple[int, ...], float] = {}
     evaluations = 0
@@ -223,13 +222,12 @@ def evolve(
         if cached is not None:
             return cached
         mask = FieldMask(frozenset(f for f, b in zip(fields, bits) if b))
-        mask_for = lambda record: mask
-        banding, ctx = level_inputs(by_id, ids, FSC_LEVEL, eval_engine, computer, mask_for)
+        banding = band_signatures(FSC_LEVEL, ids, rows.signatures(mask), eval_engine)
+        ctx = SimilarityContext(by_id, compression, mask_for=lambda record: mask)
         result = cluster_level(ids, FSC_LEVEL, ctx.similarity, banding, eval_engine)
         value = fitness(
             result,
-            by_id,
-            mask,
+            ctx,
             eval_engine,
             pair_seed=derive_seed(ga.seed, "ga-pairs", provider_key, "".join(map(str, bits))),
         )
@@ -295,7 +293,14 @@ def select_all_providers(
         records = by_provider[provider]
         if len(records) > ga.min_provider_records:
             outcome = evolve(records, engine, ga, provider_key=provider)
-            info = ProviderMask(provider, outcome.mask, outcome.fitness, "ga")
+            info = ProviderMask(
+                provider,
+                outcome.mask,
+                outcome.fitness,
+                "ga",
+                best_history=tuple(outcome.best_history),
+                evaluations=outcome.evaluations,
+            )
         else:
             info = ProviderMask(provider, default_mask_for(records), None, "default")
         selection.masks[provider] = info.mask

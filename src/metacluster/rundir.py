@@ -11,6 +11,7 @@ whatever the worker count.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable
 
@@ -41,6 +42,11 @@ def unclustered_file(level: int) -> str:
 
 def _dump(doc: dict) -> str:
     return json.dumps(doc, ensure_ascii=False, sort_keys=True)
+
+
+def _finite_or_none(value: float | None) -> float | None:
+    # JSON has no infinities; the degenerate-clustering fitness is written as null.
+    return value if value is not None and math.isfinite(value) else None
 
 
 def format_duration(seconds: float) -> str:
@@ -143,13 +149,12 @@ def write_masks(path: Path, selection: ProviderSelection) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for provider in sorted(selection.details):
             info = selection.details[provider]
-            fitness = info.fitness
             fh.write(
                 _dump(
                     {
                         "provider": provider,
                         "mask": info.mask.sorted_names(),
-                        "fitness": fitness if fitness is not None and fitness == fitness and abs(fitness) != float("inf") else None,
+                        "fitness": _finite_or_none(info.fitness),
                         "method": info.method,
                     }
                 )
@@ -162,6 +167,14 @@ def write_field_report(path: Path, selection: ProviderSelection) -> None:
         "providers": len(selection.details),
         "field_counts": selection.field_counts(),
         "combination_counts": selection.combination_counts(),
+        "ga_providers": {
+            provider: {
+                "best_history": [_finite_or_none(v) for v in info.best_history],
+                "evaluations": info.evaluations,
+            }
+            for provider, info in sorted(selection.details.items())
+            if info.method == "ga"
+        },
     }
     path.write_text(
         json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -229,11 +242,14 @@ def load_unclustered(run_dir: Path, level: int) -> list[str]:
 
 
 def load_level_result(run_dir: Path, level: int) -> LevelResult:
+    entry = load_summary(run_dir)["levels"].get(str(level), {})
+    if "iterations_used" not in entry:
+        raise IntegrityError(f"summary of {run_dir} has no iterations_used for level {level}")
     return LevelResult(
         level=level,
         clusters=tuple(load_clusters(run_dir, level)),
         unclustered=tuple(load_unclustered(run_dir, level)),
-        iterations_used=0,  # not persisted per level
+        iterations_used=entry["iterations_used"],
     )
 
 
@@ -270,6 +286,14 @@ def load_summary(run_dir: Path) -> dict:
     path = run_dir / SUMMARY_FILE
     if not path.exists():
         raise IntegrityError(f"missing summary {path}")
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def load_field_report(run_dir: Path) -> dict | None:
+    """The field selection report, or None for a run given saved masks."""
+    path = run_dir / FIELD_REPORT_FILE
+    if not path.exists():
+        return None
     return json.loads(path.read_text(encoding="utf-8"))
 
 
@@ -335,6 +359,7 @@ def summarize_run(run: HierarchyRun) -> dict:
                 "input_records": stat.input_count,
                 "clustered_records": stat.clustered_records,
                 "unclustered_records": stat.unclustered_count,
+                "iterations_used": result.iterations_used,
             }
         )
         levels[str(stat.level)] = entry

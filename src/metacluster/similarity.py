@@ -63,8 +63,10 @@ class SimilarityContext:
     """Similarity over a fixed record population and field mask.
 
     Serialized payloads and their compressed sizes C(x) are cached per record
-    id for the whole pass; concatenation sizes C(xy) are never cached.  Safe
-    for concurrent readers: cache fills are idempotent.
+    id for the whole pass.  Concatenation sizes C(xy) are not cached here: the
+    clusterer memoizes each pair's similarity for the one candidate group it
+    processes (``clusterer._process_group``).  Safe for concurrent readers:
+    cache fills are idempotent.
     """
 
     def __init__(
@@ -87,13 +89,15 @@ class SimilarityContext:
     def cached_sizes(self) -> Mapping[str, int]:
         return self._sizes
 
+    def serialize(self, record: Record) -> bytes:
+        """Payload of any record, in the population or not, under this mask."""
+        mask = self._mask_for(record) if self._mask_for is not None else None
+        return serialize_for_compression(record, mask)
+
     def payload(self, record_id: str) -> bytes:
         data = self._payloads.get(record_id)
         if data is None:
-            record = self.records[record_id]
-            mask = self._mask_for(record) if self._mask_for is not None else None
-            data = serialize_for_compression(record, mask)
-            self._payloads[record_id] = data
+            data = self._payloads[record_id] = self.serialize(self.records[record_id])
         return data
 
     def compressed_size_of(self, record_id: str) -> int:

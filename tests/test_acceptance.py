@@ -222,7 +222,7 @@ def test_criterion_5_ga_correctness():
         mask = FieldMask(frozenset({"dc:title"} | {f for f, b in zip(free, bits) if b}))
         banding, ctx = level_inputs(by_id, ids, FSC_LEVEL, engine, mask_for=lambda r: mask)
         result = cluster_level(ids, FSC_LEVEL, ctx.similarity, banding, engine)
-        value = fitness(result, by_id, mask, engine, pair_seed=0)
+        value = fitness(result, ctx, engine, pair_seed=0)
         exhaustive_best = max(exhaustive_best, value)
     assert exhaustive_best > SENTINEL_FITNESS
 

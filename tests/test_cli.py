@@ -5,7 +5,10 @@ import pytest
 
 from metacluster import rundir
 from metacluster.cli import EVAL_CATEGORIES, main
-from metacluster.records import FieldMask, write_records
+from metacluster.config import EngineConfig
+from metacluster.ga import SENTINEL_FITNESS, ProviderMask, ProviderSelection
+from metacluster.hierarchy import run_hierarchy
+from metacluster.records import FieldMask, ingest_path, write_records
 from metacluster.synthetic import (
     duplicate_pairs_corpus,
     family_corpus,
@@ -265,3 +268,42 @@ class TestStats:
         for node in forest:
             if node.artificial_record_id:
                 assert node.artificial_record_id in artificials
+
+
+class TestRunDirRoundTrip:
+    def test_iterations_used_round_trip(self, corpus_path, tmp_path, capsys):
+        run = run_hierarchy(ingest_path(corpus_path).records, None, EngineConfig(seed=33))
+        out = tmp_path / "run"
+        rundir.write_run(out, run)
+        assert any(result.iterations_used > 0 for result in run.results.values())
+        for level, result in run.results.items():
+            loaded = rundir.load_level_result(out, level)
+            assert loaded.iterations_used == result.iterations_used
+            assert sorted(loaded.clusters, key=lambda c: c.id) == sorted(result.clusters, key=lambda c: c.id)
+            assert loaded.unclustered == result.unclustered
+        assert main(["stats", "--run", str(out)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert rows[0][:8] == ["level", "records", "clusters", "unclustered", "min", "max", "mean", "iters"]
+        printed = {int(row[0]): int(row[7]) for row in rows[1:] if row and row[0].isdigit()}
+        assert printed == {level: r.iterations_used for level, r in run.results.items()}
+
+    def test_ga_history_round_trip(self, tmp_path):
+        selection = ProviderSelection()
+        for info in (
+            ProviderMask("big", FieldMask.of("dc:title"), 2.5, "ga", (SENTINEL_FITNESS, 1.5, 2.5), 7),
+            ProviderMask("small", FieldMask.of("dc:title"), None, "default"),
+        ):
+            selection.masks[info.provider] = info.mask
+            selection.details[info.provider] = info
+        rundir.write_field_report(tmp_path / rundir.FIELD_REPORT_FILE, selection)
+        report = rundir.load_field_report(tmp_path)
+        # JSON has no infinities: the degenerate fitness comes back as null.
+        assert report["ga_providers"] == {"big": {"best_history": [None, 1.5, 2.5], "evaluations": 7}}
+        assert rundir.load_field_report(tmp_path / "missing") is None
+
+    def test_stats_prints_ga_history(self, full_run, capsys):
+        report = rundir.load_field_report(full_run)
+        assert list(report["ga_providers"]) == ["gaprov"]
+        assert main(["stats", "--run", str(full_run)]) == 0
+        evaluations = report["ga_providers"]["gaprov"]["evaluations"]
+        assert f"ga gaprov: {evaluations} evaluations" in capsys.readouterr().out

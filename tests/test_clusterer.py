@@ -1,26 +1,35 @@
 import json
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from metacluster.clusterer import (
     CandidateCluster,
+    FieldRows,
     LevelBanding,
+    _process_group,
     assign_to_heads,
+    band_signatures,
     build_banding,
     cluster_level,
     level_inputs,
     select_heads,
+    sign_population,
     validate_candidate,
 )
 from metacluster.config import EngineConfig
 from metacluster.errors import ConfigurationError
-from metacluster.minhash import SignatureComputer
+from metacluster.hashing import derive_seed
+from metacluster.minhash import SENTINEL, SignatureComputer
+from metacluster.records import FieldMask, Record
 from metacluster.synthetic import (
     duplicate_pairs_corpus,
     family_corpus,
+    ga_provider_corpus,
     random_corpus,
 )
 
@@ -313,3 +322,164 @@ class TestClusterLevel:
         config = EngineConfig(seed=4, band_match="all")
         result, _ = run_level(records, 100, config)
         assert len(result.clusters) == 10
+
+
+def row_store_corpus() -> list[Record]:
+    """A GA provider sample where some records lack fields and ``dc:date``
+    holds only numbers, so it tokenizes to nothing."""
+    records = []
+    base = ga_provider_corpus(n_records=24, n_families=3, seed=41, extra_fields=2)
+    for i, record in enumerate(base):
+        fields = dict(record.fields)
+        if i % 3 == 0:
+            del fields["dc:description"]
+        if i % 4 == 1:
+            del fields["dc:extra0"]
+        if i % 2 == 0:
+            fields["dc:date"] = ("1871", "2024")
+        records.append(Record(record.id, record.provider, fields))
+    return records
+
+
+ROW_RECORDS = row_store_corpus()
+ROW_FIELDS = sorted({name for record in ROW_RECORDS for name in record.fields})
+ROW_CONFIG = EngineConfig(seed=41)
+
+
+@pytest.fixture(scope="module")
+def row_store() -> FieldRows:
+    return FieldRows(ROW_RECORDS, ROW_CONFIG)
+
+
+class TestFieldRows:
+    @given(st.sets(st.sampled_from(ROW_FIELDS)))
+    def test_store_matches_tokenizing_path(self, row_store, names):
+        mask = FieldMask(frozenset(names))
+        by_id = {r.id: r for r in ROW_RECORDS}
+        ids = [r.id for r in ROW_RECORDS]
+        computer = SignatureComputer(count=ROW_CONFIG.minhash_count, seed=ROW_CONFIG.seed)
+        expected = sign_population(by_id, ids, computer, lambda record: mask)
+        got = row_store.signatures(mask)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, expected)
+        banding = band_signatures(80, ids, got, ROW_CONFIG)
+        reference = build_banding(by_id, ids, 80, ROW_CONFIG, mask_for=lambda record: mask)
+        assert np.array_equal(banding.keys, reference.keys)
+        assert np.array_equal(banding.empty, reference.empty)
+
+    def test_numeric_only_and_missing_fields_give_sentinel(self, row_store):
+        assert (row_store.signatures(FieldMask.of("dc:date")) == np.uint64(SENTINEL)).all()
+        assert (row_store.signatures(FieldMask(frozenset())) == np.uint64(SENTINEL)).all()
+        lacking = [i for i, r in enumerate(ROW_RECORDS) if "dc:description" not in r.fields]
+        sig = row_store.signatures(FieldMask.of("dc:description"))
+        assert (sig[lacking] == np.uint64(SENTINEL)).all()
+        assert not (np.delete(sig, lacking, axis=0) == np.uint64(SENTINEL)).any()
+
+    def test_one_row_per_present_pair(self, row_store):
+        assert row_store.rows.shape == (
+            sum(len(r.fields) for r in ROW_RECORDS),
+            ROW_CONFIG.minhash_count,
+        )
+
+
+#: Exact thresholds are included on purpose: they reach the rounding corner.
+SIM_VALUES = (0.0, 0.15, 0.2, 0.55, 0.6, 0.79, 0.8, 0.95, 1.0)
+THRESHOLDS = st.sampled_from((0.2, 0.4, 0.6, 0.8, 1.0))
+
+
+@st.composite
+def group_with_sims(draw):
+    """A candidate group and a directed similarity for every ordered pair."""
+    n = draw(st.integers(2, 12))
+    group = tuple(f"r{i:02d}" for i in range(n))
+    values = st.one_of(st.sampled_from(SIM_VALUES), st.floats(0.0, 1.0))
+    table = {(a, b): draw(values) for a in group for b in group if a != b}
+    return group, table
+
+
+def table_sim(table):
+    return lambda x, y: 1.0 if x == y else table[(x, y)]
+
+
+class TestProcessGroup:
+    @given(group_with_sims(), THRESHOLDS, st.integers(0, 2**32))
+    def test_each_ordered_pair_computed_once(self, spec, threshold, seed):
+        group, table = spec
+        raw = table_sim(table)
+        calls: Counter = Counter()
+
+        def counting(x, y):
+            calls[(x, y)] += 1
+            return raw(x, y)
+
+        got = _process_group(group, threshold, random.Random(seed), counting)
+        assert max(calls.values()) == 1
+
+        # The three steps composed over the bare similarity agree.
+        heads = select_heads(group, threshold, random.Random(seed), raw)
+        accepted, restack = [], []
+        for candidate in assign_to_heads(group, heads, raw):
+            if not candidate.members:
+                continue
+            ok, mean = validate_candidate(candidate, threshold, raw)
+            if ok:
+                accepted.append((candidate.head, candidate.members, mean))
+            else:
+                restack.append(tuple(sorted((candidate.head,) + candidate.members)))
+        assert got == (accepted, restack)
+
+    @given(group_with_sims(), THRESHOLDS, st.integers(0, 2**32))
+    def test_restack_is_strict_subset_unless_mean_rounds_down(self, spec, threshold, seed):
+        group, table = spec
+        sim = table_sim(table)
+        accepted, restack = _process_group(group, threshold, random.Random(seed), sim)
+        parts = [set(r) for r in restack] + [{head, *members} for head, members, _ in accepted]
+        assert all(part <= set(group) for part in parts)
+        assert sum(map(len, parts)) == len(set().union(*parts))  # pairwise disjoint
+        for part in restack:
+            if set(part) == set(group):
+                # Only a single head takes the whole group, and every member
+                # reached the threshold against it, so only float rounding of
+                # the mean can have failed the candidate.
+                heads = select_heads(group, threshold, random.Random(seed), sim)
+                assert len(heads) == 1
+                member_sims = [sim(heads[0], m) for m in group if m != heads[0]]
+                assert min(member_sims) >= threshold
+                assert sum(member_sims) / len(member_sims) < threshold
+
+    def test_mean_rounding_restacks_whole_single_head_group(self):
+        # The corner the strict-subset rule excludes: six members at exactly
+        # the threshold average to just below it in floating point.
+        group = tuple(f"r{i}" for i in range(7))
+        sim = stub_sim({}, default=0.2)
+        assert sum([0.2] * 6) / 6 < 0.2
+        accepted, restack = _process_group(group, 0.2, random.Random(0), sim)
+        assert accepted == [] and restack == [group]
+
+    def test_visit_redraws_a_group_restacked_by_rounding(self):
+        # With r0 as head every member sits exactly at 0.2 and the mean rounds
+        # below the level-20 threshold; any other head passes.  A group whose
+        # first draw puts r0 first is restacked whole, and only the ``visit``
+        # term of the seed makes its second draw differ from the first.
+        group = tuple(f"r{i}" for i in range(7))
+
+        def sim(x, y):
+            return 1.0 if x == y else (0.2 if x == "r0" else 0.9)
+
+        def first_head(seed, visit):  # the documented per-group draw
+            order = sorted(group)
+            random.Random(derive_seed(seed, "level", 20, 1, visit, *group)).shuffle(order)
+            return order[0]
+
+        banding = manual_banding(20, [group])
+        redrawn = 0
+        for seed in range(60):
+            heads = [first_head(seed, 0), first_head(seed, 1)]
+            redrawn += heads[0] == "r0"
+            result = cluster_level(group, 20, sim, banding, EngineConfig(seed=seed))
+            if heads == ["r0", "r0"]:
+                assert result.clusters == () and result.unclustered == group
+            else:
+                [cluster] = result.clusters
+                assert cluster.head == next(h for h in heads if h != "r0")
+        assert redrawn > 0

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -25,6 +26,7 @@ from metacluster.ga import (
     Chromosome,
 )
 from metacluster.records import FieldMask, Record
+from metacluster.similarity import SimilarityContext
 from metacluster.synthetic import family_corpus, ga_provider_corpus
 
 
@@ -50,7 +52,7 @@ def evaluate_mask(records, mask_fields, engine, pair_seed=0):
     mask = FieldMask(frozenset(mask_fields))
     banding, ctx = level_inputs(by_id, ids, FSC_LEVEL, engine, mask_for=lambda r: mask)
     result = cluster_level(ids, FSC_LEVEL, ctx.similarity, banding, engine)
-    return fitness(result, by_id, mask, engine, pair_seed=pair_seed)
+    return fitness(result, ctx, engine, pair_seed=pair_seed)
 
 
 class TestClusterability:
@@ -77,14 +79,14 @@ class TestFitness:
         records, families = family_corpus(1, 6, seed=1)
         by_id = {r.id: r for r in records}
         result = result_from_partition([list(by_id)])
-        assert fitness(result, by_id, None, EngineConfig(seed=1)) == SENTINEL_FITNESS
+        assert fitness(result, SimilarityContext(by_id), EngineConfig(seed=1)) == SENTINEL_FITNESS
 
     def test_identical_members_zero_within_is_sentinel(self):
         fields = {"dc:title": ("same exact title text",)}
         records = [Record(f"r{i}", "p", dict(fields)) for i in range(8)]
         by_id = {r.id: r for r in records}
         result = result_from_partition([["r0", "r1", "r2", "r3"], ["r4", "r5", "r6", "r7"]])
-        assert fitness(result, by_id, None, EngineConfig(seed=1)) == SENTINEL_FITNESS
+        assert fitness(result, SimilarityContext(by_id), EngineConfig(seed=1)) == SENTINEL_FITNESS
 
     def test_true_families_beat_arbitrary_split(self):
         records, families = family_corpus(2, 10, seed=7)
@@ -98,8 +100,8 @@ class TestFitness:
         shuffled = list(ids)
         random.Random(0).shuffle(shuffled)
         arbitrary = [shuffled[i::4] for i in range(4)]
-        good = fitness(result_from_partition(family_groups), by_id, None, engine)
-        bad = fitness(result_from_partition(arbitrary), by_id, None, engine)
+        good = fitness(result_from_partition(family_groups), SimilarityContext(by_id), engine)
+        bad = fitness(result_from_partition(arbitrary), SimilarityContext(by_id), engine)
         assert good > bad
 
     def test_between_pairs_sampled_deterministically(self):
@@ -109,8 +111,8 @@ class TestFitness:
         groups = [[rid for rid in ids if families[rid] == f] for f in range(6)]
         result = result_from_partition(groups)
         engine = EngineConfig(seed=9)
-        a = fitness(result, by_id, None, engine, pair_seed=5)
-        b = fitness(result, by_id, None, engine, pair_seed=5)
+        a = fitness(result, SimilarityContext(by_id), engine, pair_seed=5)
+        b = fitness(result, SimilarityContext(by_id), engine, pair_seed=5)
         assert a == b
 
 
@@ -177,6 +179,24 @@ class TestEvolve:
         b = evolve(records, EngineConfig(seed=4), ga, provider_key="p")
         assert a.mask == b.mask and a.fitness == b.fitness
 
+    def test_each_present_field_tokenized_once(self, monkeypatch):
+        from metacluster import clusterer
+
+        records = ga_provider_corpus(n_records=40, n_families=4, seed=12, extra_fields=1)
+        records[0] = Record(records[0].id, records[0].provider, {"dc:title": ("only a title",)})
+        calls: Counter = Counter()
+        tokenize = clusterer.tokenize
+
+        def counting(record, mask=None):
+            calls[(record.id, tuple(sorted(mask.selected)))] += 1
+            return tokenize(record, mask)
+
+        monkeypatch.setattr(clusterer, "tokenize", counting)
+        ga = GAConfig(seed=12, population_size=6, generations=3)
+        outcome = evolve(records, EngineConfig(seed=12), ga, provider_key="p")
+        assert outcome.evaluations > 1
+        assert calls == Counter((r.id, (name,)) for r in records for name in r.fields)
+
     def test_title_selected_description_rejected(self):
         # Exhaustive oracle over all masks (compulsory title fixed) for a
         # provider where the title carries family structure and the
@@ -215,6 +235,15 @@ class TestSelectAllProviders:
         assert selection.details["small"].method == "default"
         assert selection.details["large"].method == "ga"
         assert selection.details["small"].mask.selected == {"dc:title"}
+
+    def test_selection_keeps_ga_history(self):
+        records = ga_provider_corpus(n_records=150, n_families=8, seed=7, provider="large")
+        engine, ga = EngineConfig(seed=8), GAConfig(seed=8, population_size=6, generations=2)
+        info = select_all_providers(records, engine, ga).details["large"]
+        outcome = evolve(records, engine, ga, provider_key="large")
+        assert info.best_history == tuple(outcome.best_history)
+        assert len(info.best_history) == ga.generations + 1
+        assert info.evaluations == outcome.evaluations > 0
 
     def test_report_counting(self):
         selection = ProviderSelection()
