@@ -123,12 +123,9 @@ class LevelBanding:
         self.ids = ids
         self.keys = keys
         self.empty = empty
-        self._index = {rid: i for i, rid in enumerate(ids)}
 
-    def groups(self, subset: set[str] | None = None, mode: str = "any") -> list[tuple[str, ...]]:
-        if subset is None:
-            return group_ids(self.ids, self.keys, self.empty, mode=mode)
-        rows = [self._index[rid] for rid in self.ids if rid in subset]
+    def groups(self, subset: set[str], mode: str = "any") -> list[tuple[str, ...]]:
+        rows = [i for i, rid in enumerate(self.ids) if rid in subset]
         if not rows:
             return []
         sel = np.array(rows, dtype=np.intp)
@@ -158,20 +155,6 @@ def band_signatures(
     return LevelBanding(level, ids, keys, empty)
 
 
-def build_banding(
-    records: Mapping[str, Record],
-    ids: Iterable[str],
-    level: int,
-    config: EngineConfig,
-    computer: SignatureComputer | None = None,
-    mask_for: Callable[[Record], FieldMask | None] | None = None,
-) -> LevelBanding:
-    """Tokenize, sign and band a population for one level pass."""
-    id_list = list(ids)
-    computer = computer or SignatureComputer(count=config.minhash_count, seed=config.seed)
-    return band_signatures(level, id_list, sign_population(records, id_list, computer, mask_for), config)
-
-
 class FieldRows:
     """Minhash rows of a fixed population, one per present (record, field) pair.
 
@@ -197,7 +180,7 @@ class FieldRows:
             self.rows[k] = computer.signature_vector(tokenize(records[i], FieldMask.of(name)))
 
     def signatures(self, mask: FieldMask) -> np.ndarray:
-        """Signature matrix of the population under ``mask``, in record order."""
+        """Minhash matrix of the population under ``mask``, in record order."""
         selected = np.array([name in mask for name in self.fields], dtype=bool)
         keep = selected[self.field_index]
         owners = self.record_index[keep]
@@ -217,7 +200,9 @@ def level_inputs(
     mask_for: Callable[[Record], FieldMask | None] | None = None,
 ) -> tuple[LevelBanding, SimilarityContext]:
     """Banding plus a compatible similarity context for one level pass."""
-    banding = build_banding(records, ids, level, config, computer, mask_for)
+    id_list = list(ids)
+    computer = computer or SignatureComputer(count=config.minhash_count, seed=config.seed)
+    banding = band_signatures(level, id_list, sign_population(records, id_list, computer, mask_for), config)
     ctx = SimilarityContext(
         records,
         Compression(config.compressor, config.compression_level),

@@ -17,8 +17,9 @@ BAND_COUNT = 4
 
 DEFAULT_SEED = 42
 
-#: Records below this size always serialize/tokenize over every field they
-#: carry ("all fields"); expressed as ``None`` masks throughout the code.
+#: The compulsory fields: ingest requires one of them in every record,
+#: ``default_mask_for`` picks one (title first) and the GA forces that
+#: field's bit on in every mask it tries.
 TITLE_FIELD = "dc:title"
 DESCRIPTION_FIELD = "dc:description"
 

@@ -10,7 +10,6 @@ groups are the connected components of that relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import random
 
 import numpy as np
@@ -20,7 +19,7 @@ from .hashing import MAX_U64, derive_seed, stable_hash64
 
 SHINGLE_LENGTH = 8
 
-#: Signature value of an empty shingle union; such records never group.
+#: Minhash value of an empty shingle union; such records never group.
 SENTINEL = MAX_U64
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -28,6 +27,9 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
+
+#: Distinct tokens whose minhash vector one SignatureComputer keeps.
+TOKEN_CACHE_LIMIT = 1_000_000
 
 
 def shingle(word: str) -> set[str]:
@@ -48,18 +50,6 @@ def _mix(values: np.ndarray) -> np.ndarray:
     return z ^ (z >> _S31)
 
 
-@dataclass(frozen=True, slots=True)
-class Signature:
-    """Ordered minhash values of one record plus the seed that produced them."""
-
-    hashes: tuple[int, ...]
-    seed: int
-
-    @property
-    def is_sentinel(self) -> bool:
-        return all(h == SENTINEL for h in self.hashes)
-
-
 class SignatureComputer:
     """Computes minhash signatures for token streams.
 
@@ -69,13 +59,12 @@ class SignatureComputer:
     repeat heavily, which makes this the dominant cost saver at scale.
     """
 
-    def __init__(self, count: int = 64, seed: int = 0, cache_limit: int = 1_000_000):
+    def __init__(self, count: int = 64, seed: int = 0):
         self.count = count
         self.seed = seed
         rng = np.random.default_rng(derive_seed(seed, "minhash-family"))
         self._keys = rng.integers(0, 2**64, size=count, dtype=np.uint64)
         self._cache: dict[str, np.ndarray] = {}
-        self._cache_limit = cache_limit
         self._sentinel_row = np.full(count, SENTINEL, dtype=np.uint64)
 
     def _token_vector(self, token: str) -> np.ndarray:
@@ -88,7 +77,7 @@ class SignatureComputer:
                 count=len(shingles),
             )
             vec = _mix(base[:, None] ^ self._keys[None, :]).min(axis=0)
-            if len(self._cache) < self._cache_limit:
+            if len(self._cache) < TOKEN_CACHE_LIMIT:
                 self._cache[token] = vec
         return vec
 
@@ -100,27 +89,6 @@ class SignatureComputer:
         if len(vectors) == 1:
             return vectors[0]
         return np.minimum.reduce(vectors)
-
-    def signature_matrix(self, token_streams: list[list[str]]) -> np.ndarray:
-        out = np.empty((len(token_streams), self.count), dtype=np.uint64)
-        for i, tokens in enumerate(token_streams):
-            out[i] = self.signature_vector(tokens)
-        return out
-
-
-def minhash_signature(tokens: list[str], count: int = 64, seed: int = 0) -> Signature:
-    """One-off signature; prefer SignatureComputer for whole corpora."""
-    vec = SignatureComputer(count=count, seed=seed).signature_vector(tokens)
-    return Signature(hashes=tuple(int(v) for v in vec), seed=seed)
-
-
-@dataclass(frozen=True, slots=True)
-class BandKeySet:
-    """The 4 XOR-combined minhash keys routing one record at one level."""
-
-    keys: tuple[int, int, int, int]
-    level: int
-    empty: bool = False  # True for sentinel signatures; never grouped
 
 
 def band_positions(
@@ -135,23 +103,6 @@ def band_positions(
     rng = random.Random(derive_seed(band_seed, "bands", level))
     chosen = rng.sample(range(count), g * BAND_COUNT)
     return [chosen[b * g : (b + 1) * g] for b in range(BAND_COUNT)]
-
-
-def band_keys(
-    sig: Signature,
-    level: int,
-    band_seed: int,
-    group_sizes: dict[int, int] | None = None,
-) -> BandKeySet:
-    """XOR each position group of the signature into one 64-bit band key."""
-    positions = band_positions(level, band_seed, count=len(sig.hashes), group_sizes=group_sizes)
-    keys = []
-    for group in positions:
-        acc = 0
-        for pos in group:
-            acc ^= sig.hashes[pos]
-        keys.append(acc)
-    return BandKeySet(keys=(keys[0], keys[1], keys[2], keys[3]), level=level, empty=sig.is_sentinel)
 
 
 def band_key_matrix(
@@ -249,14 +200,3 @@ def group_ids(
                     uf.union(owner, rid)
         groups.extend(uf.components(grouped).values())
     return sorted(tuple(sorted(g)) for g in groups)
-
-
-def group_candidates(
-    records: list[tuple[str, BandKeySet]],
-    mode: str = "any",
-) -> list[tuple[str, ...]]:
-    """Group (record id, BandKeySet) pairs computed at one level."""
-    ids = [rid for rid, _ in records]
-    keys = np.array([bks.keys for _, bks in records], dtype=np.uint64).reshape(len(ids), BAND_COUNT)
-    empty = np.array([bks.empty for _, bks in records], dtype=bool)
-    return group_ids(ids, keys, empty, mode=mode)

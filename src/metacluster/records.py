@@ -65,9 +65,6 @@ class Record:
     kind: str = ORIGINAL
     provenance: tuple[str, ...] = ()
 
-    def field_names(self) -> frozenset[str]:
-        return frozenset(self.fields)
-
 
 @dataclass(frozen=True, slots=True)
 class RejectedLine:
@@ -162,7 +159,9 @@ def ingest_path(path) -> IngestResult:
 
 
 def export_line(record: Record) -> str:
-    """Canonical single-line JSON form; ``ingest`` round-trips it."""
+    """Canonical single-line JSON form.  ``ingest`` reads back only the id
+    and the fields, not ``kind`` or ``provenance``; a run directory keeps
+    that structure in ``forest.ndjson``."""
     doc: dict = {"id": record.id, "fields": {k: list(v) for k, v in sorted(record.fields.items())}}
     if record.kind != ORIGINAL:
         doc["kind"] = record.kind

@@ -18,7 +18,7 @@ from typing import Iterable
 from .clusterer import Cluster, LevelResult
 from .errors import ConfigurationError, IntegrityError
 from .ga import ProviderMask, ProviderSelection
-from .hierarchy import HierarchyNode, HierarchyRun
+from .hierarchy import HierarchyNode, HierarchyRun, forest_index, forest_roots
 from .records import FieldMask, Record, RejectedLine, export_line, ingest_path
 
 MANIFEST_FILE = "manifest.json"
@@ -298,6 +298,9 @@ def load_field_report(run_dir: Path) -> dict | None:
 
 
 def load_artificials(run_dir: Path) -> dict[str, Record]:
+    """Artificial records by id.  Only ids and fields come back (read through
+    ``ingest``, each is an original without provenance); ``load_forest`` has
+    what each one summarizes."""
     path = run_dir / ARTIFICIALS_FILE
     if not path.exists():
         return {}
@@ -334,8 +337,6 @@ def cluster_stats(clusters: list[Cluster]) -> dict:
 
 
 def forest_depths(forest: list[HierarchyNode]) -> dict[str, int]:
-    from .hierarchy import forest_index, forest_roots
-
     index = forest_index(forest)
 
     def depth(node: HierarchyNode) -> int:

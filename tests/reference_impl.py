@@ -1,10 +1,11 @@
-"""Straight-line reference of the iterative level-clustering loop.
+"""Straight-line reference of band keys and the iterative level-clustering loop.
 
-Written independently of the production clusterer as a plain single loop:
-candidate groups come from a bucket adjacency + BFS connected components
-(no union-find), head selection / assignment / validation are inlined, and
-bookkeeping uses flat dicts, and it drains one depth-first stack where the
-production code processes waves.  It follows the same RNG sequence contract
+Written independently of the production code as plain loops: band keys XOR
+Python ints over each band's signature positions (only the signature rows and
+``band_positions`` come from production), candidate groups come from a bucket
+adjacency + BFS connected components (no union-find), head selection,
+assignment and validation are inlined, and one depth-first stack is drained
+where production processes waves.  It follows the same RNG sequence contract
 (one Random per processed group, seeded from the level, iteration, visit
 count and the group's ids; one shuffle per processed group), so for a fixed
 seed the two must produce byte-identical results.
@@ -18,13 +19,40 @@ from collections import Counter
 from metacluster.clusterer import Cluster, LevelResult
 from metacluster.config import EngineConfig
 from metacluster.hashing import derive_seed, digest_hex
-from metacluster.minhash import BandKeySet
+from metacluster.minhash import SENTINEL, SignatureComputer, band_positions
+from metacluster.records import tokenize
 
 MAX_HEADS = 10
 
+#: A record's band keys at one level, and whether its signature is the
+#: sentinel (such a record never groups).
+KeySet = tuple[tuple[int, ...], bool]
+
+
+def reference_band_keys(row: list[int], positions: list[list[int]]) -> KeySet:
+    """XOR the signature values at each band's positions into one key."""
+    keys = []
+    for group in positions:
+        acc = 0
+        for pos in group:
+            acc ^= row[pos]
+        keys.append(acc)
+    return tuple(keys), all(value == SENTINEL for value in row)
+
+
+def reference_keysets(records, ids, level: int, config: EngineConfig) -> dict[str, KeySet]:
+    """Band keys of each record over all its fields at one level."""
+    computer = SignatureComputer(count=config.minhash_count, seed=config.seed)
+    positions = band_positions(level, config.seed, config.minhash_count, config.group_sizes)
+    keysets = {}
+    for rid in ids:
+        row = [int(value) for value in computer.signature_vector(tokenize(records[rid]))]
+        keysets[rid] = reference_band_keys(row, positions)
+    return keysets
+
 
 def bucket_groups(
-    keysets: dict[str, BandKeySet],
+    keysets: dict[str, KeySet],
     population: set[str],
     mode: str,
 ) -> list[tuple[str, ...]]:
@@ -33,20 +61,20 @@ def bucket_groups(
         buckets: dict[tuple[int, ...], list[str]] = {}
         singles: list[tuple[str, ...]] = []
         for rid in ids:
-            ks = keysets[rid]
-            if ks.empty:
+            keys, empty = keysets[rid]
+            if empty:
                 singles.append((rid,))
             else:
-                buckets.setdefault(ks.keys, []).append(rid)
+                buckets.setdefault(keys, []).append(rid)
         return sorted(singles + [tuple(sorted(v)) for v in buckets.values()])
 
     by_key: dict[tuple[int, int], list[str]] = {}
     adjacency: dict[str, set[str]] = {rid: set() for rid in ids}
     for rid in ids:
-        ks = keysets[rid]
-        if ks.empty:
+        keys, empty = keysets[rid]
+        if empty:
             continue
-        for band, key in enumerate(ks.keys):
+        for band, key in enumerate(keys):
             by_key.setdefault((band, key), []).append(rid)
     for members in by_key.values():
         anchor = members[0]
@@ -76,7 +104,7 @@ def reference_cluster_level(
     input_ids,
     level: int,
     sim,
-    keysets: dict[str, BandKeySet],
+    keysets: dict[str, KeySet],
     config: EngineConfig,
 ) -> LevelResult:
     threshold = level / 100.0

@@ -27,8 +27,7 @@ from metacluster.hierarchy import (
     never_clustered,
     run_hierarchy,
 )
-from metacluster.minhash import Signature, SignatureComputer, band_keys
-from metacluster.records import FieldMask, serialize_for_compression, tokenize, write_records
+from metacluster.records import FieldMask, serialize_for_compression, write_records
 from metacluster.similarity import CONCAT_SEP, Compression, SimilarityContext
 from metacluster.synthetic import (
     corrupted_pairs_corpus,
@@ -39,7 +38,7 @@ from metacluster.synthetic import (
     random_corpus,
 )
 
-from reference_impl import reference_cluster_level
+from reference_impl import reference_cluster_level, reference_keysets
 
 import itertools
 
@@ -141,12 +140,7 @@ def test_criterion_3_oracle_equivalence():
                 banding, ctx = level_inputs(by_id, ids, level, config)
                 production = cluster_level(ids, level, ctx.similarity, banding, config)
 
-                computer = SignatureComputer(count=config.minhash_count, seed=config.seed)
-                keysets = {}
-                for rid in ids:
-                    vec = computer.signature_vector(tokenize(by_id[rid]))
-                    sig = Signature(tuple(int(v) for v in vec), seed=config.seed)
-                    keysets[rid] = band_keys(sig, level, config.seed, config.group_sizes)
+                keysets = reference_keysets(by_id, ids, level, config)
                 ctx2 = SimilarityContext(by_id, Compression())
                 reference = reference_cluster_level(ids, level, ctx2.similarity, keysets, config)
 

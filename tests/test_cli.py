@@ -253,7 +253,7 @@ class TestStats:
         code = main(["stats", "--run", str(out)])
         assert code == 1
 
-    def test_outputs_reparseable_by_loaders(self, full_run):
+    def test_outputs_reparseable_by_loaders(self, corpus_path, full_run):
         manifest = rundir.load_manifest(full_run)
         for level in manifest["levels"]:
             clusters = rundir.load_clusters(full_run, level)
@@ -268,6 +268,13 @@ class TestStats:
         for node in forest:
             if node.artificial_record_id:
                 assert node.artificial_record_id in artificials
+        # Only ids and fields come back; kind and provenance live in the forest.
+        masks = rundir.load_masks(full_run / rundir.MASKS_FILE)
+        run = run_hierarchy(ingest_path(corpus_path).records, masks, EngineConfig(seed=33))
+        assert run.artificials
+        assert {rid: r.fields for rid, r in artificials.items()} == {
+            rid: r.fields for rid, r in run.artificials.items()
+        }
 
 
 class TestRunDirRoundTrip:

@@ -14,7 +14,6 @@ from metacluster.clusterer import (
     _process_group,
     assign_to_heads,
     band_signatures,
-    build_banding,
     cluster_level,
     level_inputs,
     select_heads,
@@ -252,7 +251,7 @@ class TestClusterLevel:
         records = random_corpus(5, seed=1)
         config = EngineConfig(seed=1, max_iterations=0)
         by_id = {r.id: r for r in records}
-        banding = build_banding(by_id, sorted(by_id), 100, EngineConfig(seed=1))
+        banding, _ = level_inputs(by_id, sorted(by_id), 100, EngineConfig(seed=1))
         with pytest.raises(ConfigurationError):
             cluster_level(sorted(by_id), 100, stub_sim({}), banding, config)
 
@@ -363,7 +362,7 @@ class TestFieldRows:
         assert got.dtype == np.uint64
         assert np.array_equal(got, expected)
         banding = band_signatures(80, ids, got, ROW_CONFIG)
-        reference = build_banding(by_id, ids, 80, ROW_CONFIG, mask_for=lambda record: mask)
+        reference, _ = level_inputs(by_id, ids, 80, ROW_CONFIG, mask_for=lambda record: mask)
         assert np.array_equal(banding.keys, reference.keys)
         assert np.array_equal(banding.empty, reference.empty)
 

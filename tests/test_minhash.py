@@ -7,20 +7,23 @@ from hypothesis import strategies as st
 
 from metacluster.config import DEFAULT_GROUP_SIZES, EngineConfig
 from metacluster.minhash import (
-    BandKeySet,
     SENTINEL,
-    Signature,
     SignatureComputer,
     UnionFind,
     band_key_matrix,
-    band_keys,
     band_positions,
-    group_candidates,
-    minhash_signature,
+    group_ids,
     shingle,
 )
 from metacluster.records import tokenize
 from metacluster.synthetic import random_corpus
+
+from reference_impl import reference_band_keys
+
+
+def sign(streams, count=64, seed=0):
+    computer = SignatureComputer(count=count, seed=seed)
+    return np.array([computer.signature_vector(tokens) for tokens in streams], dtype=np.uint64)
 
 
 class TestShingle:
@@ -40,20 +43,20 @@ class TestShingle:
 class TestSignature:
     def test_deterministic(self):
         tokens = ["hierarchical", "clustering", "of", "records"]
-        a = minhash_signature(tokens, count=64, seed=5)
-        b = minhash_signature(tokens, count=64, seed=5)
-        assert a == b
+        a = SignatureComputer(count=64, seed=5).signature_vector(tokens)
+        b = SignatureComputer(count=64, seed=5).signature_vector(tokens)
+        assert np.array_equal(a, b)
 
     def test_seed_changes_signature(self):
         tokens = ["hierarchical", "clustering"]
-        a = minhash_signature(tokens, count=64, seed=5)
-        b = minhash_signature(tokens, count=64, seed=6)
-        assert a != b
+        a = SignatureComputer(count=64, seed=5).signature_vector(tokens)
+        b = SignatureComputer(count=64, seed=6).signature_vector(tokens)
+        assert not np.array_equal(a, b)
 
     def test_empty_stream_is_sentinel(self):
-        sig = minhash_signature([], count=64, seed=5)
-        assert sig.is_sentinel
-        assert set(sig.hashes) == {SENTINEL}
+        vec = SignatureComputer(count=64, seed=5).signature_vector([])
+        assert vec.shape == (64,)
+        assert {int(v) for v in vec} == {SENTINEL}
 
     def test_signature_agreement_tracks_jaccard(self):
         # One rare word replaced; exact Jaccard over the shingle unions is the
@@ -70,9 +73,8 @@ class TestSignature:
 
         sa, sb = shingles(base), shingles(other)
         exact = len(sa & sb) / len(sa | sb)
-        a = minhash_signature(base, count=64, seed=1)
-        b = minhash_signature(other, count=64, seed=1)
-        agreement = sum(x == y for x, y in zip(a.hashes, b.hashes)) / 64
+        a, b = sign([base, other], seed=1)
+        agreement = float((a == b).mean())
         assert agreement == pytest.approx(exact, abs=0.1)
 
     def test_token_order_and_duplication_irrelevant(self):
@@ -97,104 +99,89 @@ class TestBandKeys:
 
     def test_xor_identity(self):
         positions = band_positions(20, band_seed=0, count=8)
-        hashes = [0] * 8
+        hashes = np.zeros((1, 8), dtype=np.uint64)
         first_group = positions[0]
-        hashes[first_group[0]] = 0x3
-        hashes[first_group[1]] = 0x5
-        keys = band_keys(Signature(tuple(hashes), seed=0), 20, band_seed=0)
-        assert keys.keys[0] == 0x6
+        hashes[0, first_group[0]] = 0x3
+        hashes[0, first_group[1]] = 0x5
+        keys, empty = band_key_matrix(hashes, 20, band_seed=0)
+        assert int(keys[0, 0]) == 0x6
+        assert not empty[0]
 
     def test_deterministic_given_inputs(self):
-        sig = minhash_signature(["alpha", "beta"], count=64, seed=1)
-        assert band_keys(sig, 80, 7) == band_keys(sig, 80, 7)
-        assert band_keys(sig, 80, 7) != band_keys(sig, 80, 8)
+        matrix = sign([["alpha", "beta"]], seed=1)
+        keys, _ = band_key_matrix(matrix, 80, 7)
+        assert np.array_equal(keys, band_key_matrix(matrix, 80, 7)[0])
+        assert not np.array_equal(keys, band_key_matrix(matrix, 80, 8)[0])
 
     def test_matrix_path_matches_scalar_path(self):
-        computer = SignatureComputer(count=64, seed=3)
-        streams = [["alpha", "beta"], ["gamma"], []]
-        matrix = computer.signature_matrix(streams)
-        keys, empty = band_key_matrix(matrix, 60, band_seed=3)
-        for i, stream in enumerate(streams):
-            sig = Signature(tuple(int(v) for v in computer.signature_vector(stream)), seed=3)
-            scalar = band_keys(sig, 60, band_seed=3)
-            assert tuple(int(k) for k in keys[i]) == scalar.keys
-            assert bool(empty[i]) == scalar.empty
+        streams = [["alpha", "beta"], ["gamma"], [], ["delta", "epsilon", "zeta"]]
+        matrix = sign(streams, seed=3)
+        for level in (100, 80, 60, 40, 20):
+            keys, empty = band_key_matrix(matrix, level, band_seed=3)
+            positions = band_positions(level, band_seed=3, count=64)
+            for i in range(len(streams)):
+                scalar_keys, scalar_empty = reference_band_keys([int(v) for v in matrix[i]], positions)
+                assert tuple(int(k) for k in keys[i]) == scalar_keys
+                assert bool(empty[i]) == scalar_empty
 
 
-def keyset(level, *keys, empty=False):
-    return BandKeySet(keys=tuple(keys), level=level, empty=empty)
+def grouped(rows, mode="any", empty=()):
+    """``group_ids`` over (id, four band keys) rows; ids in ``empty`` are
+    sentinel rows."""
+    ids = [rid for rid, _ in rows]
+    keys = np.array([k for _, k in rows], dtype=np.uint64).reshape(len(rows), 4)
+    return group_ids(ids, keys, np.array([rid in empty for rid in ids], dtype=bool), mode=mode)
 
 
 class TestGrouping:
     def test_identical_records_group(self):
-        pairs = [("a", keyset(100, 1, 2, 3, 4)), ("b", keyset(100, 1, 2, 3, 4))]
-        assert group_candidates(pairs) == [("a", "b")]
+        assert grouped([("a", (1, 2, 3, 4)), ("b", (1, 2, 3, 4))]) == [("a", "b")]
 
     def test_transitive_closure(self):
-        pairs = [
-            ("a", keyset(100, 1, 10, 11, 12)),
-            ("b", keyset(100, 1, 20, 21, 3)),
-            ("c", keyset(100, 30, 31, 32, 3)),
-            ("d", keyset(100, 40, 41, 42, 43)),
+        rows = [
+            ("a", (1, 10, 11, 12)),
+            ("b", (1, 20, 21, 3)),
+            ("c", (30, 31, 32, 3)),
+            ("d", (40, 41, 42, 43)),
         ]
-        assert group_candidates(pairs) == [("a", "b", "c"), ("d",)]
+        assert grouped(rows) == [("a", "b", "c"), ("d",)]
 
     def test_key_match_is_per_band_position(self):
         # Same value in different band positions must not connect records.
-        pairs = [("a", keyset(100, 7, 1, 2, 3)), ("b", keyset(100, 4, 7, 5, 6))]
-        assert group_candidates(pairs) == [("a",), ("b",)]
+        assert grouped([("a", (7, 1, 2, 3)), ("b", (4, 7, 5, 6))]) == [("a",), ("b",)]
 
     def test_all_mode_requires_full_tuple(self):
-        pairs = [
-            ("a", keyset(100, 1, 2, 3, 4)),
-            ("b", keyset(100, 1, 2, 3, 4)),
-            ("c", keyset(100, 1, 2, 3, 9)),
-        ]
-        assert group_candidates(pairs, mode="all") == [("a", "b"), ("c",)]
+        rows = [("a", (1, 2, 3, 4)), ("b", (1, 2, 3, 4)), ("c", (1, 2, 3, 9))]
+        assert grouped(rows, mode="all") == [("a", "b"), ("c",)]
 
     def test_sentinel_records_always_singletons(self):
-        pairs = [
-            ("a", keyset(100, 1, 2, 3, 4)),
-            ("b", keyset(100, 1, 2, 3, 4, empty=True)),
-            ("c", keyset(100, 1, 2, 3, 4, empty=True)),
-        ]
-        assert group_candidates(pairs) == [("a",), ("b",), ("c",)]
+        rows = [("a", (1, 2, 3, 4)), ("b", (1, 2, 3, 4)), ("c", (1, 2, 3, 4))]
+        for mode in ("any", "all"):
+            assert grouped(rows, mode=mode, empty={"b", "c"}) == [("a",), ("b",), ("c",)]
 
     def test_random_corpus_mostly_singletons_at_level_100(self):
         records = random_corpus(1000, seed=5)
         config = EngineConfig(seed=5)
-        computer = SignatureComputer(count=64, seed=5)
-        matrix = computer.signature_matrix([tokenize(r) for r in records])
+        matrix = sign([tokenize(r) for r in records], seed=5)
         keys, empty = band_key_matrix(matrix, 100, band_seed=5)
-        pairs = [
-            (record.id, BandKeySet(tuple(int(k) for k in keys[i]), 100, bool(empty[i])))
-            for i, record in enumerate(records)
-        ]
-        groups = group_candidates(pairs, mode=config.band_match)
+        groups = group_ids([r.id for r in records], keys, empty, mode=config.band_match)
         singletons = sum(1 for g in groups if len(g) == 1)
         assert singletons >= 0.99 * len(records)
 
     def test_mean_group_size_grows_as_level_drops(self):
         records = random_corpus(400, seed=11, tokens_per_record=6, vocab_size=150)
-        computer = SignatureComputer(count=64, seed=11)
-        matrix = computer.signature_matrix([tokenize(r) for r in records])
+        matrix = sign([tokenize(r) for r in records], seed=11)
 
         def mean_size(level):
             keys, empty = band_key_matrix(matrix, level, band_seed=11)
-            pairs = [
-                (r.id, BandKeySet(tuple(int(k) for k in keys[i]), level, bool(empty[i])))
-                for i, r in enumerate(records)
-            ]
-            groups = group_candidates(pairs)
+            groups = group_ids([r.id for r in records], keys, empty)
             return sum(len(g) for g in groups) / len(groups)
 
         assert mean_size(20) >= mean_size(100)
 
     def test_identical_metadata_same_keys_at_every_level(self):
         corpus = random_corpus(5, seed=2)
-        twin_streams = [tokenize(corpus[0]), tokenize(corpus[0])]
-        computer = SignatureComputer(count=64, seed=9)
-        matrix = computer.signature_matrix(twin_streams)
+        matrix = sign([tokenize(corpus[0]), tokenize(corpus[0])], seed=9)
         for level in (100, 80, 60, 40, 20):
             keys, empty = band_key_matrix(matrix, level, band_seed=9)
             assert (keys[0] == keys[1]).all()
@@ -209,10 +196,10 @@ class TestGrouping:
     )
 )
 def test_grouping_is_a_partition(key_rows):
-    pairs = [(f"r{i:03d}", keyset(100, *row)) for i, row in enumerate(key_rows)]
-    groups = group_candidates(pairs)
+    rows = [(f"r{i:03d}", row) for i, row in enumerate(key_rows)]
+    groups = grouped(rows)
     flat = [rid for group in groups for rid in group]
-    assert sorted(flat) == sorted(rid for rid, _ in pairs)
+    assert sorted(flat) == sorted(rid for rid, _ in rows)
     assert len(flat) == len(set(flat))
 
 
