@@ -139,12 +139,10 @@ def sign_population(
     mask_for: Callable[[Record], FieldMask | None] | None = None,
 ) -> np.ndarray:
     """Tokenize and sign each record under its mask: one minhash row per id."""
-    signatures = np.empty((len(ids), computer.count), dtype=np.uint64)
-    for i, rid in enumerate(ids):
-        record = records[rid]
-        mask = mask_for(record) if mask_for is not None else None
-        signatures[i] = computer.signature_vector(tokenize(record, mask))
-    return signatures
+    population = (records[rid] for rid in ids)
+    return computer.signatures(
+        tokenize(record, mask_for(record) if mask_for is not None else None) for record in population
+    )
 
 
 def band_signatures(
@@ -161,9 +159,9 @@ class FieldRows:
     The minhash of a union is the elementwise minimum of the parts' minhashes,
     so a record's signature under any field mask is the minimum over its
     selected rows, or the sentinel row when none is selected.  Each pair is
-    tokenized and signed once, in record order; the token cache used for that
-    is dropped when the build returns.  Memory: pairs x ``minhash_count`` x 8
-    bytes.
+    tokenized once and all are signed in one batch, in record order; the
+    signer's token vocabulary is dropped when the build returns.  Memory:
+    pairs x ``minhash_count`` x 8 bytes.
     """
 
     def __init__(self, records: Sequence[Record], config: EngineConfig):
@@ -174,10 +172,8 @@ class FieldRows:
         pairs = [(i, name) for i, record in enumerate(records) for name in sorted(record.fields)]
         self.record_index = np.fromiter((i for i, _ in pairs), dtype=np.intp, count=len(pairs))
         self.field_index = np.fromiter((column[name] for _, name in pairs), dtype=np.intp, count=len(pairs))
-        self.rows = np.empty((len(pairs), self.count), dtype=np.uint64)
         computer = SignatureComputer(count=config.minhash_count, seed=config.seed)
-        for k, (i, name) in enumerate(pairs):
-            self.rows[k] = computer.signature_vector(tokenize(records[i], FieldMask.of(name)))
+        self.rows = computer.signatures(tokenize(records[i], FieldMask.of(name)) for i, name in pairs)
 
     def signatures(self, mask: FieldMask) -> np.ndarray:
         """Minhash matrix of the population under ``mask``, in record order."""

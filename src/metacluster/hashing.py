@@ -14,10 +14,13 @@ _SEED_BYTES = 8
 MAX_U64 = (1 << 64) - 1
 
 
-def stable_hash64(data: bytes, key: int = 0) -> int:
-    """64-bit keyed hash of ``data``, stable across processes and platforms."""
-    h = hashlib.blake2b(data, digest_size=8, key=key.to_bytes(_SEED_BYTES, "big"))
-    return int.from_bytes(h.digest(), "big")
+def keyed_hasher(key: int = 0) -> "hashlib._Hash":
+    """Keyed 64-bit blake2b, stable across processes and platforms.
+
+    Hash each input on a ``copy()`` of the returned object: the copy starts
+    after the key block, which is then not hashed again per input.
+    """
+    return hashlib.blake2b(digest_size=8, key=key.to_bytes(_SEED_BYTES, "big"))
 
 
 def derive_seed(*parts: int | str) -> int:

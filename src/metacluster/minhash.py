@@ -1,21 +1,31 @@
 """Minhash signatures over 8-character word shingles and XOR band keys.
 
 Every record is reduced to ``minhash_count`` 64-bit minhashes over the union
-of all shingles of all its tokens.  Per similarity level, a seeded permutation
-picks 4 disjoint groups of signature positions; XOR-ing each group yields the
-4 band keys that route records into candidate groups.  Records sharing a band
-key (same band position, same value) become clustering candidates; candidate
-groups are the connected components of that relation.
+of all shingles of all its tokens.  The minhash of a union is the elementwise
+minimum of the parts' minhashes, so a token's row is the minimum over its
+shingles and a record's row the minimum over its tokens' rows.
+``SignatureComputer.signatures`` signs a whole population in one call: it
+computes the rows of tokens it has not seen before into a vocabulary, then
+gathers and reduces them per record, a fixed-size block at a time.
+
+Per similarity level, a seeded permutation picks 4 disjoint groups of
+signature positions; XOR-ing each group yields the 4 band keys that route
+records into candidate groups.  Records sharing a band key (same band
+position, same value) become clustering candidates; candidate groups are the
+connected components of that relation.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from itertools import islice
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .config import BAND_COUNT, DEFAULT_GROUP_SIZES
-from .hashing import MAX_U64, derive_seed, stable_hash64
+from .hashing import MAX_U64, derive_seed, keyed_hasher
 
 SHINGLE_LENGTH = 8
 
@@ -28,8 +38,15 @@ _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 
-#: Distinct tokens whose minhash vector one SignatureComputer keeps.
+#: Most distinct tokens one SignatureComputer's vocabulary holds; only one
+#: stream longer than that takes it past.
 TOKEN_CACHE_LIMIT = 1_000_000
+
+#: uint64 values (64 KiB) materialised at once when mixing shingle hashes or
+#: gathering token rows; one token or record longer than that is one block.
+#: Larger blocks are no faster and raise peak memory, because the freed
+#: blocks and their temporaries stay on the heap.
+BLOCK_VALUES = 1 << 13
 
 
 def shingle(word: str) -> set[str]:
@@ -50,13 +67,34 @@ def _mix(values: np.ndarray) -> np.ndarray:
     return z ^ (z >> _S31)
 
 
-class SignatureComputer:
-    """Computes minhash signatures for token streams.
+def _segment_min(lengths: np.ndarray, rows: Callable[[int, int], np.ndarray], out: np.ndarray) -> None:
+    """Set ``out[k]`` to the elementwise minimum of segment k of a row source,
+    where the segments are consecutive runs of ``lengths[k]`` rows; an empty
+    segment gets the sentinel row.  ``rows(a, b)`` materialises source rows
+    ``a:b``, whole segments and about ``BLOCK_VALUES`` values at a time."""
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    out[lengths == 0] = SENTINEL
+    step = max(1, BLOCK_VALUES // out.shape[1])
+    k = 0
+    while k < len(lengths):
+        stop = max(k + 1, int(np.searchsorted(ends, starts[k] + step, side="right")))
+        live = lengths[k:stop] > 0
+        block = rows(int(starts[k]), int(ends[stop - 1]))
+        out[k:stop][live] = np.minimum.reduceat(block, starts[k:stop][live] - starts[k], axis=0)
+        k = stop
 
-    The per-token minhash vector (the columnwise minimum over the token's
-    shingles) is cached, because the minimum over a union of shingle sets is
-    the elementwise minimum of the per-token vectors.  Corpus vocabularies
-    repeat heavily, which makes this the dominant cost saver at scale.
+
+class SignatureComputer:
+    """Computes minhash signatures for batches of token streams.
+
+    ``signatures`` maps every token to an id in a vocabulary of token rows,
+    computes the rows of the tokens it has not seen, and reduces each stream's
+    gathered rows to its record row.  The vocabulary persists across calls, so
+    the levels of one hierarchy sign their shared tokens once.  When a stream
+    would grow it past ``TOKEN_CACHE_LIMIT`` tokens, the streams before it are
+    finished and the vocabulary starts over.  Memory: vocabulary tokens x
+    ``count`` x 8 bytes, plus a 4-byte id per token occurrence in the batch.
     """
 
     def __init__(self, count: int = 64, seed: int = 0):
@@ -64,31 +102,64 @@ class SignatureComputer:
         self.seed = seed
         rng = np.random.default_rng(derive_seed(seed, "minhash-family"))
         self._keys = rng.integers(0, 2**64, size=count, dtype=np.uint64)
-        self._cache: dict[str, np.ndarray] = {}
-        self._sentinel_row = np.full(count, SENTINEL, dtype=np.uint64)
+        self._hasher = keyed_hasher(seed)
+        self._vocab: dict[str, int] = {}
+        self._rows = np.empty((0, count), dtype=np.uint64)
 
-    def _token_vector(self, token: str) -> np.ndarray:
-        vec = self._cache.get(token)
-        if vec is None:
-            shingles = shingle(token)
-            base = np.fromiter(
-                (stable_hash64(s.encode("utf-8"), key=self.seed) for s in shingles),
-                dtype=np.uint64,
-                count=len(shingles),
-            )
-            vec = _mix(base[:, None] ^ self._keys[None, :]).min(axis=0)
-            if len(self._cache) < TOKEN_CACHE_LIMIT:
-                self._cache[token] = vec
-        return vec
+    def signatures(self, streams: Iterable[list[str]]) -> np.ndarray:
+        """Raw uint64 minhash row per stream, in order: an (N, count) matrix;
+        the sentinel row for a stream with an empty shingle union."""
+        vocab = self._vocab
+        get, setdefault = vocab.get, vocab.setdefault
+        parts = []
+        ids, lengths = array("i"), array("q")
+        for tokens in streams:
+            if len(vocab) + len(tokens) > TOKEN_CACHE_LIMIT:
+                parts.append(self._reduce(ids, lengths))
+                vocab.clear()
+                self._rows = np.empty((0, self.count), dtype=np.uint64)
+                ids, lengths = array("i"), array("q")
+            found = list(map(get, tokens))
+            if None in found:
+                found = [setdefault(token, len(vocab)) for token in tokens]
+            ids.extend(found)
+            lengths.append(len(found))
+        parts.append(self._reduce(ids, lengths))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def signature_vector(self, tokens: list[str]) -> np.ndarray:
-        """Raw uint64 minhash row; sentinel row for an empty shingle union."""
-        if not tokens:
-            return self._sentinel_row
-        vectors = [self._token_vector(t) for t in tokens]
-        if len(vectors) == 1:
-            return vectors[0]
-        return np.minimum.reduce(vectors)
+        """One stream's row: ``signatures([tokens])[0]``."""
+        return self.signatures([tokens])[0]
+
+    def _reduce(self, ids: array, lengths: array) -> np.ndarray:
+        self._learn()
+        token_ids = np.frombuffer(ids, dtype=np.intc)
+        out = np.empty((len(lengths), self.count), dtype=np.uint64)
+        _segment_min(np.frombuffer(lengths, dtype=np.int64), lambda a, b: self._rows[token_ids[a:b]], out)
+        return out
+
+    def _learn(self) -> None:
+        """Compute the rows of the vocabulary's tokens that have none yet."""
+        known = len(self._rows)
+        if len(self._vocab) == known:
+            return
+        digests = bytearray()
+        counts = array("q")
+        copy = self._hasher.copy
+        for token in islice(self._vocab, known, None):
+            shingles = shingle(token)
+            counts.append(len(shingles))
+            for piece in shingles:
+                h = copy()
+                h.update(piece.encode("utf-8"))
+                digests += h.digest()
+        hashes = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
+        rows = np.empty((len(self._vocab), self.count), dtype=np.uint64)
+        rows[:known] = self._rows
+        keys = self._keys
+        counts = np.frombuffer(counts, dtype=np.int64)
+        _segment_min(counts, lambda a, b: _mix(hashes[a:b, None] ^ keys), rows[known:])
+        self._rows = rows
 
 
 def band_positions(
@@ -124,38 +195,18 @@ def band_key_matrix(
     return keys, empty
 
 
-class UnionFind:
-    """Disjoint sets over arbitrary ids with min-id roots.
-
-    Linking the larger root under the smaller makes the final component
-    representatives independent of union order, which keeps candidate
-    grouping deterministic under parallel key computation.
-    """
-
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        parent = self.parent
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while x != root:
-            x, parent[x] = parent.get(x, root), root
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        lo, hi = (ra, rb) if ra < rb else (rb, ra)
-        self.parent[hi] = lo
-
-    def components(self, universe) -> dict:
-        groups: dict = {}
-        for x in universe:
-            groups.setdefault(self.find(x), []).append(x)
-        return groups
+def _shared_buckets(columns: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Buckets of equal key rows holding two or more of ``rows``: their
+    members bucket after bucket, each bucket's size and its first position."""
+    order = np.lexsort(columns.T)
+    ordered = columns[order]
+    opens = np.ones(len(order), dtype=bool)
+    opens[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    sizes = np.diff(np.append(np.flatnonzero(opens), len(order)))
+    shared = sizes >= 2
+    members = rows[order[np.repeat(shared, sizes)]]
+    sizes = sizes[shared]
+    return members, sizes, np.cumsum(sizes) - sizes
 
 
 def group_ids(
@@ -171,32 +222,35 @@ def group_ids(
     exact 4-key tuple.  Sentinel (empty-signature) records are always
     singletons.  Output is a partition of ``ids``, each group sorted, groups
     sorted by first member.
+
+    Rows are ranked by id and every record is labelled with the smallest rank
+    in its component: each bucket of two or more records takes its members'
+    smallest label, then labels jump to their label's label, until nothing
+    changes (min-label propagation with Shiloach-Vishkin pointer jumping).
+    These min-id roots do not depend on the order of the input rows, which
+    keeps candidate grouping deterministic.
     """
-    groups: list[list[str]] = []
-    if mode == "all":
-        buckets: dict[tuple[int, ...], list[str]] = {}
-        for i, rid in enumerate(ids):
-            if empty[i]:
-                groups.append([rid])
-            else:
-                buckets.setdefault(tuple(int(k) for k in keys[i]), []).append(rid)
-        groups.extend(buckets.values())
-    else:
-        uf = UnionFind()
-        first_owner: dict[tuple[int, int], str] = {}
-        grouped: list[str] = []
-        for i, rid in enumerate(ids):
-            if empty[i]:
-                groups.append([rid])
-                continue
-            grouped.append(rid)
-            row = keys[i]
-            for b in range(BAND_COUNT):
-                bucket = (b, int(row[b]))
-                owner = first_owner.get(bucket)
-                if owner is None:
-                    first_owner[bucket] = rid
-                else:
-                    uf.union(owner, rid)
-        groups.extend(uf.components(grouped).values())
-    return sorted(tuple(sorted(g)) for g in groups)
+    rank = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    keys = keys[rank]
+    live = np.flatnonzero(~empty[rank])
+    columns = [keys[live]] if mode == "all" else [keys[live, b : b + 1] for b in range(BAND_COUNT)]
+    buckets = [_shared_buckets(c, live) for c in columns]
+
+    labels = np.arange(len(ids))
+    changed = True
+    while changed:
+        changed = False
+        for members, sizes, starts in buckets:
+            current = labels[members]
+            lowest = np.repeat(np.minimum.reduceat(current, starts), sizes)
+            if (lowest < current).any():
+                labels[members] = lowest
+                changed = True
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):
+            labels, jumped = jumped, jumped[jumped]
+
+    members = np.argsort(labels, kind="stable")
+    names = tuple(map(ids.__getitem__, rank[members].tolist()))
+    bounds = np.flatnonzero(labels[members] == members).tolist() + [len(ids)]
+    return [names[a:b] for a, b in zip(bounds, bounds[1:])]

@@ -1,9 +1,13 @@
-"""Straight-line reference of band keys and the iterative level-clustering loop.
+"""Straight-line reference of minhash rows, band keys and the iterative
+level-clustering loop.
 
-Written independently of the production code as plain loops: band keys XOR
-Python ints over each band's signature positions (only the signature rows and
-``band_positions`` come from production), candidate groups come from a bucket
-adjacency + BFS connected components (no union-find), head selection,
+Written independently of the production code as plain loops over Python ints:
+a minhash row is, per key of the family, the minimum over the record's
+shingles of splitmix64(blake2b(shingle) ^ key) masked to 64 bits (the key
+family is drawn the way ``SignatureComputer`` draws it); band keys XOR each
+band's signature positions (only ``band_positions`` and ``tokenize`` come from
+production); candidate groups come from a bucket adjacency + BFS connected
+components (no label propagation), head selection,
 assignment and validation are inlined, and one depth-first stack is drained
 where production processes waves.  It follows the same RNG sequence contract
 (one Random per processed group, seeded from the level, iteration, visit
@@ -13,20 +17,54 @@ seed the two must produce byte-identical results.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
+
+import numpy as np
 
 from metacluster.clusterer import Cluster, LevelResult
 from metacluster.config import EngineConfig
 from metacluster.hashing import derive_seed, digest_hex
-from metacluster.minhash import SENTINEL, SignatureComputer, band_positions
+from metacluster.minhash import band_positions
 from metacluster.records import tokenize
 
 MAX_HEADS = 10
+MASK64 = (1 << 64) - 1
+SENTINEL = MASK64
 
 #: A record's band keys at one level, and whether its signature is the
 #: sentinel (such a record never groups).
 KeySet = tuple[tuple[int, ...], bool]
+
+
+def reference_keys(count: int, seed: int) -> list[int]:
+    """The minhash key family: ``count`` draws from the seed's numpy stream."""
+    rng = np.random.default_rng(derive_seed(seed, "minhash-family"))
+    return [int(key) for key in rng.integers(0, 2**64, size=count, dtype=np.uint64)]
+
+
+def splitmix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_row(tokens: list[str], keys: list[int], seed: int) -> list[int]:
+    """Minhash row of a token stream; all-sentinel when it has no shingles."""
+    shingles = set()
+    for token in tokens:
+        if len(token) <= 8:
+            shingles.add(token)
+        else:
+            shingles.update(token[i : i + 8] for i in range(len(token) - 7))
+    shingles.discard("")
+    key_bytes = seed.to_bytes(8, "big")
+    hashes = [
+        int.from_bytes(hashlib.blake2b(s.encode("utf-8"), digest_size=8, key=key_bytes).digest(), "big")
+        for s in shingles
+    ]
+    return [min((splitmix64(h ^ key) for h in hashes), default=SENTINEL) for key in keys]
 
 
 def reference_band_keys(row: list[int], positions: list[list[int]]) -> KeySet:
@@ -42,13 +80,12 @@ def reference_band_keys(row: list[int], positions: list[list[int]]) -> KeySet:
 
 def reference_keysets(records, ids, level: int, config: EngineConfig) -> dict[str, KeySet]:
     """Band keys of each record over all its fields at one level."""
-    computer = SignatureComputer(count=config.minhash_count, seed=config.seed)
+    keys = reference_keys(config.minhash_count, config.seed)
     positions = band_positions(level, config.seed, config.minhash_count, config.group_sizes)
-    keysets = {}
-    for rid in ids:
-        row = [int(value) for value in computer.signature_vector(tokenize(records[rid]))]
-        keysets[rid] = reference_band_keys(row, positions)
-    return keysets
+    return {
+        rid: reference_band_keys(reference_row(tokenize(records[rid]), keys, config.seed), positions)
+        for rid in ids
+    }
 
 
 def bucket_groups(

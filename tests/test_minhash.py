@@ -1,15 +1,16 @@
 import random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metacluster import minhash
 from metacluster.config import DEFAULT_GROUP_SIZES, EngineConfig
 from metacluster.minhash import (
     SENTINEL,
     SignatureComputer,
-    UnionFind,
     band_key_matrix,
     band_positions,
     group_ids,
@@ -18,12 +19,11 @@ from metacluster.minhash import (
 from metacluster.records import tokenize
 from metacluster.synthetic import random_corpus
 
-from reference_impl import reference_band_keys
+from reference_impl import bucket_groups, reference_band_keys, reference_keys, reference_row
 
 
 def sign(streams, count=64, seed=0):
-    computer = SignatureComputer(count=count, seed=seed)
-    return np.array([computer.signature_vector(tokens) for tokens in streams], dtype=np.uint64)
+    return SignatureComputer(count=count, seed=seed).signatures(streams)
 
 
 class TestShingle:
@@ -146,6 +146,12 @@ class TestGrouping:
         ]
         assert grouped(rows) == [("a", "b", "c"), ("d",)]
 
+    def test_band_link_after_a_later_band_lowers_a_label(self):
+        # r2 meets r3 in band 0, before band 2 links r3 to r0: one sweep over
+        # the bands leaves r2 apart, so labels must settle over rounds.
+        rows = [("r0", (3, 3, 2, 3)), ("r1", (1, 3, 0, 3)), ("r2", (2, 1, 1, 0)), ("r3", (2, 2, 2, 1))]
+        assert grouped(rows) == [("r0", "r1", "r2", "r3")]
+
     def test_key_match_is_per_band_position(self):
         # Same value in different band positions must not connect records.
         assert grouped([("a", (7, 1, 2, 3)), ("b", (4, 7, 5, 6))]) == [("a",), ("b",)]
@@ -203,14 +209,56 @@ def test_grouping_is_a_partition(key_rows):
     assert len(flat) == len(set(flat))
 
 
-def test_union_find_min_roots_order_independent():
-    edges = [("c", "d"), ("a", "b"), ("b", "c"), ("x", "y")]
-    for trial in range(5):
-        rng = random.Random(trial)
-        shuffled = edges[:]
-        rng.shuffle(shuffled)
-        uf = UnionFind()
-        for a, b in shuffled:
-            uf.union(a, b)
-        components = {root: sorted(v) for root, v in uf.components(["a", "b", "c", "d", "x", "y"]).items()}
-        assert components == {"a": ["a", "b", "c", "d"], "x": ["x", "y"]}
+# Short, 8-character and longer words, non-ASCII letters; a small alphabet
+# makes tokens repeat within and across streams.
+TOKENS = st.text(alphabet="abcé日ßж", min_size=1, max_size=12)
+
+
+@st.composite
+def two_batches(draw):
+    pool = draw(st.lists(TOKENS, min_size=1, max_size=8))
+    stream = st.lists(st.sampled_from(pool) | TOKENS, max_size=6)
+    return draw(st.lists(stream, max_size=6)), draw(st.lists(stream, max_size=6))
+
+
+@settings(deadline=None)
+@given(
+    two_batches(),
+    st.sampled_from((1, 3, 64)),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from((1, 10, minhash.BLOCK_VALUES)),
+    st.sampled_from((3, minhash.TOKEN_CACHE_LIMIT)),
+)
+def test_batch_signatures_match_reference_rows(batches, count, seed, block, limit):
+    keys = reference_keys(count, seed)
+    computer = SignatureComputer(count=count, seed=seed)
+    # The vocabulary starts over before it would pass the limit, so only a
+    # single longer stream can take it past.
+    bound = max([limit] + [len(tokens) for streams in batches for tokens in streams])
+    with patch.object(minhash, "BLOCK_VALUES", block), patch.object(minhash, "TOKEN_CACHE_LIMIT", limit):
+        for streams in batches:  # the second batch signs on the first's vocabulary
+            rows = computer.signatures(iter(streams))
+            assert rows.shape == (len(streams), count) and rows.dtype == np.uint64
+            assert [[int(v) for v in row] for row in rows] == [reference_row(t, keys, seed) for t in streams]
+            assert len(computer._vocab) <= bound
+        assert np.array_equal(SignatureComputer(count=count, seed=seed).signatures(streams), rows)
+
+
+KEY_VALUES = st.sampled_from((0, 1, 2, 2**63, 2**64 - 1))
+
+
+@given(
+    st.lists(st.tuples(st.tuples(*[KEY_VALUES] * 4), st.booleans()), min_size=1, max_size=30),
+    st.sampled_from(("any", "all")),
+    st.randoms(use_true_random=False),
+)
+def test_group_ids_matches_reference_in_any_row_order(rows, mode, rng):
+    # Ids r0, r1, ..., r10 sort as strings, not in row order.
+    keysets = {f"r{i}": row for i, row in enumerate(rows)}
+    expected = bucket_groups(keysets, set(keysets), mode)
+    ids = list(keysets)
+    for _ in range(2):
+        keys = np.array([keysets[rid][0] for rid in ids], dtype=np.uint64)
+        empty = np.array([keysets[rid][1] for rid in ids], dtype=bool)
+        assert group_ids(ids, keys, empty, mode=mode) == expected
+        rng.shuffle(ids)
