@@ -3,7 +3,8 @@
 Seeds default to a fixed constant so repeated runs are reproducible; pass a
 different ``--seed`` to vary. For a fixed seed all outputs except
 ``manifest.json`` and ``timings.tsv`` (which carry wall-clock data) are
-byte-identical across repeated runs, whatever ``--workers`` is set to.
+byte-identical across repeated runs.  Level passes run sequentially;
+``--workers`` is still accepted (it must be >= 1) and does not change a run.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="worker threads per level pass (speed only; outputs do not depend on it)",
+        help="accepted for compatibility and must be >= 1; runs are sequential",
     )
     parser.add_argument("--minhash-count", type=int, default=64, help="signature length H")
     parser.add_argument(
@@ -135,9 +136,10 @@ def _engine_from(args: argparse.Namespace) -> EngineConfig:
         max_iterations=args.max_iter,
         artificial_value_cap=args.artificial_value_cap,
         seed=args.seed,
-        workers=args.workers,
     )
     config.validate()
+    if args.workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {args.workers}")
     return config
 
 

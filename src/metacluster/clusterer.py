@@ -25,8 +25,8 @@ suite): every processed group gets its own ``random.Random`` seeded with
 tuple and ``visit`` is how often that exact tuple was processed before at
 this level (0 or 1; a tuple seen twice is dissolved to unclustered).  The
 group consumes exactly one ``rng.shuffle(sorted(group))`` call and nothing
-else.  Groups in flight are pairwise disjoint, so processing order does not
-matter and every ``workers`` value gives identical results.
+else.  Groups in one wave are pairwise disjoint and each draws from its own
+RNG, so the order a wave is processed in does not change the result.
 
 A restack is a subset of the group it came from, and a strict one unless the
 group had a single head: then every member reached the threshold against that
@@ -38,14 +38,13 @@ outputs stay unchanged; dropping it is a contract change of its own.
 
 Within one processed group, each ordered pair's similarity is computed at
 most once (head selection, assignment and validation share a per-group memo),
-so the memo is bounded by the group size and private to one worker.
+so the memo is bounded by the group size and dropped with the group.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -304,35 +303,27 @@ def _drain(
     seed: int,
     level: int,
     iteration: int,
-    mapper: Callable,
 ) -> list[_Accepted]:
     """Process candidate groups in waves until none is restacked.
 
     Groups in one wave are pairwise disjoint (a restack is a subset of the
     group it came from) and each draws from its own RNG, so the result does
-    not depend on the order ``mapper`` runs them in.
+    not depend on the order they run in.
     """
-
-    def process(group: tuple[str, ...], visit: int):
-        rng = random.Random(derive_seed(seed, "level", level, iteration, visit, *group))
-        return _process_group(group, threshold, rng, sim)
-
     accepted: list[_Accepted] = []
     frontier = sorted(work)
     while frontier:
-        groups: list[tuple[str, ...]] = []
-        visits: list[int] = []
+        restacks: list[tuple[str, ...]] = []
         for group in frontier:
-            if guard[group] >= 2:
+            visit = guard[group]
+            if visit >= 2:
                 continue  # livelocked set: dissolve to unclustered
-            groups.append(group)
-            visits.append(guard[group])
             guard[group] += 1
-        frontier = []
-        for got, restack in mapper(process, groups, visits):
+            rng = random.Random(derive_seed(seed, "level", level, iteration, visit, *group))
+            got, restack = _process_group(group, threshold, rng, sim)
             accepted.extend(got)
-            frontier.extend(restack)
-        frontier.sort()
+            restacks.extend(restack)
+        frontier = sorted(restacks)
     accepted.sort()
     return accepted
 
@@ -357,36 +348,29 @@ def cluster_level(
     sim_sums: dict[str, float] = {}
     sim_counts: dict[str, int] = {}
 
-    with ExitStack() as stack:
-        mapper: Callable = map
-        if config.workers > 1:
-            # Imported here so the one-worker path loads no pool machinery.
-            from concurrent.futures import ThreadPoolExecutor
-
-            mapper = stack.enter_context(ThreadPoolExecutor(config.workers)).map
-        iterations = 0
-        while iterations < config.max_iterations:
-            groups = banding.groups(population, mode=config.band_match)
-            work = [g for g in groups if len(g) >= 2]
-            if not work:
-                break
-            iterations += 1
-            accepted = _drain(work, threshold, sim, guard, config.seed, level, iterations, mapper)
-            if not accepted:
-                break
-            for head, members, mean in accepted:
-                entry = direct.setdefault(head, [])
-                inherit = inherited.setdefault(head, [])
-                sim_sums[head] = sim_sums.get(head, 0.0) + mean * len(members)
-                sim_counts[head] = sim_counts.get(head, 0) + len(members)
-                for member in members:
-                    entry.append(member)
-                    if member in direct:
-                        inherit.extend(direct.pop(member))
-                        inherit.extend(inherited.pop(member))
-                        sim_sums.pop(member)
-                        sim_counts.pop(member)
-                population.difference_update(members)
+    iterations = 0
+    while iterations < config.max_iterations:
+        groups = banding.groups(population, mode=config.band_match)
+        work = [g for g in groups if len(g) >= 2]
+        if not work:
+            break
+        iterations += 1
+        accepted = _drain(work, threshold, sim, guard, config.seed, level, iterations)
+        if not accepted:
+            break
+        for head, members, mean in accepted:
+            entry = direct.setdefault(head, [])
+            inherit = inherited.setdefault(head, [])
+            sim_sums[head] = sim_sums.get(head, 0.0) + mean * len(members)
+            sim_counts[head] = sim_counts.get(head, 0) + len(members)
+            for member in members:
+                entry.append(member)
+                if member in direct:
+                    inherit.extend(direct.pop(member))
+                    inherit.extend(inherited.pop(member))
+                    sim_sums.pop(member)
+                    sim_counts.pop(member)
+            population.difference_update(members)
 
     clusters = []
     for head in sorted(direct):

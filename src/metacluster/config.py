@@ -39,7 +39,6 @@ class EngineConfig:
     max_iterations: int = 5
     artificial_value_cap: int = 20
     seed: int = DEFAULT_SEED
-    workers: int = 1
 
     def validate(self) -> None:
         if self.minhash_count < 8 or self.minhash_count % 4 != 0:
@@ -61,8 +60,6 @@ class EngineConfig:
             raise ConfigurationError(f"max iterations must be >= 1, got {self.max_iterations}")
         if self.artificial_value_cap < 1:
             raise ConfigurationError("artificial record value cap must be >= 1")
-        if self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .clusterer import FieldRows, LevelResult, band_signatures, cluster_level
-from .config import DESCRIPTION_FIELD, TITLE_FIELD, EngineConfig, GAConfig
-from .errors import ConfigurationError
+from .config import EngineConfig, GAConfig
 from .hashing import derive_seed
 from .hierarchy import default_mask_for, make_artificial_record
 from .records import FieldMask, Record
@@ -189,16 +188,8 @@ def evolve(
     bit-flip mutation and elitism; returns the best-ever mask."""
     ga.validate()
     fields = sorted({name for record in provider_records for name in record.fields})
-    if not fields:
-        raise ConfigurationError(f"provider {provider_key!r} has no metadata fields")
-    if TITLE_FIELD in fields:
-        compulsory = fields.index(TITLE_FIELD)
-    elif DESCRIPTION_FIELD in fields:
-        compulsory = fields.index(DESCRIPTION_FIELD)
-    else:
-        raise ConfigurationError(
-            f"provider {provider_key!r} lacks both dc:title and dc:description"
-        )
+    (compulsory_field,) = default_mask_for(provider_records).selected
+    compulsory = fields.index(compulsory_field)
     length = len(fields)
 
     sample = provider_records
@@ -212,7 +203,6 @@ def evolve(
     # reduced from those rows.
     rows = FieldRows([by_id[rid] for rid in ids], engine)
     compression = Compression(engine.compressor, engine.compression_level)
-    eval_engine = replace(engine, workers=1)
     cache: dict[tuple[int, ...], float] = {}
     evaluations = 0
 
@@ -222,13 +212,13 @@ def evolve(
         if cached is not None:
             return cached
         mask = FieldMask(frozenset(f for f, b in zip(fields, bits) if b))
-        banding = band_signatures(FSC_LEVEL, ids, rows.signatures(mask), eval_engine)
+        banding = band_signatures(FSC_LEVEL, ids, rows.signatures(mask), engine)
         ctx = SimilarityContext(by_id, compression, mask_for=lambda record: mask)
-        result = cluster_level(ids, FSC_LEVEL, ctx.similarity, banding, eval_engine)
+        result = cluster_level(ids, FSC_LEVEL, ctx.similarity, banding, engine)
         value = fitness(
             result,
             ctx,
-            eval_engine,
+            engine,
             pair_seed=derive_seed(ga.seed, "ga-pairs", provider_key, "".join(map(str, bits))),
         )
         cache[bits] = value

@@ -11,11 +11,12 @@ considered.  The forest links every chain cluster to the entities it grouped.
 
 from __future__ import annotations
 
+import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import __version__ as _package_version
 from .clusterer import Cluster, LevelResult, cluster_level, level_inputs
@@ -23,9 +24,12 @@ from .config import DESCRIPTION_FIELD, LEVELS, TITLE_FIELD, EngineConfig
 from .errors import ConfigurationError, IntegrityError
 from .hashing import digest_hex
 from .minhash import SignatureComputer
-from .records import ARTIFICIAL, ORIGINAL, FieldMask, Record, export_line
+from .records import ARTIFICIAL, ORIGINAL, FieldMask, Record, check_record, export_line
 
 CHAIN_LEVELS = (80, 60, 40, 20)
+
+# Surrogate code points have no UTF-8 form, paired or not.
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,7 +46,7 @@ class HierarchyNode:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to reproduce a run bit-exactly, for any worker count."""
+    """Everything needed to reproduce a run bit-exactly."""
 
     seed: int
     compressor_id: str
@@ -51,7 +55,6 @@ class RunManifest:
     band_match: str
     max_iterations: int
     artificial_value_cap: int
-    workers: int
     levels: tuple[int, ...]
     masks: dict[str, list[str]]
     corpus_digest: str
@@ -69,7 +72,6 @@ class RunManifest:
             "band_match": self.band_match,
             "max_iterations": self.max_iterations,
             "artificial_value_cap": self.artificial_value_cap,
-            "workers": self.workers,
             "levels": list(self.levels),
             "masks": {k: v for k, v in sorted(self.masks.items())},
             "corpus_digest": self.corpus_digest,
@@ -137,26 +139,21 @@ def default_mask_for(provider_records: Iterable[Record]) -> FieldMask:
     )
 
 
-def corpus_digest(records: Iterable[Record]) -> str:
-    lines = sorted(export_line(r) for r in records)
-    return digest_hex("\n".join(lines).encode("utf-8"))
+def corpus_digest(records: Sequence[Record]) -> str:
+    """Digest of the records' canonical lines, independent of their order.
 
-
-def _validate_corpus(records: list[Record]) -> dict[str, Record]:
-    by_id: dict[str, Record] = {}
-    for record in records:
-        if not record.id:
-            raise ConfigurationError("record with empty id")
-        if record.id in by_id:
-            raise ConfigurationError(f"duplicate record id {record.id!r}")
-        if record.kind == ORIGINAL and not (
-            record.fields.get(TITLE_FIELD) or record.fields.get(DESCRIPTION_FIELD)
-        ):
-            raise ConfigurationError(
-                f"record {record.id!r} has neither dc:title nor dc:description"
-            )
-        by_id[record.id] = record
-    return by_id
+    A record with no UTF-8 form (an unpaired surrogate, which only a library
+    caller can build) raises ConfigurationError naming it; the records are
+    searched only on that path.
+    """
+    lines = [export_line(r) for r in records]
+    try:
+        return digest_hex("\n".join(sorted(lines)).encode("utf-8"))
+    except UnicodeEncodeError:
+        bad = next(r for r, line in zip(records, lines) if _SURROGATE_RE.search(line))
+        raise ConfigurationError(
+            f"record {bad.id!r}: id, field name or value holds an unpaired surrogate"
+        ) from None
 
 
 def run_hierarchy(
@@ -172,8 +169,17 @@ def run_hierarchy(
     if unknown:
         raise ConfigurationError(f"unknown similarity levels {unknown}; valid: {list(LEVELS)}")
     started = datetime.now(timezone.utc).isoformat()
-    by_id = _validate_corpus(corpus)
+    by_id: dict[str, Record] = {}
+    for record in corpus:
+        try:
+            check_record(record)
+        except ValueError as exc:
+            raise ConfigurationError(f"record {record.id!r}: {exc}") from None
+        if record.id in by_id:
+            raise ConfigurationError(f"duplicate record id {record.id!r}")
+        by_id[record.id] = record
     original_ids = sorted(by_id)
+    digest = corpus_digest(corpus)
 
     masks = dict(masks) if masks else {}
     if 80 in requested:
@@ -256,10 +262,9 @@ def run_hierarchy(
         band_match=config.band_match,
         max_iterations=config.max_iterations,
         artificial_value_cap=config.artificial_value_cap,
-        workers=config.workers,
         levels=tuple(requested),
         masks={p: m.sorted_names() for p, m in sorted(masks.items())},
-        corpus_digest=corpus_digest(corpus),
+        corpus_digest=digest,
         record_count=len(corpus),
         started_at=started,
         finished_at=datetime.now(timezone.utc).isoformat(),

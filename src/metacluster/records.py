@@ -87,12 +87,26 @@ def resolve_provider(fields: dict[str, tuple[str, ...]]) -> str:
     return ""
 
 
+def check_record(record: Record) -> None:
+    """The rules every corpus record obeys, from ingest or a library caller:
+    a non-empty id, and an original carries dc:title or dc:description.
+
+    Raises ValueError naming the broken rule.
+    """
+    if not record.id:
+        raise ValueError("missing or empty id")
+    if record.kind == ORIGINAL and not (
+        record.fields.get(TITLE_FIELD) or record.fields.get(DESCRIPTION_FIELD)
+    ):
+        raise ValueError("record has neither dc:title nor dc:description")
+
+
 def _parse_line(line: str) -> Record:
     doc = json.loads(line)
     if not isinstance(doc, dict):
         raise ValueError("document is not an object")
     rec_id = doc.get("id")
-    if not isinstance(rec_id, str) or not rec_id:
+    if not isinstance(rec_id, str):
         raise ValueError("missing or empty id")
     raw_fields = doc.get("fields", {})
     if not isinstance(raw_fields, dict):
@@ -105,8 +119,8 @@ def _parse_line(line: str) -> Record:
             raise ValueError(f"values of {name!r} are not a list of strings")
         if values:
             fields[name] = tuple(values)
-    if not fields.get(TITLE_FIELD) and not fields.get(DESCRIPTION_FIELD):
-        raise ValueError("record has neither dc:title nor dc:description")
+    record = Record(id=rec_id, provider=resolve_provider(fields), fields=fields)
+    check_record(record)
     # An unpaired surrogate has no UTF-8 form and would crash serialization
     # mid-run.  The line was decoded as strict UTF-8, so only a \uD800-\uDFFF
     # escape can produce one; lines without such an escape skip the check.
@@ -115,7 +129,7 @@ def _parse_line(line: str) -> Record:
             "".join([rec_id, *fields, *chain.from_iterable(fields.values())]).encode("utf-8")
         except UnicodeEncodeError:
             raise ValueError("id, field name or value holds an unpaired surrogate") from None
-    return Record(id=rec_id, provider=resolve_provider(fields), fields=fields)
+    return record
 
 
 def _split_lines(stream: Iterable[bytes]) -> Iterator[bytes]:

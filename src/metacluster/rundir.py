@@ -4,8 +4,7 @@ Every file the tool writes is re-parseable by the loaders here; the stats and
 sample-eval subcommands work purely from a run directory.  All record-shaped
 outputs are NDJSON with sorted keys; manifest and summary are single JSON
 documents.  Wall-clock data lives only in ``manifest.json`` and
-``timings.tsv`` so that every other file is byte-stable for a fixed seed,
-whatever the worker count.
+``timings.tsv`` so that every other file is byte-stable for a fixed seed.
 """
 
 from __future__ import annotations

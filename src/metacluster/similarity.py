@@ -65,8 +65,7 @@ class SimilarityContext:
     Serialized payloads and their compressed sizes C(x) are cached per record
     id for the whole pass.  Concatenation sizes C(xy) are not cached here: the
     clusterer memoizes each pair's similarity for the one candidate group it
-    processes (``clusterer._process_group``).  Safe for concurrent readers:
-    cache fills are idempotent.
+    processes (``clusterer._process_group``).
     """
 
     def __init__(

@@ -48,10 +48,10 @@ def check(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion} failed: {detail}"
 
 
-def run_level_100(records, seed, workers):
+def run_level_100(records, seed):
     by_id = {r.id: r for r in records}
     ids = sorted(by_id)
-    config = EngineConfig(seed=seed, workers=workers)
+    config = EngineConfig(seed=seed)
     banding, ctx = level_inputs(by_id, ids, 100, config)
     return cluster_level(ids, 100, ctx.similarity, banding, config)
 
@@ -63,7 +63,7 @@ def test_criterion_1_duplicate_recall():
         records, pairs = duplicate_pairs_corpus(1000, 8000, seed=seed)
         decoys = {r.id for r in records if r.id.startswith("dec")}
         started = time.perf_counter()
-        result = run_level_100(records, seed, workers=4)
+        result = run_level_100(records, seed)
         seconds = time.perf_counter() - started
         worst_seconds = max(worst_seconds, seconds)
 
@@ -86,7 +86,7 @@ def test_criterion_1_duplicate_recall():
         1,
         worst_recall >= 0.99 and worst_seconds <= 60.0,
         f"duplicate recall >= 99% (worst {worst_recall:.2%}), zero false merges, "
-        f"worst runtime {worst_seconds:.1f}s <= 60s at 4 workers",
+        f"worst runtime {worst_seconds:.1f}s <= 60s",
     )
 
 
@@ -136,7 +136,7 @@ def test_criterion_3_oracle_equivalence():
         ids = sorted(by_id)
         for level in (100, 80, 60):
             for seed in (7, 8):
-                config = EngineConfig(seed=seed, workers=1)
+                config = EngineConfig(seed=seed)
                 banding, ctx = level_inputs(by_id, ids, level, config)
                 production = cluster_level(ids, level, ctx.similarity, banding, config)
 
@@ -291,7 +291,7 @@ def test_criterion_7_scaled_throughput():
     assert len(records) == 1_000_000
     by_id = {r.id: r for r in records}
     ids = sorted(by_id)
-    config = EngineConfig(seed=71, workers=8)
+    config = EngineConfig(seed=71)
 
     started = time.perf_counter()
     banding, ctx = level_inputs(by_id, ids, 100, config)
@@ -303,7 +303,7 @@ def test_criterion_7_scaled_throughput():
         7,
         seconds <= 300.0,
         f"level-100 single pass over 1,000,000 records took {seconds:.1f}s "
-        f"(<= 300s) on 8 worker threads; {len(result.clusters)} duplicate clusters found",
+        f"(<= 300s); {len(result.clusters)} duplicate clusters found",
     )
 
 

@@ -173,6 +173,16 @@ class TestClusterCommand:
         )
         assert code == 1
 
+    def test_workers_below_one_is_error_exit(self, corpus_path, tmp_path, capsys):
+        code = main(
+            [
+                "cluster", "--input", str(corpus_path), "--out", str(tmp_path / "x"),
+                "--workers", "0", "--levels", "100",
+            ]
+        )
+        assert code == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
+
 
 class TestSampleEval:
     def test_worksheet_rows_and_exhaustion_warning(self, corpus_path, full_run, tmp_path, capsys):

@@ -1,7 +1,7 @@
 import json
 import random
 from collections import Counter, defaultdict
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given
@@ -231,7 +231,7 @@ class TestClusterLevel:
     def test_deterministic_across_runs(self):
         records, _ = family_corpus(5, 9, seed=12)
         records += random_corpus(40, seed=12, provider="noise")
-        config = EngineConfig(seed=13, workers=1)
+        config = EngineConfig(seed=13)
         a, _ = run_level(records, 80, config)
         b, _ = run_level(records, 80, config)
         assert a == b
@@ -257,7 +257,7 @@ class TestClusterLevel:
 
     def test_parallel_run_keeps_invariants(self):
         records, _ = duplicate_pairs_corpus(40, 80, seed=7)
-        config = EngineConfig(seed=8, workers=4)
+        config = EngineConfig(seed=8)
         result, ctx = run_level(records, 100, config)
         placed = list(result.unclustered)
         for cluster in result.clusters:
@@ -265,7 +265,6 @@ class TestClusterLevel:
             assert cluster.mean_head_similarity >= 1.0
         assert sorted(placed) == sorted(r.id for r in records)
         assert len(result.clusters) == 40
-        assert result == run_level(records, 100, replace(config, workers=1))[0]
 
     def test_singleton_groups_stay_unclustered(self):
         records = random_corpus(4, seed=2)

@@ -1,5 +1,6 @@
 import pytest
 
+from metacluster import hierarchy
 from metacluster.clusterer import Cluster
 from metacluster.config import EngineConfig
 from metacluster.errors import ConfigurationError, IntegrityError
@@ -212,6 +213,18 @@ class TestRunHierarchy:
     def test_original_without_title_or_description_rejected(self):
         records = [Record("r", "p", {"dc:subject": ("s",)})]
         with pytest.raises(ConfigurationError):
+            run_hierarchy(records, None, EngineConfig(seed=1))
+
+    def test_unpaired_surrogate_is_configuration_error_before_any_level(self, monkeypatch):
+        def no_level(*args, **kwargs):
+            raise AssertionError("a level ran before the corpus was checked")
+
+        monkeypatch.setattr(hierarchy, "cluster_level", no_level)
+        records = [
+            Record("ok", "p", {"dc:title": ("fine",)}),
+            Record("a", "p", {"dc:title": ("x\ud800y",)}),
+        ]
+        with pytest.raises(ConfigurationError, match="record 'a'"):
             run_hierarchy(records, None, EngineConfig(seed=1))
 
     def test_duplicate_ids_rejected(self):
