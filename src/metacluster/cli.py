@@ -10,6 +10,7 @@ byte-identical across repeated runs.  Level passes run sequentially;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -77,82 +78,66 @@ def _parse_group_sizes(text: str) -> dict[int, int]:
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="run seed (fixed default)")
+    parser.add_argument("--seed", type=int, help="run seed (fixed default)")
     parser.add_argument(
         "--workers",
         type=int,
         default=1,
         help="accepted for compatibility and must be >= 1; runs are sequential",
     )
-    parser.add_argument("--minhash-count", type=int, default=64, help="signature length H")
+    parser.add_argument("--minhash-count", type=int, help="signature length H")
     parser.add_argument(
         "--band-group-sizes",
+        dest="group_sizes",
         type=_parse_group_sizes,
-        default=dict(DEFAULT_GROUP_SIZES),
         metavar="L:G,...",
-        help="minhashes XOR-ed per band key per level (default 100:16,80:8,60:6,40:4,20:2)",
+        help="minhashes XOR-ed per band key per level (default %(default)s)",
     )
     parser.add_argument(
         "--band-match",
         choices=["any", "all"],
-        default="any",
         help="group on any shared band key (banding) or require all 4 keys equal",
     )
-    parser.add_argument("--compressor", choices=compressor_ids(), default="zlib")
-    parser.add_argument("--compression-level", type=int, default=6)
-    parser.add_argument("--max-iter", type=int, default=5, help="outer iteration cap per level")
+    parser.add_argument("--compressor", choices=compressor_ids())
+    parser.add_argument("--compression-level", type=int, help="0-9")
+    parser.add_argument(
+        "--max-iter", dest="max_iterations", type=int, help="outer iteration cap per level"
+    )
     parser.add_argument(
         "--artificial-value-cap",
         type=int,
-        default=20,
         help="max distinct values kept per field in cluster summary records",
     )
+    # Each dest is an EngineConfig field, so the config supplies every default.
+    parser.set_defaults(**dataclasses.asdict(EngineConfig()))
 
 
 def _add_ga_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ga-pop", type=int, default=50, help="GA population size")
-    parser.add_argument("--ga-gens", type=int, default=100, help="GA generations")
+    parser.add_argument("--ga-pop", dest="population_size", type=int, help="GA population size")
+    parser.add_argument("--ga-gens", dest="generations", type=int, help="GA generations")
     parser.add_argument(
         "--ga-sample-cap",
+        dest="sample_cap",
         type=int,
-        default=50_000,
         help="max records per provider used in one fitness evaluation",
     )
     parser.add_argument(
         "--min-provider-records",
         type=int,
-        default=100,
         help="providers with more records than this get GA selection; others dc:title",
     )
+    parser.set_defaults(**dataclasses.asdict(GAConfig()))
 
 
-def _engine_from(args: argparse.Namespace) -> EngineConfig:
-    config = EngineConfig(
-        minhash_count=args.minhash_count,
-        group_sizes=args.band_group_sizes,
-        band_match=args.band_match,
-        compressor=args.compressor,
-        compression_level=args.compression_level,
-        max_iterations=args.max_iter,
-        artificial_value_cap=args.artificial_value_cap,
-        seed=args.seed,
-    )
-    config.validate()
+def _configs_from(args: argparse.Namespace) -> tuple[EngineConfig, GAConfig]:
+    """The configs the engine and GA flags describe; --seed sets both."""
     if args.workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {args.workers}")
-    return config
 
+    def build(cls):
+        return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
-def _ga_from(args: argparse.Namespace) -> GAConfig:
-    config = GAConfig(
-        population_size=args.ga_pop,
-        generations=args.ga_gens,
-        sample_cap=args.ga_sample_cap,
-        min_provider_records=args.min_provider_records,
-        seed=args.seed,
-    )
-    config.validate()
-    return config
+    return build(EngineConfig), build(GAConfig)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    engine = _engine_from(args)
-    ga = _ga_from(args)
+    engine, ga = _configs_from(args)
     levels = sorted(set(args.levels), reverse=True)
 
     result = ingest_path(args.input)
@@ -236,8 +220,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_select_fields(args: argparse.Namespace) -> int:
-    engine = _engine_from(args)
-    ga = _ga_from(args)
+    engine, ga = _configs_from(args)
     result = ingest_path(args.input)
     out_dir: Path = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -250,6 +233,8 @@ def cmd_select_fields(args: argparse.Namespace) -> int:
 
 
 def cmd_sample_eval(args: argparse.Namespace) -> int:
+    if args.per_level < 0:
+        raise ConfigurationError(f"per-level must be >= 0, got {args.per_level}")
     run_dir: Path = args.run
     manifest = rundir.load_manifest(run_dir)
     by_id = {}

@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import EngineConfig
-from .errors import ConfigurationError, IntegrityError
+from .errors import IntegrityError
 from .hashing import derive_seed, digest_hex
 from .minhash import SENTINEL, SignatureComputer, band_key_matrix, group_ids
 from .records import FieldMask, Record, tokenize
@@ -336,8 +336,6 @@ def cluster_level(
     config: EngineConfig,
 ) -> LevelResult:
     """Run the full iterative loop at one level over one population."""
-    if config.max_iterations < 1:
-        raise ConfigurationError(f"max iterations must be >= 1, got {config.max_iterations}")
     threshold = level / 100.0
     population = set(input_ids)
     input_all = sorted(population)

@@ -29,7 +29,8 @@ PROVIDER_FIELD = "europeana:provider"
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Parameters shared by banding, similarity and the level clusterer."""
+    """Parameters shared by banding, similarity and the level clusterer;
+    an invalid combination raises ConfigurationError on construction."""
 
     minhash_count: int = 64
     group_sizes: dict[int, int] = field(default_factory=lambda: dict(DEFAULT_GROUP_SIZES))
@@ -40,7 +41,7 @@ class EngineConfig:
     artificial_value_cap: int = 20
     seed: int = DEFAULT_SEED
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.minhash_count < 8 or self.minhash_count % 4 != 0:
             raise ConfigurationError(
                 f"minhash count must be >= 8 and divisible by 4, got {self.minhash_count}"
@@ -56,6 +57,8 @@ class EngineConfig:
                 )
         if self.band_match not in ("any", "all"):
             raise ConfigurationError(f"band match mode must be 'any' or 'all', got {self.band_match!r}")
+        if not 0 <= self.compression_level <= 9:
+            raise ConfigurationError(f"compression level must be in 0-9, got {self.compression_level}")
         if self.max_iterations < 1:
             raise ConfigurationError(f"max iterations must be >= 1, got {self.max_iterations}")
         if self.artificial_value_cap < 1:
@@ -64,30 +67,19 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class GAConfig:
-    """Knobs of the per-provider genetic field selection."""
+    """Knobs of the per-provider genetic field selection; the operator settings
+    are constants in ``ga``."""
 
     population_size: int = 50
     generations: int = 100
-    crossover_rate: float = 0.9
-    mutation_rate: float | None = None  # None: 1/chromosome-length
-    tournament_size: int = 2
-    elitism: int = 1
     sample_cap: int = 50_000
     min_provider_records: int = 100
     seed: int = DEFAULT_SEED
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.population_size < 2:
             raise ConfigurationError(f"GA population must be >= 2, got {self.population_size}")
         if self.generations < 1:
             raise ConfigurationError(f"GA generations must be >= 1, got {self.generations}")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ConfigurationError("crossover rate must be in [0, 1]")
-        if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
-            raise ConfigurationError("mutation rate must be in [0, 1]")
-        if self.tournament_size < 1:
-            raise ConfigurationError("tournament size must be >= 1")
-        if self.elitism < 0 or self.elitism >= self.population_size:
-            raise ConfigurationError("elitism count must be in [0, population)")
         if self.sample_cap < 2:
             raise ConfigurationError("evaluation sample cap must be >= 2")

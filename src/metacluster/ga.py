@@ -36,6 +36,11 @@ SENTINEL_FITNESS = float("-inf")
 #: Hard cap on sampled between-cluster distance pairs per evaluation.
 BETWEEN_PAIR_CAP = 1000
 
+#: Operator settings; bit-flip mutation uses a rate of 1/chromosome-length.
+CROSSOVER_RATE = 0.9
+TOURNAMENT_SIZE = 2
+ELITISM = 1
+
 
 @dataclass(frozen=True, slots=True)
 class Chromosome:
@@ -169,24 +174,14 @@ def tournament(
     return population[best]
 
 
-@dataclass
-class EvolveOutcome:
-    mask: FieldMask
-    fitness: float
-    best_history: list[float]
-    evaluations: int
-    fields: list[str]
-
-
 def evolve(
     provider_records: list[Record],
     engine: EngineConfig,
     ga: GAConfig,
     provider_key: str = "",
-) -> EvolveOutcome:
+) -> ProviderMask:
     """Generational GA with tournament selection, single-point crossover,
     bit-flip mutation and elitism; returns the best-ever mask."""
-    ga.validate()
     fields = sorted({name for record in provider_records for name in record.fields})
     (compulsory_field,) = default_mask_for(provider_records).selected
     compulsory = fields.index(compulsory_field)
@@ -227,10 +222,10 @@ def evolve(
 
     if length == 1:
         value = evaluate((1,))
-        return EvolveOutcome(FieldMask(frozenset(fields)), value, [value], evaluations, fields)
+        return ProviderMask(provider_key, FieldMask(frozenset(fields)), value, "ga", (value,), evaluations)
 
     rng = random.Random(derive_seed(ga.seed, "ga", provider_key))
-    mutation_rate = ga.mutation_rate if ga.mutation_rate is not None else 1.0 / length
+    mutation_rate = 1.0 / length
 
     def spawn() -> Chromosome:
         bits = [1 if rng.random() < 0.5 else 0 for _ in range(length)]
@@ -243,12 +238,12 @@ def evolve(
     best = max(population, key=lambda c: c.fitness)
     history = [best.fitness]
     for _ in range(ga.generations):
-        elite = sorted(population, key=lambda c: (-c.fitness, c.bits))[: ga.elitism]
+        elite = sorted(population, key=lambda c: (-c.fitness, c.bits))[:ELITISM]
         offspring: list[Chromosome] = list(elite)
         while len(offspring) < ga.population_size:
-            parent_a = tournament(population, rng, ga.tournament_size)
-            parent_b = tournament(population, rng, ga.tournament_size)
-            if rng.random() < ga.crossover_rate:
+            parent_a = tournament(population, rng, TOURNAMENT_SIZE)
+            parent_b = tournament(population, rng, TOURNAMENT_SIZE)
+            if rng.random() < CROSSOVER_RATE:
                 child_a, child_b = crossover(parent_a.bits, parent_b.bits, rng)
             else:
                 child_a, child_b = list(parent_a.bits), list(parent_b.bits)
@@ -264,7 +259,7 @@ def evolve(
             best = generation_best
         history.append(best.fitness)
 
-    return EvolveOutcome(best.mask(fields), best.fitness, history, evaluations, fields)
+    return ProviderMask(provider_key, best.mask(fields), best.fitness, "ga", tuple(history), evaluations)
 
 
 def select_all_providers(
@@ -273,7 +268,6 @@ def select_all_providers(
     ga: GAConfig,
 ) -> ProviderSelection:
     """GA masks for providers above the record threshold, defaults otherwise."""
-    ga.validate()
     by_provider: dict[str, list[Record]] = {}
     for record in corpus:
         by_provider.setdefault(record.provider, []).append(record)
@@ -282,15 +276,7 @@ def select_all_providers(
     for provider in sorted(by_provider):
         records = by_provider[provider]
         if len(records) > ga.min_provider_records:
-            outcome = evolve(records, engine, ga, provider_key=provider)
-            info = ProviderMask(
-                provider,
-                outcome.mask,
-                outcome.fitness,
-                "ga",
-                best_history=tuple(outcome.best_history),
-                evaluations=outcome.evaluations,
-            )
+            info = evolve(records, engine, ga, provider_key=provider)
         else:
             info = ProviderMask(provider, default_mask_for(records), None, "default")
         selection.masks[provider] = info.mask

@@ -48,13 +48,7 @@ class HierarchyNode:
 class RunManifest:
     """Everything needed to reproduce a run bit-exactly."""
 
-    seed: int
-    compressor_id: str
-    minhash_count: int
-    group_sizes: dict[int, int]
-    band_match: str
-    max_iterations: int
-    artificial_value_cap: int
+    config: EngineConfig
     levels: tuple[int, ...]
     masks: dict[str, list[str]]
     corpus_digest: str
@@ -64,14 +58,15 @@ class RunManifest:
     version: str = _package_version
 
     def to_dict(self) -> dict:
+        config = self.config
         return {
-            "seed": self.seed,
-            "compressor": self.compressor_id,
-            "minhash_count": self.minhash_count,
-            "group_sizes": {str(k): v for k, v in sorted(self.group_sizes.items())},
-            "band_match": self.band_match,
-            "max_iterations": self.max_iterations,
-            "artificial_value_cap": self.artificial_value_cap,
+            "seed": config.seed,
+            "compressor": f"{config.compressor}:{config.compression_level}",
+            "minhash_count": config.minhash_count,
+            "group_sizes": {str(k): v for k, v in sorted(config.group_sizes.items())},
+            "band_match": config.band_match,
+            "max_iterations": config.max_iterations,
+            "artificial_value_cap": config.artificial_value_cap,
             "levels": list(self.levels),
             "masks": {k: v for k, v in sorted(self.masks.items())},
             "corpus_digest": self.corpus_digest,
@@ -163,7 +158,6 @@ def run_hierarchy(
     levels: Iterable[int] = LEVELS,
 ) -> HierarchyRun:
     """Execute the requested levels over the corpus and assemble the forest."""
-    config.validate()
     requested = sorted(set(levels), reverse=True)
     unknown = [lv for lv in requested if lv not in LEVELS]
     if unknown:
@@ -180,6 +174,12 @@ def run_hierarchy(
         by_id[record.id] = record
     original_ids = sorted(by_id)
     digest = corpus_digest(corpus)
+    # The digest omits providers, yet the run directory writes them.
+    try:
+        "".join({record.provider for record in corpus}).encode("utf-8")
+    except UnicodeEncodeError:
+        bad = next(r for r in corpus if _SURROGATE_RE.search(r.provider))
+        raise ConfigurationError(f"record {bad.id!r}: provider holds an unpaired surrogate") from None
 
     masks = dict(masks) if masks else {}
     if 80 in requested:
@@ -255,13 +255,7 @@ def run_hierarchy(
         population = sorted(next_population)
 
     manifest = RunManifest(
-        seed=config.seed,
-        compressor_id=f"{config.compressor}:{config.compression_level}",
-        minhash_count=config.minhash_count,
-        group_sizes=dict(config.group_sizes),
-        band_match=config.band_match,
-        max_iterations=config.max_iterations,
-        artificial_value_cap=config.artificial_value_cap,
+        config=config,
         levels=tuple(requested),
         masks={p: m.sorted_names() for p, m in sorted(masks.items())},
         corpus_digest=digest,

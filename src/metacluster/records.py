@@ -201,15 +201,11 @@ def tokenize(record: Record, mask: FieldMask | None = None) -> list[str]:
     """Word tokens of the selected fields: NFC-normalized, case-folded,
     purely-numeric tokens dropped, order given by sorted field names.
     """
-    tokens: list[str] = []
-    for _, values in _selected_items(record, mask):
-        for value in values:
-            normalized = unicodedata.normalize("NFC", value).casefold()
-            for match in _TOKEN_RE.finditer(normalized):
-                token = match.group()
-                if not token.isdigit():
-                    tokens.append(token)
-    return tokens
+    # A space is a non-word starter that composes with nothing, so NFC,
+    # casefold and the token pattern act on each value as if run separately.
+    text = " ".join(chain.from_iterable(values for _, values in _selected_items(record, mask)))
+    folded = unicodedata.normalize("NFC", text).casefold()
+    return [token for token in _TOKEN_RE.findall(folded) if not token.isdigit()]
 
 
 def serialize_for_compression(record: Record, mask: FieldMask | None = None) -> bytes:

@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 from metacluster import rundir
-from metacluster.cli import EVAL_CATEGORIES, main
-from metacluster.config import EngineConfig
+from metacluster.cli import EVAL_CATEGORIES, _configs_from, build_parser, main
+from metacluster.config import EngineConfig, GAConfig
 from metacluster.ga import SENTINEL_FITNESS, ProviderMask, ProviderSelection
 from metacluster.hierarchy import run_hierarchy
 from metacluster.records import FieldMask, ingest_path, write_records
@@ -183,6 +183,22 @@ class TestClusterCommand:
         assert code == 1
         assert "workers must be >= 1" in capsys.readouterr().err
 
+    def test_flag_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["cluster", "--input", "c.ndjson", "--out", "o"])
+        assert _configs_from(args) == (EngineConfig(), GAConfig())
+
+    def test_compression_level_out_of_range_is_error_exit(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(
+            [
+                "cluster", "--input", str(corpus_path), "--out", str(out),
+                "--compression-level", "12", "--levels", "100",
+            ]
+        )
+        assert code == 1
+        assert "error: compression level must be in 0-9" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSampleEval:
     def test_worksheet_rows_and_exhaustion_warning(self, corpus_path, full_run, tmp_path, capsys):
@@ -219,6 +235,16 @@ class TestSampleEval:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_per_level_is_error_exit(self, full_run, tmp_path, capsys):
+        out_file = tmp_path / "sample.ndjson"
+        out_file.write_text("kept\n", encoding="utf-8")
+        code = main(
+            ["sample-eval", "--run", str(full_run), "--per-level", "-1", "--out", str(out_file)]
+        )
+        assert code == 1
+        assert "error: per-level must be >= 0" in capsys.readouterr().err
+        assert out_file.read_text(encoding="utf-8") == "kept\n"
 
     def test_without_corpus_fields_are_null_for_originals(self, full_run, tmp_path):
         out_file = tmp_path / "nofields.ndjson"

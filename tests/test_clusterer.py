@@ -248,12 +248,8 @@ class TestClusterLevel:
         assert heads_a != heads_b  # random head selection is seed-driven
 
     def test_max_iter_below_one_rejected(self):
-        records = random_corpus(5, seed=1)
-        config = EngineConfig(seed=1, max_iterations=0)
-        by_id = {r.id: r for r in records}
-        banding, _ = level_inputs(by_id, sorted(by_id), 100, EngineConfig(seed=1))
-        with pytest.raises(ConfigurationError):
-            cluster_level(sorted(by_id), 100, stub_sim({}), banding, config)
+        with pytest.raises(ConfigurationError, match="max iterations"):
+            EngineConfig(seed=1, max_iterations=0)
 
     def test_parallel_run_keeps_invariants(self):
         records, _ = duplicate_pairs_corpus(40, 80, seed=7)

@@ -170,7 +170,7 @@ class TestEvolve:
         records = ga_provider_corpus(n_records=120, n_families=8, seed=3, extra_fields=1)
         ga = GAConfig(seed=3, population_size=8, generations=6)
         outcome = evolve(records, EngineConfig(seed=3), ga, provider_key="p")
-        assert outcome.best_history == sorted(outcome.best_history)
+        assert list(outcome.best_history) == sorted(outcome.best_history)
 
     def test_deterministic(self):
         records = ga_provider_corpus(n_records=100, n_families=5, seed=4, extra_fields=1)

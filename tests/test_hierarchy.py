@@ -227,6 +227,18 @@ class TestRunHierarchy:
         with pytest.raises(ConfigurationError, match="record 'a'"):
             run_hierarchy(records, None, EngineConfig(seed=1))
 
+    def test_provider_surrogate_is_configuration_error_before_any_level(self, monkeypatch):
+        def no_level(*args, **kwargs):
+            raise AssertionError("a level ran before the providers were checked")
+
+        monkeypatch.setattr(hierarchy, "cluster_level", no_level)
+        records = [
+            Record("ok", "p", {"dc:title": ("fine",)}),
+            Record("a", "p\ud800", {"dc:title": ("x y z",)}),
+        ]
+        with pytest.raises(ConfigurationError, match="record 'a'"):
+            run_hierarchy(records, None, EngineConfig(seed=1))
+
     def test_duplicate_ids_rejected(self):
         record = Record("r", "p", {"dc:title": ("t",)})
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,7 @@
 import io
 import json
+import re
+import unicodedata
 
 import pytest
 from hypothesis import given
@@ -211,6 +213,44 @@ def test_serialization_ignores_input_field_order(doc, rnd):
     b = Record(rid, "p", {n: tuple(fields[n]) for n in names})
     assert serialize_for_compression(a) == serialize_for_compression(b)
     assert tokenize(a) == tokenize(b)
+
+
+def tokenize_per_value(record, mask=None):
+    """The definition of ``tokenize``, one value at a time."""
+    tokens = []
+    for name in sorted(record.fields):
+        if mask is None or name in mask:
+            for value in record.fields[name]:
+                folded = unicodedata.normalize("NFC", value).casefold()
+                tokens += [t for t in re.findall(r"[^\W_]+", folded) if not t.isdigit()]
+    return tokens
+
+
+# Code points where normalization or case folding depends on neighbours or
+# changes length: combining marks (one with ccc 240 that folds to iota),
+# Hangul jamo and a syllable, sigmas, sharp s, a ligature, dotted capital I,
+# separators and digits of two scripts.
+tricky_text = st.text(
+    st.one_of(
+        st.sampled_from(
+            "e\u0301\u0323\u0308\u0345\u1100\u1161\u11a8\uac00\u03a3\u03c3\u03c2"
+            "\u00df\ufb01\u0130_- 07\u0663aA"
+        ),
+        st.characters(),
+    ),
+    max_size=12,
+)
+
+
+@given(
+    st.dictionaries(field_names, st.lists(tricky_text, min_size=1, max_size=3), max_size=4),
+    st.frozensets(field_names),
+    st.booleans(),
+)
+def test_tokenize_matches_per_value_definition(fields, selected, masked):
+    record = Record("r", "p", {n: tuple(v) for n, v in fields.items()})
+    mask = FieldMask(selected) if masked else None
+    assert tokenize(record, mask) == tokenize_per_value(record, mask)
 
 
 @given(st.lists(record_documents(), max_size=8, unique_by=lambda d: d[0]))
