@@ -11,20 +11,18 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import random
 import sys
 import time
 from pathlib import Path
 
 from . import rundir
-from .config import DEFAULT_GROUP_SIZES, DEFAULT_SEED, LEVELS, EngineConfig, GAConfig
+from .config import COMPRESSORS, DEFAULT_GROUP_SIZES, DEFAULT_SEED, LEVELS, EngineConfig, GAConfig
 from .errors import ConfigurationError, IntegrityError
 from .ga import select_all_providers
 from .hashing import derive_seed
 from .hierarchy import corpus_digest, run_hierarchy
 from .records import ingest_path
-from .similarity import compressor_ids
 
 #: Magnitudes measured on a 23.6M-record cultural-heritage aggregation
 #: (dual 8-core server); printed next to local numbers for orientation.
@@ -98,8 +96,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         choices=["any", "all"],
         help="group on any shared band key (banding) or require all 4 keys equal",
     )
-    parser.add_argument("--compressor", choices=compressor_ids())
-    parser.add_argument("--compression-level", type=int, help="0-9")
+    parser.add_argument("--compressor", choices=sorted(COMPRESSORS))
+    parser.add_argument("--compression-level", type=int, help="0-9 (bz2: 1-9)")
     parser.add_argument(
         "--max-iter", dest="max_iterations", type=int, help="outer iteration cap per level"
     )
@@ -204,17 +202,17 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             masks = rundir.load_masks(args.masks)
         else:
             selection = select_all_providers(result.records, engine, ga)
-            masks = selection.masks
+            masks = {provider: info.mask for provider, info in selection.items()}
             rundir.write_masks(out_dir / rundir.MASKS_FILE, selection)
             rundir.write_field_report(out_dir / rundir.FIELD_REPORT_FILE, selection)
 
     run = run_hierarchy(result.records, masks, engine, levels=levels)
     rundir.write_run(out_dir, run)
 
-    for stat in run.level_stats:
+    for level, level_result in run.results.items():
         print(
-            f"level {stat.level}: {stat.input_count} records -> {stat.cluster_count} clusters "
-            f"in {rundir.format_duration(stat.seconds)}"
+            f"level {level}: {level_result.input_count} records -> {len(level_result.clusters)} "
+            f"clusters in {rundir.format_duration(run.seconds[level])}"
         )
     return 0
 
@@ -228,7 +226,7 @@ def cmd_select_fields(args: argparse.Namespace) -> int:
     selection = select_all_providers(result.records, engine, ga)
     rundir.write_masks(out_dir / rundir.MASKS_FILE, selection)
     rundir.write_field_report(out_dir / rundir.FIELD_REPORT_FILE, selection)
-    print(f"selected masks for {len(selection.details)} providers")
+    print(f"selected masks for {len(selection)} providers")
     return 0
 
 
@@ -249,53 +247,38 @@ def cmd_sample_eval(args: argparse.Namespace) -> int:
             )
     by_id.update(rundir.load_artificials(run_dir))
 
-    out_path = args.out or (run_dir / "eval_sample.ndjson")
-    rows = 0
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for level in manifest["levels"]:
-            clusters = rundir.load_clusters(run_dir, level)
-            if len(clusters) < args.per_level:
-                print(
-                    f"warning: level {level} has only {len(clusters)} clusters "
-                    f"(requested {args.per_level}); exporting all",
-                    file=sys.stderr,
-                )
-            rng = random.Random(derive_seed(args.seed, "sample-eval", level))
-            ordered = sorted(clusters, key=lambda c: c.id)
-            chosen = (
-                ordered
-                if len(ordered) <= args.per_level
-                else rng.sample(ordered, args.per_level)
+    # Every cluster file is read before the worksheet is opened, so a run
+    # with a missing level leaves an existing --out file untouched.
+    clusters_by_level = {level: rundir.load_clusters(run_dir, level) for level in manifest["levels"]}
+    rows = []
+    for level, clusters in clusters_by_level.items():
+        if len(clusters) < args.per_level:
+            print(
+                f"warning: level {level} has only {len(clusters)} clusters "
+                f"(requested {args.per_level}); exporting all",
+                file=sys.stderr,
             )
-            for cluster in sorted(chosen, key=lambda c: c.id):
-                members = []
-                for rid in cluster.record_ids():
-                    record = by_id.get(rid)
-                    members.append(
-                        {
-                            "id": rid,
-                            "fields": {k: list(v) for k, v in sorted(record.fields.items())}
-                            if record is not None
-                            else None,
-                        }
-                    )
-                fh.write(
-                    json.dumps(
-                        {
-                            "cluster_id": cluster.id,
-                            "level": cluster.level,
-                            "size": cluster.size,
-                            "members": members,
-                            "category": "",
-                            "category_choices": list(EVAL_CATEGORIES),
-                        },
-                        ensure_ascii=False,
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-                rows += 1
-    print(f"wrote {rows} worksheet rows to {out_path}")
+        rng = random.Random(derive_seed(args.seed, "sample-eval", level))
+        ordered = sorted(clusters, key=lambda c: c.id)
+        chosen = ordered if len(ordered) <= args.per_level else rng.sample(ordered, args.per_level)
+        for cluster in sorted(chosen, key=lambda c: c.id):
+            members = [
+                {"id": rid, "fields": by_id[rid].fields if rid in by_id else None}
+                for rid in cluster.record_ids()
+            ]
+            rows.append(
+                {
+                    "cluster_id": cluster.id,
+                    "level": cluster.level,
+                    "size": cluster.size,
+                    "members": members,
+                    "category": "",
+                    "category_choices": EVAL_CATEGORIES,
+                }
+            )
+    out_path = args.out or (run_dir / "eval_sample.ndjson")
+    rundir._write_ndjson(out_path, rows)
+    print(f"wrote {len(rows)} worksheet rows to {out_path}")
     return 0
 
 

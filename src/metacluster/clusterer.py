@@ -86,10 +86,6 @@ class Cluster:
     def record_ids(self) -> tuple[str, ...]:
         return (self.head,) + self.members
 
-    def direct_members(self) -> tuple[str, ...]:
-        skip = set(self.transferred)
-        return tuple(m for m in self.members if m not in skip)
-
 
 @dataclass(frozen=True, slots=True)
 class CandidateCluster:
@@ -106,12 +102,10 @@ class LevelResult:
     unclustered: tuple[str, ...]
     iterations_used: int
 
-    def clustered_ids(self) -> set[str]:
-        out: set[str] = set()
-        for cluster in self.clusters:
-            out.add(cluster.head)
-            out.update(cluster.members)
-        return out
+    @property
+    def input_count(self) -> int:
+        """Clustered plus unclustered ids: the partition covers the input."""
+        return sum(c.size for c in self.clusters) + len(self.unclustered)
 
 
 class LevelBanding:

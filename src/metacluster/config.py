@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import bz2
+import lzma
+import zlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import ConfigurationError
 
@@ -25,6 +29,14 @@ DESCRIPTION_FIELD = "dc:description"
 
 DATA_PROVIDER_FIELD = "europeana:dataProvider"
 PROVIDER_FIELD = "europeana:provider"
+
+#: The compressors by name: each maps (data, level) to compressed bytes.
+#: Levels run 0-9, except bz2, which has no level 0.
+COMPRESSORS: dict[str, Callable[[bytes, int], bytes]] = {
+    "zlib": zlib.compress,
+    "bz2": bz2.compress,
+    "lzma": lambda data, level: lzma.compress(data, preset=level),
+}
 
 
 @dataclass(frozen=True)
@@ -57,8 +69,16 @@ class EngineConfig:
                 )
         if self.band_match not in ("any", "all"):
             raise ConfigurationError(f"band match mode must be 'any' or 'all', got {self.band_match!r}")
-        if not 0 <= self.compression_level <= 9:
-            raise ConfigurationError(f"compression level must be in 0-9, got {self.compression_level}")
+        if self.compressor not in COMPRESSORS:
+            raise ConfigurationError(
+                f"unknown compressor {self.compressor!r}; available: {sorted(COMPRESSORS)}"
+            )
+        lowest = 1 if self.compressor == "bz2" else 0
+        if not lowest <= self.compression_level <= 9:
+            raise ConfigurationError(
+                f"compression level must be in {lowest}-9 for {self.compressor}, "
+                f"got {self.compression_level}"
+            )
         if self.max_iterations < 1:
             raise ConfigurationError(f"max iterations must be >= 1, got {self.max_iterations}")
         if self.artificial_value_cap < 1:

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .clusterer import FieldRows, LevelResult, band_signatures, cluster_level
@@ -61,24 +60,6 @@ class ProviderMask:
     best_history: tuple[float, ...] = ()
     #: GA only: distinct masks scored.
     evaluations: int = 0
-
-
-@dataclass
-class ProviderSelection:
-    masks: dict[str, FieldMask] = field(default_factory=dict)
-    details: dict[str, ProviderMask] = field(default_factory=dict)
-
-    def field_counts(self) -> dict[str, int]:
-        counts: Counter = Counter()
-        for info in self.details.values():
-            counts.update(info.mask.selected)
-        return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
-
-    def combination_counts(self) -> dict[str, int]:
-        counts: Counter = Counter()
-        for info in self.details.values():
-            counts["+".join(info.mask.sorted_names())] += 1
-        return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
 def clusterability(avg_size: float, between: float, within: float) -> float:
@@ -266,19 +247,18 @@ def select_all_providers(
     corpus: list[Record],
     engine: EngineConfig,
     ga: GAConfig,
-) -> ProviderSelection:
-    """GA masks for providers above the record threshold, defaults otherwise."""
+) -> dict[str, ProviderMask]:
+    """GA masks for providers above the record threshold, defaults otherwise;
+    keyed by provider in sorted order."""
     by_provider: dict[str, list[Record]] = {}
     for record in corpus:
         by_provider.setdefault(record.provider, []).append(record)
 
-    selection = ProviderSelection()
+    selection: dict[str, ProviderMask] = {}
     for provider in sorted(by_provider):
         records = by_provider[provider]
         if len(records) > ga.min_provider_records:
-            info = evolve(records, engine, ga, provider_key=provider)
+            selection[provider] = evolve(records, engine, ga, provider_key=provider)
         else:
-            info = ProviderMask(provider, default_mask_for(records), None, "default")
-        selection.masks[provider] = info.mask
-        selection.details[provider] = info
+            selection[provider] = ProviderMask(provider, default_mask_for(records), None, "default")
     return selection

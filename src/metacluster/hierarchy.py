@@ -77,22 +77,14 @@ class RunManifest:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class LevelStats:
-    level: int
-    input_count: int
-    cluster_count: int
-    clustered_records: int
-    unclustered_count: int
-    seconds: float
-
-
 @dataclass
 class HierarchyRun:
+    """Results and seconds per level, both in run order (descending level)."""
+
     results: dict[int, LevelResult]
+    seconds: dict[int, float]
     forest: list[HierarchyNode]
     manifest: RunManifest
-    level_stats: list[LevelStats] = field(default_factory=list)
     artificials: dict[str, Record] = field(default_factory=dict)
     duplicate_artificials: dict[str, Record] = field(default_factory=dict)
 
@@ -192,7 +184,7 @@ def run_hierarchy(
 
     computer = SignatureComputer(count=config.minhash_count, seed=config.seed)
     results: dict[int, LevelResult] = {}
-    stats: list[LevelStats] = []
+    seconds: dict[int, float] = {}
     forest: list[HierarchyNode] = []
     artificials: dict[str, Record] = {}
     duplicate_artificials: dict[str, Record] = {}
@@ -201,18 +193,7 @@ def run_hierarchy(
         t0 = time.perf_counter()
         banding, ctx = level_inputs(by_id, ids, level, config, computer, mask_for)
         result = cluster_level(ids, level, ctx.similarity, banding, config)
-        seconds = time.perf_counter() - t0
-        clustered = sum(c.size for c in result.clusters)
-        stats.append(
-            LevelStats(
-                level=level,
-                input_count=len(ids),
-                cluster_count=len(result.clusters),
-                clustered_records=clustered,
-                unclustered_count=len(result.unclustered),
-                seconds=seconds,
-            )
-        )
+        seconds[level] = time.perf_counter() - t0
         results[level] = result
         return result
 
@@ -265,9 +246,9 @@ def run_hierarchy(
     )
     run = HierarchyRun(
         results=results,
+        seconds=seconds,
         forest=forest,
         manifest=manifest,
-        level_stats=stats,
         artificials=artificials,
         duplicate_artificials=duplicate_artificials,
     )
@@ -363,8 +344,8 @@ def verify_run(run: HierarchyRun, original_ids: set[str]) -> None:
     if extra:
         raise IntegrityError(f"forest covers unknown ids (e.g. {sorted(extra)[:3]})")
 
-    chain_stats = [s for s in run.level_stats if s.level in (60, 40, 20)]
-    for earlier, later in zip(chain_stats, chain_stats[1:]):
+    chain = [result for level, result in run.results.items() if level in (60, 40, 20)]
+    for earlier, later in zip(chain, chain[1:]):
         if later.input_count > earlier.input_count:
             raise IntegrityError(
                 f"population grew from level {earlier.level} ({earlier.input_count}) "

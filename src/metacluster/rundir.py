@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .clusterer import Cluster, LevelResult
 from .errors import ConfigurationError, IntegrityError
-from .ga import ProviderMask, ProviderSelection
+from .ga import ProviderMask
 from .hierarchy import HierarchyNode, HierarchyRun, forest_index, forest_roots
 from .records import FieldMask, Record, RejectedLine, export_line, ingest_path
 
@@ -39,8 +40,29 @@ def unclustered_file(level: int) -> str:
     return f"unclustered_level_{level}.txt"
 
 
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, ensure_ascii=False, sort_keys=True)
+def _write_ndjson(path: Path, docs: Iterable[dict]) -> None:
+    """One sorted-key JSON document per line, non-ASCII kept as is (run files
+    and the sample-eval worksheet)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for doc in docs:
+            fh.write(json.dumps(doc, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def _read_ndjson(path: Path) -> list[dict]:
+    if not path.exists():
+        raise IntegrityError(f"missing run file {path}")
+    with open(path, "r", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def _read_json(path: Path) -> dict:
+    if not path.exists():
+        raise IntegrityError(f"missing run file {path}")
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def _finite_or_none(value: float | None) -> float | None:
@@ -61,123 +83,116 @@ def write_run(out_dir: Path, run: HierarchyRun) -> None:
             "".join(rid + "\n" for rid in result.unclustered), encoding="utf-8"
         )
 
-    with open(out_dir / FOREST_FILE, "w", encoding="utf-8") as fh:
-        for node in sorted(run.forest, key=lambda n: (-n.level, n.cluster_id)):
-            fh.write(
-                _dump(
-                    {
-                        "cluster_id": node.cluster_id,
-                        "level": node.level,
-                        "head": node.head,
-                        "children": list(node.children),
-                        "artificial_record_id": node.artificial_record_id,
-                        "category": "",
-                    }
-                )
-                + "\n"
-            )
-
-    with open(out_dir / ARTIFICIALS_FILE, "w", encoding="utf-8") as fh:
-        for rid in sorted(run.artificials):
-            fh.write(export_line(run.artificials[rid]) + "\n")
+    _write_ndjson(
+        out_dir / FOREST_FILE,
+        (
+            {
+                "cluster_id": node.cluster_id,
+                "level": node.level,
+                "head": node.head,
+                "children": node.children,
+                "artificial_record_id": node.artificial_record_id,
+                "category": "",
+            }
+            for node in sorted(run.forest, key=lambda n: (-n.level, n.cluster_id))
+        ),
+    )
+    (out_dir / ARTIFICIALS_FILE).write_text(
+        "".join(export_line(run.artificials[rid]) + "\n" for rid in sorted(run.artificials)),
+        encoding="utf-8",
+    )
 
     if 100 in run.results:
-        with open(out_dir / DUPLICATES_FILE, "w", encoding="utf-8") as fh:
-            for cluster in sorted(run.results[100].clusters, key=lambda c: c.id):
-                summary = run.duplicate_artificials[cluster.id]
-                fh.write(
-                    _dump(
-                        {
-                            "cluster_id": cluster.id,
-                            "head": cluster.head,
-                            "members": list(cluster.members),
-                            "mean_head_similarity": cluster.mean_head_similarity,
-                            "artificial_record": {
-                                "id": summary.id,
-                                "fields": {k: list(v) for k, v in sorted(summary.fields.items())},
-                            },
-                        }
-                    )
-                    + "\n"
-                )
+        _write_ndjson(
+            out_dir / DUPLICATES_FILE,
+            (
+                {
+                    "cluster_id": cluster.id,
+                    "head": cluster.head,
+                    "members": cluster.members,
+                    "mean_head_similarity": cluster.mean_head_similarity,
+                    "artificial_record": {
+                        "id": run.duplicate_artificials[cluster.id].id,
+                        "fields": run.duplicate_artificials[cluster.id].fields,
+                    },
+                }
+                for cluster in sorted(run.results[100].clusters, key=lambda c: c.id)
+            ),
+        )
 
-    with open(out_dir / TIMINGS_FILE, "w", encoding="utf-8") as fh:
-        fh.write("level\trecords\tclusters\ttime\n")
-        for stat in run.level_stats:
-            fh.write(
-                f"{stat.level}\t{stat.input_count}\t{stat.cluster_count}\t"
-                f"{format_duration(stat.seconds)}\n"
-            )
-
-    (out_dir / MANIFEST_FILE).write_text(
-        json.dumps(run.manifest.to_dict(), ensure_ascii=False, sort_keys=True, indent=2) + "\n",
+    (out_dir / TIMINGS_FILE).write_text(
+        "level\trecords\tclusters\ttime\n"
+        + "".join(
+            f"{level}\t{result.input_count}\t{len(result.clusters)}\t"
+            f"{format_duration(run.seconds[level])}\n"
+            for level, result in run.results.items()
+        ),
         encoding="utf-8",
     )
-    (out_dir / SUMMARY_FILE).write_text(
-        json.dumps(summarize_run(run), ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out_dir / MANIFEST_FILE, run.manifest.to_dict())
+    _write_json(out_dir / SUMMARY_FILE, summarize_run(run))
 
 
 def write_clusters(path: Path, clusters: Iterable[Cluster]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for cluster in sorted(clusters, key=lambda c: c.id):
-            fh.write(
-                _dump(
-                    {
-                        "id": cluster.id,
-                        "level": cluster.level,
-                        "head": cluster.head,
-                        "members": list(cluster.members),
-                        "transferred": list(cluster.transferred),
-                        "mean_head_similarity": cluster.mean_head_similarity,
-                        "size": cluster.size,
-                    }
-                )
-                + "\n"
-            )
+    # Explicit docs: ``dataclasses.asdict`` deep-copies every member id and
+    # made ``write_run`` 70% slower on a five-level run.
+    _write_ndjson(
+        path,
+        (
+            {
+                "id": c.id,
+                "level": c.level,
+                "head": c.head,
+                "members": c.members,
+                "transferred": c.transferred,
+                "mean_head_similarity": c.mean_head_similarity,
+                "size": c.size,
+            }
+            for c in sorted(clusters, key=lambda c: c.id)
+        ),
+    )
 
 
 def write_rejects(path: Path, rejects: Iterable[RejectedLine]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for reject in rejects:
-            fh.write(_dump({"line": reject.line, "reason": reject.reason}) + "\n")
+    _write_ndjson(path, ({"line": r.line, "reason": r.reason} for r in rejects))
 
 
-def write_masks(path: Path, selection: ProviderSelection) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for provider in sorted(selection.details):
-            info = selection.details[provider]
-            fh.write(
-                _dump(
-                    {
-                        "provider": provider,
-                        "mask": info.mask.sorted_names(),
-                        "fitness": _finite_or_none(info.fitness),
-                        "method": info.method,
-                    }
-                )
-                + "\n"
-            )
+def write_masks(path: Path, selection: Mapping[str, ProviderMask]) -> None:
+    _write_ndjson(
+        path,
+        (
+            {
+                "provider": provider,
+                "mask": info.mask.sorted_names(),
+                "fitness": _finite_or_none(info.fitness),
+                "method": info.method,
+            }
+            for provider, info in sorted(selection.items())
+        ),
+    )
 
 
-def write_field_report(path: Path, selection: ProviderSelection) -> None:
+def write_field_report(path: Path, selection: Mapping[str, ProviderMask]) -> None:
+    """Per-field and per-combination provider counts, plus each GA provider's history."""
+    field_counts: Counter = Counter()
+    combination_counts: Counter = Counter()
+    for info in selection.values():
+        field_counts.update(info.mask.selected)
+        combination_counts["+".join(info.mask.sorted_names())] += 1
     doc = {
-        "providers": len(selection.details),
-        "field_counts": selection.field_counts(),
-        "combination_counts": selection.combination_counts(),
+        "providers": len(selection),
+        "field_counts": field_counts,
+        "combination_counts": combination_counts,
         "ga_providers": {
             provider: {
                 "best_history": [_finite_or_none(v) for v in info.best_history],
                 "evaluations": info.evaluations,
             }
-            for provider, info in sorted(selection.details.items())
+            for provider, info in sorted(selection.items())
             if info.method == "ga"
         },
     }
-    path.write_text(
-        json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(path, doc)
 
 
 def _mask_entry(line: bytes) -> tuple[str, list[str]]:
@@ -211,33 +226,24 @@ def load_masks(path: Path) -> dict[str, FieldMask]:
 
 
 def load_clusters(run_dir: Path, level: int) -> list[Cluster]:
-    path = run_dir / cluster_file(level)
-    if not path.exists():
-        raise IntegrityError(f"missing cluster file {path}")
-    clusters = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            clusters.append(
-                Cluster(
-                    id=doc["id"],
-                    level=doc["level"],
-                    head=doc["head"],
-                    members=tuple(doc["members"]),
-                    mean_head_similarity=doc["mean_head_similarity"],
-                    transferred=tuple(doc["transferred"]),
-                )
-            )
-    return clusters
+    return [
+        Cluster(
+            id=doc["id"],
+            level=doc["level"],
+            head=doc["head"],
+            members=tuple(doc["members"]),
+            mean_head_similarity=doc["mean_head_similarity"],
+            transferred=tuple(doc["transferred"]),
+        )
+        for doc in _read_ndjson(run_dir / cluster_file(level))
+    ]
 
 
 def load_unclustered(run_dir: Path, level: int) -> list[str]:
     path = run_dir / unclustered_file(level)
     if not path.exists():
-        raise IntegrityError(f"missing unclustered file {path}")
-    return [line.rstrip("\n") for line in path.read_text(encoding="utf-8").splitlines()]
+        raise IntegrityError(f"missing run file {path}")
+    return path.read_text(encoding="utf-8").splitlines()
 
 
 def load_level_result(run_dir: Path, level: int) -> LevelResult:
@@ -253,47 +259,30 @@ def load_level_result(run_dir: Path, level: int) -> LevelResult:
 
 
 def load_forest(run_dir: Path) -> list[HierarchyNode]:
-    path = run_dir / FOREST_FILE
-    if not path.exists():
-        raise IntegrityError(f"missing forest file {path}")
-    forest = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            forest.append(
-                HierarchyNode(
-                    cluster_id=doc["cluster_id"],
-                    level=doc["level"],
-                    head=doc["head"],
-                    children=tuple(doc["children"]),
-                    artificial_record_id=doc["artificial_record_id"],
-                )
-            )
-    return forest
+    return [
+        HierarchyNode(
+            cluster_id=doc["cluster_id"],
+            level=doc["level"],
+            head=doc["head"],
+            children=tuple(doc["children"]),
+            artificial_record_id=doc["artificial_record_id"],
+        )
+        for doc in _read_ndjson(run_dir / FOREST_FILE)
+    ]
 
 
 def load_manifest(run_dir: Path) -> dict:
-    path = run_dir / MANIFEST_FILE
-    if not path.exists():
-        raise IntegrityError(f"missing manifest {path}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    return _read_json(run_dir / MANIFEST_FILE)
 
 
 def load_summary(run_dir: Path) -> dict:
-    path = run_dir / SUMMARY_FILE
-    if not path.exists():
-        raise IntegrityError(f"missing summary {path}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    return _read_json(run_dir / SUMMARY_FILE)
 
 
 def load_field_report(run_dir: Path) -> dict | None:
     """The field selection report, or None for a run given saved masks."""
     path = run_dir / FIELD_REPORT_FILE
-    if not path.exists():
-        return None
-    return json.loads(path.read_text(encoding="utf-8"))
+    return _read_json(path) if path.exists() else None
 
 
 def load_artificials(run_dir: Path) -> dict[str, Record]:
@@ -351,18 +340,17 @@ def forest_depths(forest: list[HierarchyNode]) -> dict[str, int]:
 
 def summarize_run(run: HierarchyRun) -> dict:
     levels = {}
-    for stat in run.level_stats:
-        result = run.results[stat.level]
+    for level, result in run.results.items():
         entry = cluster_stats(list(result.clusters))
         entry.update(
             {
-                "input_records": stat.input_count,
-                "clustered_records": stat.clustered_records,
-                "unclustered_records": stat.unclustered_count,
+                "input_records": result.input_count,
+                "clustered_records": sum(c.size for c in result.clusters),
+                "unclustered_records": len(result.unclustered),
                 "iterations_used": result.iterations_used,
             }
         )
-        levels[str(stat.level)] = entry
+        levels[str(level)] = entry
     return {
         "levels": levels,
         "forest": {

@@ -14,41 +14,24 @@ inputs and would make level 100 vacuous.  Two empty payloads are similarity
 
 from __future__ import annotations
 
-import bz2
-import lzma
-import zlib
 from typing import Callable, Mapping
 
+from .config import COMPRESSORS
 from .errors import ConfigurationError
 from .records import FieldMask, Record, serialize_for_compression
 
 #: Byte placed between the two payloads when compressing a concatenation.
 CONCAT_SEP = b"\x1d"
 
-_COMPRESSORS: dict[str, Callable[[bytes, int], bytes]] = {
-    "zlib": lambda data, level: zlib.compress(data, level),
-    "bz2": lambda data, level: bz2.compress(data, max(1, level)),
-    "lzma": lambda data, level: lzma.compress(data, preset=level),
-}
-
-
-def compressor_ids() -> list[str]:
-    return sorted(_COMPRESSORS)
-
-
 class Compression:
-    """A pinned (compressor, level) pair; its identifier goes in manifests."""
+    """A pinned (compressor, level) pair; ``EngineConfig`` checks the level."""
 
     def __init__(self, name: str = "zlib", level: int = 6):
-        if name not in _COMPRESSORS:
-            raise ConfigurationError(f"unknown compressor {name!r}; available: {compressor_ids()}")
+        if name not in COMPRESSORS:
+            raise ConfigurationError(f"unknown compressor {name!r}; available: {sorted(COMPRESSORS)}")
         self.name = name
         self.level = level
-        self._fn = _COMPRESSORS[name]
-
-    @property
-    def identifier(self) -> str:
-        return f"{self.name}:{self.level}"
+        self._fn = COMPRESSORS[name]
 
     def compressed_size(self, data: bytes) -> int:
         return len(self._fn(data, self.level))
@@ -79,14 +62,6 @@ class SimilarityContext:
         self._mask_for = mask_for
         self._payloads: dict[str, bytes] = {}
         self._sizes: dict[str, int] = {}
-
-    @property
-    def compressor_id(self) -> str:
-        return self.compression.identifier
-
-    @property
-    def cached_sizes(self) -> Mapping[str, int]:
-        return self._sizes
 
     def serialize(self, record: Record) -> bytes:
         """Payload of any record, in the population or not, under this mask."""

@@ -186,7 +186,7 @@ def test_criterion_4_hierarchy_integrity_at_scale():
             placed.extend(cluster.record_ids())
         assert len(placed) == len(set(placed))
 
-    stats = {s.level: s for s in run.level_stats}
+    stats = run.results
     monotone = stats[60].input_count >= stats[40].input_count >= stats[20].input_count
     check(
         4,

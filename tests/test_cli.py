@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -6,9 +8,9 @@ import pytest
 from metacluster import rundir
 from metacluster.cli import EVAL_CATEGORIES, _configs_from, build_parser, main
 from metacluster.config import EngineConfig, GAConfig
-from metacluster.ga import SENTINEL_FITNESS, ProviderMask, ProviderSelection
+from metacluster.ga import SENTINEL_FITNESS, ProviderMask
 from metacluster.hierarchy import run_hierarchy
-from metacluster.records import FieldMask, ingest_path, write_records
+from metacluster.records import FieldMask, Record, RejectedLine, ingest_path, write_records
 from metacluster.synthetic import (
     duplicate_pairs_corpus,
     family_corpus,
@@ -17,6 +19,8 @@ from metacluster.synthetic import (
 )
 
 GA_FLAGS = ["--ga-pop", "6", "--ga-gens", "2"]
+
+COMPARE_RUNS_PATH = Path(__file__).resolve().parents[1] / "scripts" / "compare_runs.py"
 
 
 def write_corpus(path: Path, records) -> Path:
@@ -246,6 +250,17 @@ class TestSampleEval:
         assert "error: per-level must be >= 0" in capsys.readouterr().err
         assert out_file.read_text(encoding="utf-8") == "kept\n"
 
+    def test_missing_cluster_file_leaves_out_file_untouched(self, full_run, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(full_run, run_dir)
+        (run_dir / rundir.cluster_file(60)).unlink()
+        out_file = tmp_path / "sample.ndjson"
+        out_file.write_bytes(b"kept\n")
+        code = main(["sample-eval", "--run", str(run_dir), "--out", str(out_file)])
+        assert code == 1
+        assert rundir.cluster_file(60) in capsys.readouterr().err
+        assert out_file.read_bytes() == b"kept\n"
+
     def test_without_corpus_fields_are_null_for_originals(self, full_run, tmp_path):
         out_file = tmp_path / "nofields.ndjson"
         code = main(
@@ -331,18 +346,52 @@ class TestRunDirRoundTrip:
         assert printed == {level: r.iterations_used for level, r in run.results.items()}
 
     def test_ga_history_round_trip(self, tmp_path):
-        selection = ProviderSelection()
-        for info in (
-            ProviderMask("big", FieldMask.of("dc:title"), 2.5, "ga", (SENTINEL_FITNESS, 1.5, 2.5), 7),
-            ProviderMask("small", FieldMask.of("dc:title"), None, "default"),
-        ):
-            selection.masks[info.provider] = info.mask
-            selection.details[info.provider] = info
+        selection = {
+            "big": ProviderMask("big", FieldMask.of("dc:title"), 2.5, "ga", (SENTINEL_FITNESS, 1.5, 2.5), 7),
+            "small": ProviderMask("small", FieldMask.of("dc:title"), None, "default"),
+        }
         rundir.write_field_report(tmp_path / rundir.FIELD_REPORT_FILE, selection)
         report = rundir.load_field_report(tmp_path)
         # JSON has no infinities: the degenerate fitness comes back as null.
         assert report["ga_providers"] == {"big": {"best_history": [None, 1.5, 2.5], "evaluations": 7}}
         assert rundir.load_field_report(tmp_path / "missing") is None
+
+    def test_run_files_byte_format(self, tmp_path):
+        # Non-ASCII ids, providers and values; pairs of equal titles cluster at 100.
+        records = hierarchical_corpus(n_works=4, seed=12, noise_records=5)
+        records += [
+            Record(f"ü{i}", "prov-é", {"dc:title": (f"Café Zürich 東京 {i // 2}",)}) for i in range(6)
+        ]
+        run = run_hierarchy(records, None, EngineConfig(seed=3))
+        out = tmp_path / "run"
+        rundir.write_run(out, run)
+        rundir.write_rejects(out / rundir.REJECTS_FILE, [RejectedLine(1, "bad line — «x»")])
+        selection = {
+            "prov-é": ProviderMask("prov-é", FieldMask.of("dc:title"), 1.5, "ga", (SENTINEL_FITNESS, 1.5), 3)
+        }
+        rundir.write_masks(out / rundir.MASKS_FILE, selection)
+        rundir.write_field_report(out / rundir.FIELD_REPORT_FILE, selection)
+
+        ndjson = sorted(out.glob("*.ndjson"))
+        assert len(ndjson) == 10  # five cluster levels, forest, artificials, duplicates, rejects, masks
+        lines = [line for path in ndjson for line in path.read_text(encoding="utf-8").splitlines()]
+        for line in lines:
+            assert line == json.dumps(json.loads(line), ensure_ascii=False, sort_keys=True)
+        assert any("Zürich" in line for line in lines)
+        documents = sorted(out.glob("*.json"))
+        assert [p.name for p in documents] == [
+            rundir.FIELD_REPORT_FILE, rundir.MANIFEST_FILE, rundir.SUMMARY_FILE
+        ]
+        for path in documents:
+            text = path.read_text(encoding="utf-8")
+            canonical = json.dumps(json.loads(text), ensure_ascii=False, sort_keys=True, indent=2)
+            assert text == canonical + "\n"
+            assert "prov-é" in text or path.name == rundir.SUMMARY_FILE
+
+        assert run.results[100].clusters
+        for level, result in run.results.items():
+            assert rundir.load_clusters(out, level) == sorted(result.clusters, key=lambda c: c.id)
+        assert rundir.load_forest(out) == sorted(run.forest, key=lambda n: (-n.level, n.cluster_id))
 
     def test_stats_prints_ga_history(self, full_run, capsys):
         report = rundir.load_field_report(full_run)
@@ -350,3 +399,35 @@ class TestRunDirRoundTrip:
         assert main(["stats", "--run", str(full_run)]) == 0
         evaluations = report["ga_providers"]["gaprov"]["evaluations"]
         assert f"ga gaprov: {evaluations} evaluations" in capsys.readouterr().out
+
+
+def load_compare_runs():
+    spec = importlib.util.spec_from_file_location("compare_runs", COMPARE_RUNS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCompareRuns:
+    def test_clock_data_ignored_and_other_changes_listed(self, full_run, tmp_path):
+        differing_files = load_compare_runs().differing_files
+        other = tmp_path / "other"
+        shutil.copytree(full_run, other)
+        manifest = json.loads((other / rundir.MANIFEST_FILE).read_text(encoding="utf-8"))
+        manifest["started_at"] = manifest["finished_at"] = "then"
+        (other / rundir.MANIFEST_FILE).write_text(json.dumps(manifest), encoding="utf-8")
+        timings = (other / rundir.TIMINGS_FILE).read_text(encoding="utf-8").splitlines()
+        retimed = [line.rsplit("\t", 1)[0] + "\t9m9.99s" for line in timings]
+        (other / rundir.TIMINGS_FILE).write_text("\n".join(retimed) + "\n", encoding="utf-8")
+        assert differing_files(full_run, other) == []
+
+        manifest["seed"] += 1
+        (other / rundir.MANIFEST_FILE).write_text(json.dumps(manifest), encoding="utf-8")
+        (other / rundir.unclustered_file(20)).unlink()
+        with open(other / rundir.cluster_file(80), "a", encoding="utf-8") as fh:
+            fh.write("\n")
+        assert differing_files(full_run, other) == [
+            f"{rundir.unclustered_file(20)}: only in {full_run}",
+            f"{rundir.cluster_file(80)}: differs",
+            f"{rundir.MANIFEST_FILE}: differs",
+        ]

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from metacluster import rundir
 from metacluster.clusterer import Cluster, LevelResult, cluster_level, level_inputs
 from metacluster.config import EngineConfig, GAConfig
 from metacluster.errors import ConfigurationError
 from metacluster.ga import (
     FSC_LEVEL,
     SENTINEL_FITNESS,
-    ProviderSelection,
     ProviderMask,
     clusterability,
     crossover,
@@ -232,31 +232,34 @@ class TestSelectAllProviders:
         large = ga_provider_corpus(n_records=150, n_families=8, seed=7, provider="large")
         ga = GAConfig(seed=8, population_size=6, generations=2, min_provider_records=100)
         selection = select_all_providers(small + large, EngineConfig(seed=8), ga)
-        assert selection.details["small"].method == "default"
-        assert selection.details["large"].method == "ga"
-        assert selection.details["small"].mask.selected == {"dc:title"}
+        assert list(selection) == ["large", "small"]
+        assert selection["small"].method == "default"
+        assert selection["large"].method == "ga"
+        assert selection["small"].mask.selected == {"dc:title"}
 
     def test_selection_keeps_ga_history(self):
         records = ga_provider_corpus(n_records=150, n_families=8, seed=7, provider="large")
         engine, ga = EngineConfig(seed=8), GAConfig(seed=8, population_size=6, generations=2)
-        info = select_all_providers(records, engine, ga).details["large"]
+        info = select_all_providers(records, engine, ga)["large"]
         outcome = evolve(records, engine, ga, provider_key="large")
         assert info.best_history == tuple(outcome.best_history)
         assert len(info.best_history) == ga.generations + 1
         assert info.evaluations == outcome.evaluations > 0
 
-    def test_report_counting(self):
-        selection = ProviderSelection()
+    def test_report_counting(self, tmp_path):
+        selection = {}
         for provider, names in (
             ("p1", {"dc:title"}),
             ("p2", {"dc:title"}),
             ("p3", {"dc:title", "dc:type"}),
         ):
-            mask = FieldMask(frozenset(names))
-            selection.masks[provider] = mask
-            selection.details[provider] = ProviderMask(provider, mask, None, "default")
-        assert selection.field_counts() == {"dc:title": 3, "dc:type": 1}
-        assert selection.combination_counts() == {
+            selection[provider] = ProviderMask(provider, FieldMask(frozenset(names)), None, "default")
+        rundir.write_field_report(tmp_path / rundir.FIELD_REPORT_FILE, selection)
+        report = rundir.load_field_report(tmp_path)
+        assert report["providers"] == 3
+        assert report["field_counts"] == {"dc:title": 3, "dc:type": 1}
+        assert report["combination_counts"] == {
             "dc:title": 2,
             "dc:title+dc:type": 1,
         }
+        assert report["ga_providers"] == {}

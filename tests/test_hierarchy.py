@@ -110,9 +110,8 @@ class TestRunHierarchy:
     def test_degenerate_flow_when_nothing_clusters_at_80(self):
         records = random_corpus(80, seed=3)
         run = run_hierarchy(records, None, EngineConfig(seed=3), levels=(80, 60))
-        stats = {s.level: s for s in run.level_stats}
-        assert stats[80].cluster_count == 0
-        assert stats[60].input_count == len(records)
+        assert run.results[80].clusters == ()
+        assert run.results[60].input_count == len(records)
 
     def test_forest_levels_and_children_population(self):
         records = hierarchical_corpus(n_works=10, seed=5, noise_records=10)
@@ -167,8 +166,8 @@ class TestRunHierarchy:
     def test_monotone_population_shrinkage(self):
         records = hierarchical_corpus(n_works=12, seed=10, noise_records=25)
         run = run_hierarchy(records, None, EngineConfig(seed=10))
-        stats = {s.level: s for s in run.level_stats}
-        assert stats[60].input_count >= stats[40].input_count >= stats[20].input_count
+        counts = {level: result.input_count for level, result in run.results.items()}
+        assert counts[60] >= counts[40] >= counts[20]
 
     def test_conservation_and_refinement(self):
         records = hierarchical_corpus(n_works=10, seed=11, noise_records=15)

@@ -3,7 +3,9 @@ import statistics
 
 import pytest
 
+from metacluster.config import COMPRESSORS, EngineConfig
 from metacluster.errors import ConfigurationError
+from metacluster.hierarchy import run_hierarchy
 from metacluster.records import FieldMask, Record, serialize_for_compression
 from metacluster.similarity import (
     CONCAT_SEP,
@@ -38,8 +40,28 @@ class TestCompression:
         with pytest.raises(ConfigurationError):
             Compression("zpaq", 6)
 
+    def test_config_rejects_unknown_compressor(self):
+        with pytest.raises(ConfigurationError, match="unknown compressor"):
+            EngineConfig(compressor="nope")
+
+    def test_config_rejects_bz2_level_zero(self):
+        # bz2 has no level 0; the manifest would record a level never used.
+        with pytest.raises(ConfigurationError, match="1-9 for bz2"):
+            EngineConfig(compressor="bz2", compression_level=0)
+
+    @pytest.mark.parametrize("name", sorted(COMPRESSORS))
+    def test_every_accepted_level_compresses(self, name):
+        for level in range(10):
+            try:
+                EngineConfig(compressor=name, compression_level=level)
+            except ConfigurationError:
+                continue
+            assert Compression(name, level).compressed_size(b"abc abc abc") > 0
+
     def test_identifier(self):
-        assert Compression("zlib", 3).identifier == "zlib:3"
+        # The manifest records the compressor as name:level.
+        run = run_hierarchy([], None, EngineConfig(compression_level=3), levels=(100,))
+        assert run.manifest.to_dict()["compressor"] == "zlib:3"
 
 
 class _FixedSizes(Compression):
@@ -112,8 +134,8 @@ class TestCache:
         rid = records[0].id
         ctx.similarity(rid, records[1].id)
         expected = compression.compressed_size(serialize_for_compression(records[0], mask))
-        assert ctx.cached_sizes[rid] == expected
-        assert ctx.compressor_id == "zlib:6"
+        assert ctx.compressed_size_of(rid) == expected
+        assert ctx.compression is compression
 
     def test_mask_changes_payload(self):
         record = Record("r", "p", {"dc:title": ("a",), "dc:type": ("t",)})
