@@ -46,15 +46,15 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .config import EngineConfig
+from .config import BAND_COUNT, EngineConfig
 from .errors import IntegrityError
 from .hashing import derive_seed, digest_hex
 from .minhash import SENTINEL, SignatureComputer, band_key_matrix, group_ids
-from .records import FieldMask, Record, tokenize
+from .records import FieldMask, Record, selected_values, tokenize
 from .similarity import Compression, SimilarityContext
 
 MAX_HEADS = 10
@@ -130,19 +130,29 @@ def sign_population(
     ids: list[str],
     computer: SignatureComputer,
     mask_for: Callable[[Record], FieldMask | None] | None = None,
-) -> np.ndarray:
-    """Tokenize and sign each record under its mask: one minhash row per id."""
+) -> Iterator[np.ndarray]:
+    """Sign each record from the values its mask selects: minhash rows in id
+    order, a block at a time.  Values new to the computer's store are
+    tokenized once; records are never tokenized whole."""
     population = (records[rid] for rid in ids)
     return computer.signatures(
-        tokenize(record, mask_for(record) if mask_for is not None else None) for record in population
+        (selected_values(record, mask_for(record) if mask_for is not None else None) for record in population),
+        tokenize,
     )
 
 
 def band_signatures(
-    level: int, ids: list[str], signatures: np.ndarray, config: EngineConfig
+    level: int, ids: list[str], blocks: Iterable[np.ndarray], config: EngineConfig
 ) -> LevelBanding:
-    """Band a signature matrix for one level pass (hierarchy and GA alike)."""
-    keys, empty = band_key_matrix(signatures, level, config.seed, config.group_sizes)
+    """Band keys of signature blocks given in id order, for one level pass
+    (hierarchy and GA alike); the blocks are dropped once banded."""
+    keys = np.empty((len(ids), BAND_COUNT), dtype=np.uint64)
+    empty = np.empty(len(ids), dtype=bool)
+    start = 0
+    for block in blocks:
+        stop = start + len(block)
+        keys[start:stop], empty[start:stop] = band_key_matrix(block, level, config.seed, config.group_sizes)
+        start = stop
     return LevelBanding(level, ids, keys, empty)
 
 
@@ -151,10 +161,10 @@ class FieldRows:
 
     The minhash of a union is the elementwise minimum of the parts' minhashes,
     so a record's signature under any field mask is the minimum over its
-    selected rows, or the sentinel row when none is selected.  Each pair is
-    tokenized once and all are signed in one batch, in record order; the
-    signer's token vocabulary is dropped when the build returns.  Memory:
-    pairs x ``minhash_count`` x 8 bytes.
+    selected rows, or the sentinel row when none is selected.  Each pair's row
+    is the minimum over its field's value rows in a ``SignatureComputer``
+    store, which tokenizes each distinct value once and is dropped when the
+    build returns.  Memory: pairs x ``minhash_count`` x 8 bytes.
     """
 
     def __init__(self, records: Sequence[Record], config: EngineConfig):
@@ -166,7 +176,7 @@ class FieldRows:
         self.record_index = np.fromiter((i for i, _ in pairs), dtype=np.intp, count=len(pairs))
         self.field_index = np.fromiter((column[name] for _, name in pairs), dtype=np.intp, count=len(pairs))
         computer = SignatureComputer(count=config.minhash_count, seed=config.seed)
-        self.rows = computer.signatures(tokenize(records[i], FieldMask.of(name)) for i, name in pairs)
+        self.rows = computer.signature_matrix([records[i].fields[name] for i, name in pairs], tokenize)
 
     def signatures(self, mask: FieldMask) -> np.ndarray:
         """Minhash matrix of the population under ``mask``, in record order."""

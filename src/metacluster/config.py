@@ -39,6 +39,16 @@ COMPRESSORS: dict[str, Callable[[bytes, int], bytes]] = {
 }
 
 
+def check_compression(name: str, level: int) -> None:
+    """Raise ConfigurationError unless ``name`` is a compressor and ``level``
+    one of its levels."""
+    if name not in COMPRESSORS:
+        raise ConfigurationError(f"unknown compressor {name!r}; available: {sorted(COMPRESSORS)}")
+    lowest = 1 if name == "bz2" else 0
+    if not lowest <= level <= 9:
+        raise ConfigurationError(f"compression level must be in {lowest}-9 for {name}, got {level}")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Parameters shared by banding, similarity and the level clusterer;
@@ -69,16 +79,7 @@ class EngineConfig:
                 )
         if self.band_match not in ("any", "all"):
             raise ConfigurationError(f"band match mode must be 'any' or 'all', got {self.band_match!r}")
-        if self.compressor not in COMPRESSORS:
-            raise ConfigurationError(
-                f"unknown compressor {self.compressor!r}; available: {sorted(COMPRESSORS)}"
-            )
-        lowest = 1 if self.compressor == "bz2" else 0
-        if not lowest <= self.compression_level <= 9:
-            raise ConfigurationError(
-                f"compression level must be in {lowest}-9 for {self.compressor}, "
-                f"got {self.compression_level}"
-            )
+        check_compression(self.compressor, self.compression_level)
         if self.max_iterations < 1:
             raise ConfigurationError(f"max iterations must be >= 1, got {self.max_iterations}")
         if self.artificial_value_cap < 1:

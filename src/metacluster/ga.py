@@ -188,7 +188,7 @@ def evolve(
         if cached is not None:
             return cached
         mask = FieldMask(frozenset(f for f, b in zip(fields, bits) if b))
-        banding = band_signatures(FSC_LEVEL, ids, rows.signatures(mask), engine)
+        banding = band_signatures(FSC_LEVEL, ids, [rows.signatures(mask)], engine)
         ctx = SimilarityContext(by_id, compression, mask_for=lambda record: mask)
         result = cluster_level(ids, FSC_LEVEL, ctx.similarity, banding, engine)
         value = fitness(

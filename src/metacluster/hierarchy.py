@@ -190,8 +190,11 @@ def run_hierarchy(
     duplicate_artificials: dict[str, Record] = {}
 
     def run_level(ids: list[str], level: int, mask_for) -> LevelResult:
+        nonlocal computer
         t0 = time.perf_counter()
         banding, ctx = level_inputs(by_id, ids, level, config, computer, mask_for)
+        if level == requested[-1]:
+            computer = None  # no later level reads the value store: free it before clustering
         result = cluster_level(ids, level, ctx.similarity, banding, config)
         seconds[level] = time.perf_counter() - t0
         results[level] = result

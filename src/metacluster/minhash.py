@@ -1,12 +1,13 @@
 """Minhash signatures over 8-character word shingles and XOR band keys.
 
 Every record is reduced to ``minhash_count`` 64-bit minhashes over the union
-of all shingles of all its tokens.  The minhash of a union is the elementwise
-minimum of the parts' minhashes, so a token's row is the minimum over its
-shingles and a record's row the minimum over its tokens' rows.
-``SignatureComputer.signatures`` signs a whole population in one call: it
-computes the rows of tokens it has not seen before into a vocabulary, then
-gathers and reduces them per record, a fixed-size block at a time.
+of all shingles of all tokens of its selected field values.  The minhash of a
+union is the elementwise minimum of the parts' minhashes, so a token's row is
+the minimum over its shingles, a value's row the minimum over its tokens' rows
+and a record's row the minimum over its values' rows, under any field mask.
+``SignatureComputer`` keeps one row per distinct value: each new value is
+tokenized once, and records are signed from their values' rows, a block of
+records at a time.
 
 Per similarity level, a seeded permutation picks 4 disjoint groups of
 signature positions; XOR-ing each group yields the 4 band keys that route
@@ -20,7 +21,7 @@ from __future__ import annotations
 import random
 from array import array
 from itertools import islice
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,15 +39,22 @@ _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 
-#: Most distinct tokens one SignatureComputer's vocabulary holds; only one
-#: stream longer than that takes it past.
-TOKEN_CACHE_LIMIT = 1_000_000
+#: Most distinct values one SignatureComputer's store holds; only one record
+#: with more values than that takes it past.
+STORE_LIMIT = 1_000_000
+
+#: Records signed per block: ``signatures`` yields their rows together, so no
+#: caller needs the matrix of a whole population.
+BLOCK_RECORDS = 1 << 10
 
 #: uint64 values (64 KiB) materialised at once when mixing shingle hashes or
-#: gathering token rows; one token or record longer than that is one block.
-#: Larger blocks are no faster and raise peak memory, because the freed
-#: blocks and their temporaries stay on the heap.
+#: gathering token or value rows; one token, value or record longer than that
+#: is one block.  Larger blocks are no faster and raise peak memory, because
+#: the freed blocks and their temporaries stay on the heap.
 BLOCK_VALUES = 1 << 13
+
+#: Splits one field value into its word tokens.
+Tokenizer = Callable[[str], list[str]]
 
 
 def shingle(word: str) -> set[str]:
@@ -86,15 +94,22 @@ def _segment_min(lengths: np.ndarray, rows: Callable[[int, int], np.ndarray], ou
 
 
 class SignatureComputer:
-    """Computes minhash signatures for batches of token streams.
+    """Signs records from a store of minhash rows, one per distinct value.
 
-    ``signatures`` maps every token to an id in a vocabulary of token rows,
-    computes the rows of the tokens it has not seen, and reduces each stream's
-    gathered rows to its record row.  The vocabulary persists across calls, so
-    the levels of one hierarchy sign their shared tokens once.  When a stream
-    would grow it past ``TOKEN_CACHE_LIMIT`` tokens, the streams before it are
-    finished and the vocabulary starts over.  Memory: vocabulary tokens x
-    ``count`` x 8 bytes, plus a 4-byte id per token occurrence in the batch.
+    A record is given as the sequence of its selected field values, and its
+    row is the elementwise minimum of their rows: the sentinel row when it has
+    none, or when no value has a token.  ``signatures`` tokenizes once each
+    value the store has not seen, computes its tokens' rows in a vocabulary
+    that lives only while that batch is learned, and keeps the value rows.
+    The store persists across calls, so the levels of one hierarchy sign a
+    value once per run.  Pass the same tokenizer on every call: stored rows
+    are reused whatever tokenizer a later call passes.
+
+    When a record's values would grow the store past ``STORE_LIMIT``, the
+    records before it are finished and the store starts over.  Memory: stored
+    values x ``count`` x 8 bytes; while a batch is learned, its new values'
+    tokens x ``count`` x 8 bytes more; a 4-byte id per value occurrence in the
+    batch; and one block of ``BLOCK_RECORDS`` record rows at a time.
     """
 
     def __init__(self, count: int = 64, seed: int = 0):
@@ -103,50 +118,89 @@ class SignatureComputer:
         rng = np.random.default_rng(derive_seed(seed, "minhash-family"))
         self._keys = rng.integers(0, 2**64, size=count, dtype=np.uint64)
         self._hasher = keyed_hasher(seed)
-        self._vocab: dict[str, int] = {}
+        self._store: dict[str, int] = {}
         self._rows = np.empty((0, count), dtype=np.uint64)
 
-    def signatures(self, streams: Iterable[list[str]]) -> np.ndarray:
-        """Raw uint64 minhash row per stream, in order: an (N, count) matrix;
-        the sentinel row for a stream with an empty shingle union."""
-        vocab = self._vocab
-        get, setdefault = vocab.get, vocab.setdefault
-        parts = []
+    def signatures(self, records: Iterable[Sequence[str]], tokenize: Tokenizer) -> Iterator[np.ndarray]:
+        """Raw uint64 minhash rows of records given by their values, in
+        order, as (n, count) blocks of at most ``BLOCK_RECORDS`` rows."""
+        store = self._store
+        get, setdefault = store.get, store.setdefault
         ids, lengths = array("i"), array("q")
-        for tokens in streams:
-            if len(vocab) + len(tokens) > TOKEN_CACHE_LIMIT:
-                parts.append(self._reduce(ids, lengths))
-                vocab.clear()
-                self._rows = np.empty((0, self.count), dtype=np.uint64)
-                ids, lengths = array("i"), array("q")
+        for values in records:
+            found = list(map(get, values))
+            if None in found:
+                if len(store) + len(values) > STORE_LIMIT:
+                    yield from self._finish(ids, lengths, tokenize)
+                    store.clear()
+                    self._rows = np.empty((0, self.count), dtype=np.uint64)
+                    ids, lengths = array("i"), array("q")
+                found = [setdefault(value, len(store)) for value in values]
+            ids.extend(found)
+            lengths.append(len(found))
+        yield from self._finish(ids, lengths, tokenize)
+
+    def signature_matrix(self, records: Sequence[Sequence[str]], tokenize: Tokenizer) -> np.ndarray:
+        """All rows of ``signatures`` in one (N, count) matrix."""
+        out = np.empty((len(records), self.count), dtype=np.uint64)
+        start = 0
+        for block in self.signatures(records, tokenize):
+            out[start : start + len(block)] = block
+            start += len(block)
+        return out
+
+    def signature_vector(self, values: Sequence[str], tokenize: Tokenizer) -> np.ndarray:
+        """One record's row: ``signature_matrix([values], tokenize)[0]``."""
+        return self.signature_matrix([values], tokenize)[0]
+
+    def _finish(self, ids: array, lengths: array, tokenize: Tokenizer) -> Iterator[np.ndarray]:
+        """Learn the rows of new values, then yield the pending records' rows."""
+        self._learn(tokenize)
+        value_ids = np.frombuffer(ids, dtype=np.intc)
+        lengths = np.frombuffer(lengths, dtype=np.int64)
+        offsets = np.cumsum(lengths) - lengths
+        for k in range(0, len(lengths), BLOCK_RECORDS):
+            part = lengths[k : k + BLOCK_RECORDS]
+            base = int(offsets[k])
+            out = np.empty((len(part), self.count), dtype=np.uint64)
+            _segment_min(part, lambda a, b: self._rows[value_ids[base + a : base + b]], out)
+            yield out
+
+    def _learn(self, tokenize: Tokenizer) -> None:
+        """Compute the rows of the stored values that have none yet."""
+        known = len(self._rows)
+        if len(self._store) == known:
+            return
+        token_ids, counts, token_rows = self._tokens(islice(self._store, known, None), tokenize)
+        rows = np.empty((len(self._store), self.count), dtype=np.uint64)
+        rows[:known] = self._rows
+        _segment_min(counts, lambda a, b: token_rows[token_ids[a:b]], rows[known:])
+        self._rows = rows
+
+    def _tokens(
+        self, values: Iterable[str], tokenize: Tokenizer
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each value's token ids in a vocabulary of its batch, its token count,
+        and the vocabulary's rows; the vocabulary itself is dropped on return."""
+        vocab: dict[str, int] = {}
+        get, setdefault = vocab.get, vocab.setdefault
+        token_ids, counts = array("i"), array("q")
+        for value in values:
+            tokens = tokenize(value)
             found = list(map(get, tokens))
             if None in found:
                 found = [setdefault(token, len(vocab)) for token in tokens]
-            ids.extend(found)
-            lengths.append(len(found))
-        parts.append(self._reduce(ids, lengths))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            token_ids.extend(found)
+            counts.append(len(found))
+        rows = self._token_rows(vocab)
+        return np.frombuffer(token_ids, dtype=np.intc), np.frombuffer(counts, dtype=np.int64), rows
 
-    def signature_vector(self, tokens: list[str]) -> np.ndarray:
-        """One stream's row: ``signatures([tokens])[0]``."""
-        return self.signatures([tokens])[0]
-
-    def _reduce(self, ids: array, lengths: array) -> np.ndarray:
-        self._learn()
-        token_ids = np.frombuffer(ids, dtype=np.intc)
-        out = np.empty((len(lengths), self.count), dtype=np.uint64)
-        _segment_min(np.frombuffer(lengths, dtype=np.int64), lambda a, b: self._rows[token_ids[a:b]], out)
-        return out
-
-    def _learn(self) -> None:
-        """Compute the rows of the vocabulary's tokens that have none yet."""
-        known = len(self._rows)
-        if len(self._vocab) == known:
-            return
+    def _token_rows(self, tokens: Iterable[str]) -> np.ndarray:
+        """Row of each token, in order: the minimum over its shingles."""
         digests = bytearray()
         counts = array("q")
         copy = self._hasher.copy
-        for token in islice(self._vocab, known, None):
+        for token in tokens:
             shingles = shingle(token)
             counts.append(len(shingles))
             for piece in shingles:
@@ -154,12 +208,10 @@ class SignatureComputer:
                 h.update(piece.encode("utf-8"))
                 digests += h.digest()
         hashes = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
-        rows = np.empty((len(self._vocab), self.count), dtype=np.uint64)
-        rows[:known] = self._rows
+        rows = np.empty((len(counts), self.count), dtype=np.uint64)
         keys = self._keys
-        counts = np.frombuffer(counts, dtype=np.int64)
-        _segment_min(counts, lambda a, b: _mix(hashes[a:b, None] ^ keys), rows[known:])
-        self._rows = rows
+        _segment_min(np.frombuffer(counts, dtype=np.int64), lambda a, b: _mix(hashes[a:b, None] ^ keys), rows)
+        return rows
 
 
 def band_positions(

@@ -197,14 +197,19 @@ def _selected_items(record: Record, mask: FieldMask | None) -> Iterator[tuple[st
             yield name, record.fields[name]
 
 
-def tokenize(record: Record, mask: FieldMask | None = None) -> list[str]:
-    """Word tokens of the selected fields: NFC-normalized, case-folded,
-    purely-numeric tokens dropped, order given by sorted field names.
+def selected_values(record: Record, mask: FieldMask | None = None) -> list[str]:
+    """Values of the selected fields, in sorted field-name order."""
+    return [value for _, values in _selected_items(record, mask) for value in values]
+
+
+def tokenize(*values: str) -> list[str]:
+    """Word tokens of the values, in order: NFC-normalized, case-folded,
+    purely-numeric tokens dropped.  A record's tokens under a mask are
+    ``tokenize(*selected_values(record, mask))``.
     """
     # A space is a non-word starter that composes with nothing, so NFC,
     # casefold and the token pattern act on each value as if run separately.
-    text = " ".join(chain.from_iterable(values for _, values in _selected_items(record, mask)))
-    folded = unicodedata.normalize("NFC", text).casefold()
+    folded = unicodedata.normalize("NFC", " ".join(values)).casefold()
     return [token for token in _TOKEN_RE.findall(folded) if not token.isdigit()]
 
 

@@ -16,19 +16,18 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
-from .config import COMPRESSORS
-from .errors import ConfigurationError
+from .config import COMPRESSORS, check_compression
 from .records import FieldMask, Record, serialize_for_compression
 
 #: Byte placed between the two payloads when compressing a concatenation.
 CONCAT_SEP = b"\x1d"
 
 class Compression:
-    """A pinned (compressor, level) pair; ``EngineConfig`` checks the level."""
+    """A pinned (compressor, level) pair, checked on construction as
+    ``EngineConfig`` checks it."""
 
     def __init__(self, name: str = "zlib", level: int = 6):
-        if name not in COMPRESSORS:
-            raise ConfigurationError(f"unknown compressor {name!r}; available: {sorted(COMPRESSORS)}")
+        check_compression(name, level)
         self.name = name
         self.level = level
         self._fn = COMPRESSORS[name]

@@ -5,14 +5,15 @@ Written independently of the production code as plain loops over Python ints:
 a minhash row is, per key of the family, the minimum over the record's
 shingles of splitmix64(blake2b(shingle) ^ key) masked to 64 bits (the key
 family is drawn the way ``SignatureComputer`` draws it); band keys XOR each
-band's signature positions (only ``band_positions`` and ``tokenize`` come from
-production); candidate groups come from a bucket adjacency + BFS connected
-components (no label propagation), head selection,
-assignment and validation are inlined, and one depth-first stack is drained
-where production processes waves.  It follows the same RNG sequence contract
-(one Random per processed group, seeded from the level, iteration, visit
-count and the group's ids; one shuffle per processed group), so for a fixed
-seed the two must produce byte-identical results.
+band's signature positions (only ``band_positions``, ``selected_values`` and
+``tokenize`` come from production, and ``tokenize`` runs on whole records);
+candidate groups come from a bucket adjacency + BFS connected components (no
+label propagation), head selection, assignment and validation are inlined,
+and one depth-first stack is drained where production processes waves.  It
+follows the same RNG sequence contract (one Random per processed group,
+seeded from the level, iteration, visit count and the group's ids; one
+shuffle per processed group), so for a fixed seed the two must produce
+byte-identical results.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from metacluster.clusterer import Cluster, LevelResult
 from metacluster.config import EngineConfig
 from metacluster.hashing import derive_seed, digest_hex
 from metacluster.minhash import band_positions
-from metacluster.records import tokenize
+from metacluster.records import selected_values, tokenize
 
 MAX_HEADS = 10
 MASK64 = (1 << 64) - 1
@@ -83,7 +84,9 @@ def reference_keysets(records, ids, level: int, config: EngineConfig) -> dict[st
     keys = reference_keys(config.minhash_count, config.seed)
     positions = band_positions(level, config.seed, config.minhash_count, config.group_sizes)
     return {
-        rid: reference_band_keys(reference_row(tokenize(records[rid]), keys, config.seed), positions)
+        rid: reference_band_keys(
+            reference_row(tokenize(*selected_values(records[rid])), keys, config.seed), positions
+        )
         for rid in ids
     }
 

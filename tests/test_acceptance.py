@@ -11,7 +11,6 @@ import random
 import statistics
 import time
 from dataclasses import asdict
-from pathlib import Path
 
 import pytest
 
@@ -27,7 +26,7 @@ from metacluster.hierarchy import (
     never_clustered,
     run_hierarchy,
 )
-from metacluster.records import FieldMask, serialize_for_compression, write_records
+from metacluster.records import FieldMask, write_records
 from metacluster.similarity import CONCAT_SEP, Compression, SimilarityContext
 from metacluster.synthetic import (
     corrupted_pairs_corpus,

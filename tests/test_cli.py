@@ -12,7 +12,6 @@ from metacluster.ga import SENTINEL_FITNESS, ProviderMask
 from metacluster.hierarchy import run_hierarchy
 from metacluster.records import FieldMask, Record, RejectedLine, ingest_path, write_records
 from metacluster.synthetic import (
-    duplicate_pairs_corpus,
     family_corpus,
     ga_provider_corpus,
     hierarchical_corpus,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from metacluster import clusterer
 from metacluster.clusterer import (
     CandidateCluster,
     FieldRows,
@@ -352,11 +353,11 @@ class TestFieldRows:
         by_id = {r.id: r for r in ROW_RECORDS}
         ids = [r.id for r in ROW_RECORDS]
         computer = SignatureComputer(count=ROW_CONFIG.minhash_count, seed=ROW_CONFIG.seed)
-        expected = sign_population(by_id, ids, computer, lambda record: mask)
+        expected = np.concatenate(list(sign_population(by_id, ids, computer, lambda record: mask)))
         got = row_store.signatures(mask)
         assert got.dtype == np.uint64
         assert np.array_equal(got, expected)
-        banding = band_signatures(80, ids, got, ROW_CONFIG)
+        banding = band_signatures(80, ids, [got], ROW_CONFIG)
         reference, _ = level_inputs(by_id, ids, 80, ROW_CONFIG, mask_for=lambda record: mask)
         assert np.array_equal(banding.keys, reference.keys)
         assert np.array_equal(banding.empty, reference.empty)
@@ -374,6 +375,32 @@ class TestFieldRows:
             sum(len(r.fields) for r in ROW_RECORDS),
             ROW_CONFIG.minhash_count,
         )
+
+
+def test_second_level_over_seen_values_tokenizes_nothing(monkeypatch):
+    # Level 80 over the same records under a title mask, then over copies
+    # carrying only already-seen values, as artificial records do.
+    records = ga_provider_corpus(n_records=40, n_families=4, seed=9, extra_fields=1)
+    by_id = {r.id: r for r in records}
+    ids = sorted(by_id)
+    config = EngineConfig(seed=9)
+    computer = SignatureComputer(count=config.minhash_count, seed=config.seed)
+    calls: Counter = Counter()
+    tokenize = clusterer.tokenize
+
+    def counting(*values):
+        calls.update(values)
+        return tokenize(*values)
+
+    monkeypatch.setattr(clusterer, "tokenize", counting)
+    level_inputs(by_id, ids, 100, config, computer)
+    assert calls == Counter({value: 1 for r in records for vs in r.fields.values() for value in vs})
+    calls.clear()
+    title = FieldMask.of("dc:title")
+    level_inputs(by_id, ids, 80, config, computer, mask_for=lambda record: title)
+    copies = {f"c{i}": Record(f"c{i}", r.provider, dict(r.fields)) for i, r in enumerate(records)}
+    level_inputs(copies, sorted(copies), 60, config, computer)
+    assert calls == Counter()
 
 
 #: Exact thresholds are included on purpose: they reach the rounding corner.

@@ -1,0 +1,59 @@
+"""Every name a module imports is used in it.
+
+An AST scan, since no linter is a dependency: a name counts as used when the
+module loads it anywhere (code, annotations, decorators), and a package's
+re-exports count through its ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "metacluster").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import -> its line; ``__future__`` imports are
+    compiler directives, not names."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg | ast.AnnAssign) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef) and node.returns is not None:
+            yield node.returns
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    nodes = list(ast.walk(tree))
+    # A string annotation names its types inside the string.
+    for annotation in annotations(tree):
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            nodes.extend(ast.walk(ast.parse(annotation.value, mode="eval")))
+    used = {node.id for node in nodes if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = used_names(tree)
+    unused = sorted(f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"

@@ -16,14 +16,15 @@ from metacluster.minhash import (
     group_ids,
     shingle,
 )
-from metacluster.records import tokenize
+from metacluster.records import FieldMask, Record, selected_values, tokenize
 from metacluster.synthetic import random_corpus
 
 from reference_impl import bucket_groups, reference_band_keys, reference_keys, reference_row
 
 
-def sign(streams, count=64, seed=0):
-    return SignatureComputer(count=count, seed=seed).signatures(streams)
+def sign(records, count=64, seed=0):
+    """Rows of records given by their values."""
+    return SignatureComputer(count=count, seed=seed).signature_matrix(records, tokenize)
 
 
 class TestShingle:
@@ -43,18 +44,18 @@ class TestShingle:
 class TestSignature:
     def test_deterministic(self):
         tokens = ["hierarchical", "clustering", "of", "records"]
-        a = SignatureComputer(count=64, seed=5).signature_vector(tokens)
-        b = SignatureComputer(count=64, seed=5).signature_vector(tokens)
+        a = SignatureComputer(count=64, seed=5).signature_vector(tokens, tokenize)
+        b = SignatureComputer(count=64, seed=5).signature_vector(tokens, tokenize)
         assert np.array_equal(a, b)
 
     def test_seed_changes_signature(self):
         tokens = ["hierarchical", "clustering"]
-        a = SignatureComputer(count=64, seed=5).signature_vector(tokens)
-        b = SignatureComputer(count=64, seed=6).signature_vector(tokens)
+        a = SignatureComputer(count=64, seed=5).signature_vector(tokens, tokenize)
+        b = SignatureComputer(count=64, seed=6).signature_vector(tokens, tokenize)
         assert not np.array_equal(a, b)
 
     def test_empty_stream_is_sentinel(self):
-        vec = SignatureComputer(count=64, seed=5).signature_vector([])
+        vec = SignatureComputer(count=64, seed=5).signature_vector([], tokenize)
         assert vec.shape == (64,)
         assert {int(v) for v in vec} == {SENTINEL}
 
@@ -79,8 +80,8 @@ class TestSignature:
 
     def test_token_order_and_duplication_irrelevant(self):
         computer = SignatureComputer(count=64, seed=2)
-        a = computer.signature_vector(["alpha", "beta", "gamma"])
-        b = computer.signature_vector(["gamma", "alpha", "beta", "alpha"])
+        a = computer.signature_vector(["alpha", "beta", "gamma"], tokenize)
+        b = computer.signature_vector(["gamma", "alpha", "beta", "alpha"], tokenize)
         assert (a == b).all()
 
 
@@ -168,7 +169,7 @@ class TestGrouping:
     def test_random_corpus_mostly_singletons_at_level_100(self):
         records = random_corpus(1000, seed=5)
         config = EngineConfig(seed=5)
-        matrix = sign([tokenize(r) for r in records], seed=5)
+        matrix = sign([selected_values(r) for r in records], seed=5)
         keys, empty = band_key_matrix(matrix, 100, band_seed=5)
         groups = group_ids([r.id for r in records], keys, empty, mode=config.band_match)
         singletons = sum(1 for g in groups if len(g) == 1)
@@ -176,7 +177,7 @@ class TestGrouping:
 
     def test_mean_group_size_grows_as_level_drops(self):
         records = random_corpus(400, seed=11, tokens_per_record=6, vocab_size=150)
-        matrix = sign([tokenize(r) for r in records], seed=11)
+        matrix = sign([selected_values(r) for r in records], seed=11)
 
         def mean_size(level):
             keys, empty = band_key_matrix(matrix, level, band_seed=11)
@@ -187,7 +188,7 @@ class TestGrouping:
 
     def test_identical_metadata_same_keys_at_every_level(self):
         corpus = random_corpus(5, seed=2)
-        matrix = sign([tokenize(corpus[0]), tokenize(corpus[0])], seed=9)
+        matrix = sign([selected_values(corpus[0])] * 2, seed=9)
         for level in (100, 80, 60, 40, 20):
             keys, empty = band_key_matrix(matrix, level, band_seed=9)
             assert (keys[0] == keys[1]).all()
@@ -209,39 +210,52 @@ def test_grouping_is_a_partition(key_rows):
     assert len(flat) == len(set(flat))
 
 
-# Short, 8-character and longer words, non-ASCII letters; a small alphabet
-# makes tokens repeat within and across streams.
-TOKENS = st.text(alphabet="abcé日ßж", min_size=1, max_size=12)
+# Values with short, 8-character and longer words, several words, upper case,
+# digits, a combining mark, non-ASCII letters and the empty string; a small
+# alphabet makes values and tokens repeat within and across records.
+VALUES = st.text(alphabet="abcé日ßжA1 \u0301", max_size=14)
+FIELDS = ("dc:date", "dc:subject", "dc:title")
 
 
 @st.composite
-def two_batches(draw):
-    pool = draw(st.lists(TOKENS, min_size=1, max_size=8))
-    stream = st.lists(st.sampled_from(pool) | TOKENS, max_size=6)
-    return draw(st.lists(stream, max_size=6)), draw(st.lists(stream, max_size=6))
+def record_batches(draw):
+    pool = draw(st.lists(VALUES, min_size=1, max_size=8))
+    value = st.sampled_from(pool) | VALUES
+    fields = st.dictionaries(st.sampled_from(FIELDS), st.lists(value, min_size=1, max_size=4), max_size=3)
+    batches = draw(st.lists(st.lists(fields, max_size=6), min_size=1, max_size=3))
+    return [[Record(f"r{i}", "p", {n: tuple(v) for n, v in f.items()}) for i, f in enumerate(b)] for b in batches]
 
 
 @settings(deadline=None)
 @given(
-    two_batches(),
+    record_batches(),
+    st.none() | st.sets(st.sampled_from(FIELDS)).map(frozenset).map(FieldMask),
     st.sampled_from((1, 3, 64)),
     st.integers(0, 2**64 - 1),
     st.sampled_from((1, 10, minhash.BLOCK_VALUES)),
-    st.sampled_from((3, minhash.TOKEN_CACHE_LIMIT)),
+    st.sampled_from((1, 2, minhash.BLOCK_RECORDS)),
+    st.sampled_from((3, minhash.STORE_LIMIT)),
 )
-def test_batch_signatures_match_reference_rows(batches, count, seed, block, limit):
+def test_batch_signatures_match_reference_rows(batches, mask, count, seed, block, per_block, limit):
     keys = reference_keys(count, seed)
     computer = SignatureComputer(count=count, seed=seed)
-    # The vocabulary starts over before it would pass the limit, so only a
-    # single longer stream can take it past.
-    bound = max([limit] + [len(tokens) for streams in batches for tokens in streams])
-    with patch.object(minhash, "BLOCK_VALUES", block), patch.object(minhash, "TOKEN_CACHE_LIMIT", limit):
-        for streams in batches:  # the second batch signs on the first's vocabulary
-            rows = computer.signatures(iter(streams))
-            assert rows.shape == (len(streams), count) and rows.dtype == np.uint64
-            assert [[int(v) for v in row] for row in rows] == [reference_row(t, keys, seed) for t in streams]
-            assert len(computer._vocab) <= bound
-        assert np.array_equal(SignatureComputer(count=count, seed=seed).signatures(streams), rows)
+    # The store starts over before it would pass the limit, so only a single
+    # record with more values can take it past.
+    bound = max([limit] + [len(selected_values(r, mask)) for batch in batches for r in batch])
+    with (
+        patch.object(minhash, "BLOCK_VALUES", block),
+        patch.object(minhash, "BLOCK_RECORDS", per_block),
+        patch.object(minhash, "STORE_LIMIT", limit),
+    ):
+        for batch in batches:  # later batches sign on the earlier ones' store
+            values = [selected_values(r, mask) for r in batch]
+            blocks = list(computer.signatures(iter(values), tokenize))
+            assert all(0 < len(b) <= per_block and b.dtype == np.uint64 for b in blocks)
+            rows = np.concatenate(blocks) if blocks else np.empty((0, count), dtype=np.uint64)
+            expected = [reference_row(tokenize(*selected_values(r, mask)), keys, seed) for r in batch]
+            assert [[int(v) for v in row] for row in rows] == expected
+            assert len(computer._store) == len(computer._rows) <= bound
+        assert np.array_equal(SignatureComputer(count=count, seed=seed).signature_matrix(values, tokenize), rows)
 
 
 KEY_VALUES = st.sampled_from((0, 1, 2, 2**63, 2**64 - 1))

@@ -49,6 +49,13 @@ class TestCompression:
         with pytest.raises(ConfigurationError, match="1-9 for bz2"):
             EngineConfig(compressor="bz2", compression_level=0)
 
+    @pytest.mark.parametrize("name,level", [("bz2", 0), ("zlib", 12)])
+    def test_compression_rejects_level_out_of_range(self, name, level):
+        # Built directly, not through EngineConfig: the bad level must fail here,
+        # not at the first compressed_size.
+        with pytest.raises(ConfigurationError, match=f"compression level must be in .* for {name}"):
+            Compression(name, level)
+
     @pytest.mark.parametrize("name", sorted(COMPRESSORS))
     def test_every_accepted_level_compresses(self, name):
         for level in range(10):
