@@ -22,6 +22,7 @@ from .errors import ConfigurationError, IntegrityError
 from .ga import select_all_providers
 from .hashing import derive_seed
 from .hierarchy import corpus_digest, run_hierarchy
+from .minhash import SignatureComputer
 from .records import ingest_path
 
 #: Magnitudes measured on a 23.6M-record cultural-heritage aggregation
@@ -196,17 +197,19 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if result.rejects:
         print(f"rejected {len(result.rejects)} input lines (see rejects.ndjson)", file=sys.stderr)
 
+    # One value store for the GA and every level: each value is tokenized once.
+    computer = SignatureComputer(count=engine.minhash_count, seed=engine.seed)
     masks = None
     if 80 in levels:
         if args.masks is not None:
             masks = rundir.load_masks(args.masks)
         else:
-            selection = select_all_providers(result.records, engine, ga)
+            selection = select_all_providers(result.records, engine, ga, computer)
             masks = {provider: info.mask for provider, info in selection.items()}
             rundir.write_masks(out_dir / rundir.MASKS_FILE, selection)
             rundir.write_field_report(out_dir / rundir.FIELD_REPORT_FILE, selection)
 
-    run = run_hierarchy(result.records, masks, engine, levels=levels)
+    run = run_hierarchy(result.records, masks, engine, levels=levels, computer=computer)
     rundir.write_run(out_dir, run)
 
     for level, level_result in run.results.items():

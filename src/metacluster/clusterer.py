@@ -28,21 +28,23 @@ group consumes exactly one ``rng.shuffle(sorted(group))`` call and nothing
 else.  Groups in one wave are pairwise disjoint and each draws from its own
 RNG, so the order a wave is processed in does not change the result.
 
-A restack is a subset of the group it came from, and a strict one unless the
-group had a single head: then every member reached the threshold against that
-head, and only float rounding of the mean (``sum([0.2] * 6) / 6 < 0.2``) can
-fail the candidate and restack the whole group.  ``visit`` separates two draws
-only in that corner; otherwise a tuple recurs only in a later iteration, which
-``iteration`` already separates.  It stays in the seed so the RNG contract and
-outputs stay unchanged; dropping it is a contract change of its own.
+A restack is a strict subset of the group it came from.  A group with a
+single head cannot be restacked whole: every member reached the threshold
+against that head, and the mean check is exact (a float mean such as
+``sum([0.2] * 6) / 6`` may round below the threshold; the exact sum does
+not).  So a tuple is processed at most once per iteration, and recurs only in
+a later iteration, which ``iteration`` already separates; ``visit`` stays in
+the seed so the RNG contract and outputs stay unchanged, and dropping it is a
+contract change of its own.
 
-Within one processed group, each ordered pair's similarity is computed at
-most once (head selection, assignment and validation share a per-group memo),
-so the memo is bounded by the group size and dropped with the group.
+Head selection, assignment and validation score pairs through the level's
+``SimilarityContext``, which memoizes each ordered pair for the whole pass,
+so a pair is compressed once however many groups, steps or iterations ask.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -163,11 +165,14 @@ class FieldRows:
     so a record's signature under any field mask is the minimum over its
     selected rows, or the sentinel row when none is selected.  Each pair's row
     is the minimum over its field's value rows in a ``SignatureComputer``
-    store, which tokenizes each distinct value once and is dropped when the
-    build returns.  Memory: pairs x ``minhash_count`` x 8 bytes.
+    store, which tokenizes each distinct value once: the given computer's,
+    which keeps the value rows for later signing, or else a new one dropped
+    when the build returns.  Memory: pairs x ``minhash_count`` x 8 bytes.
     """
 
-    def __init__(self, records: Sequence[Record], config: EngineConfig):
+    def __init__(
+        self, records: Sequence[Record], config: EngineConfig, computer: SignatureComputer | None = None
+    ):
         self.fields = sorted({name for record in records for name in record.fields})
         self.count = config.minhash_count
         self.size = len(records)
@@ -175,7 +180,7 @@ class FieldRows:
         pairs = [(i, name) for i, record in enumerate(records) for name in sorted(record.fields)]
         self.record_index = np.fromiter((i for i, _ in pairs), dtype=np.intp, count=len(pairs))
         self.field_index = np.fromiter((column[name] for _, name in pairs), dtype=np.intp, count=len(pairs))
-        computer = SignatureComputer(count=config.minhash_count, seed=config.seed)
+        computer = computer or SignatureComputer(count=config.minhash_count, seed=config.seed)
         self.rows = computer.signature_matrix([records[i].fields[name] for i, name in pairs], tokenize)
 
     def signatures(self, mask: FieldMask) -> np.ndarray:
@@ -260,12 +265,18 @@ def validate_candidate(
 ) -> tuple[bool, float]:
     """Step-6 rule: accept iff the mean head-to-member similarity reaches the
     threshold (boundary inclusive).  Empty-member candidates are never
-    accepted; the caller leaves such heads unclustered without re-stacking."""
+    accepted; the caller leaves such heads unclustered without re-stacking.
+
+    The rule is exact: the similarities' exact sum must reach
+    ``len(members) * threshold``, so members that each reach the threshold
+    always pass, where the float mean may round below it
+    (``sum([0.2] * 6) / 6 < 0.2``).  ``math.fsum`` rounds the exact value of
+    the sum minus n thresholds correctly, so its sign is exact."""
     if not candidate.members:
         return False, 0.0
-    total = sum(sim(candidate.head, member) for member in candidate.members)
-    mean = total / len(candidate.members)
-    return mean >= threshold, mean
+    sims = [sim(candidate.head, member) for member in candidate.members]
+    ok = math.fsum(sims + [-threshold] * len(sims)) >= 0.0
+    return ok, sum(sims) / len(sims)
 
 
 _Accepted = tuple[str, tuple[str, ...], float]  # head, members, event mean
@@ -277,21 +288,13 @@ def _process_group(
     rng: random.Random,
     sim: SimilarityFn,
 ) -> tuple[list[_Accepted], list[tuple[str, ...]]]:
-    memo: dict[tuple[str, str], float] = {}
-
-    def once(x: str, y: str) -> float:
-        value = memo.get((x, y))
-        if value is None:
-            value = memo[(x, y)] = sim(x, y)
-        return value
-
-    heads = select_heads(group, threshold, rng, once)
+    heads = select_heads(group, threshold, rng, sim)
     accepted: list[_Accepted] = []
     restack: list[tuple[str, ...]] = []
-    for candidate in assign_to_heads(group, heads, once):
+    for candidate in assign_to_heads(group, heads, sim):
         if not candidate.members:
             continue
-        ok, mean = validate_candidate(candidate, threshold, once)
+        ok, mean = validate_candidate(candidate, threshold, sim)
         if ok:
             accepted.append((candidate.head, candidate.members, mean))
         else:

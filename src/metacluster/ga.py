@@ -24,6 +24,7 @@ from .clusterer import FieldRows, LevelResult, band_signatures, cluster_level
 from .config import EngineConfig, GAConfig
 from .hashing import derive_seed
 from .hierarchy import default_mask_for, make_artificial_record
+from .minhash import SignatureComputer
 from .records import FieldMask, Record
 from .similarity import Compression, SimilarityContext
 
@@ -86,10 +87,17 @@ def fitness(
     ctx: SimilarityContext,
     engine: EngineConfig,
     pair_seed: int = 0,
+    summaries: dict[tuple[str, ...], Record] | None = None,
 ) -> float:
     """Clusterability of one level-80 result, scored through the context of
-    the pass that produced it (its records, mask, compressor and cached
-    C(x) sizes)."""
+    the pass that produced it (its records, mask, compressor, cached C(x)
+    sizes and pair memo, so within-cluster pairs that validation scored are
+    not compressed again).
+
+    ``summaries`` caches each cluster's summary record by its record ids
+    across the evaluations of one population at one level: a summary depends
+    on the member records and the cluster id, never on the mask, so only its
+    serialization and compression are redone per evaluation."""
     accepted = clusters.clusters
     if len(accepted) < 2:
         return SENTINEL_FITNESS
@@ -102,13 +110,15 @@ def fitness(
     if within <= 0.0:
         return SENTINEL_FITNESS
 
+    if summaries is None:
+        summaries = {}
     payloads = []
     for cluster in accepted:
-        summary = make_artificial_record(
-            cluster,
-            [ctx.records[rid] for rid in cluster.record_ids()],
-            engine.artificial_value_cap,
-        )
+        key = cluster.record_ids()
+        summary = summaries.get(key)
+        if summary is None:
+            members = [ctx.records[rid] for rid in key]
+            summary = summaries[key] = make_artificial_record(cluster, members, engine.artificial_value_cap)
         payloads.append(ctx.serialize(summary))
     sizes = [ctx.compression.compressed_size(p) for p in payloads]
 
@@ -160,9 +170,11 @@ def evolve(
     engine: EngineConfig,
     ga: GAConfig,
     provider_key: str = "",
+    computer: SignatureComputer | None = None,
 ) -> ProviderMask:
     """Generational GA with tournament selection, single-point crossover,
-    bit-flip mutation and elitism; returns the best-ever mask."""
+    bit-flip mutation and elitism; returns the best-ever mask.  The sample
+    is signed into ``computer``'s value store when one is given."""
     fields = sorted({name for record in provider_records for name in record.fields})
     (compulsory_field,) = default_mask_for(provider_records).selected
     compulsory = fields.index(compulsory_field)
@@ -176,9 +188,10 @@ def evolve(
     ids = sorted(by_id)
 
     # Each (record, field) pair is signed once; a mask's signatures are
-    # reduced from those rows.
-    rows = FieldRows([by_id[rid] for rid in ids], engine)
+    # reduced from those rows.  Cluster summaries are mask-independent.
+    rows = FieldRows([by_id[rid] for rid in ids], engine, computer)
     compression = Compression(engine.compressor, engine.compression_level)
+    summaries: dict[tuple[str, ...], Record] = {}
     cache: dict[tuple[int, ...], float] = {}
     evaluations = 0
 
@@ -196,6 +209,7 @@ def evolve(
             ctx,
             engine,
             pair_seed=derive_seed(ga.seed, "ga-pairs", provider_key, "".join(map(str, bits))),
+            summaries=summaries,
         )
         cache[bits] = value
         evaluations += 1
@@ -247,9 +261,11 @@ def select_all_providers(
     corpus: list[Record],
     engine: EngineConfig,
     ga: GAConfig,
+    computer: SignatureComputer | None = None,
 ) -> dict[str, ProviderMask]:
     """GA masks for providers above the record threshold, defaults otherwise;
-    keyed by provider in sorted order."""
+    keyed by provider in sorted order.  Without ``computer``, each provider's
+    sample is signed into a store of its own, dropped once its rows exist."""
     by_provider: dict[str, list[Record]] = {}
     for record in corpus:
         by_provider.setdefault(record.provider, []).append(record)
@@ -258,7 +274,7 @@ def select_all_providers(
     for provider in sorted(by_provider):
         records = by_provider[provider]
         if len(records) > ga.min_provider_records:
-            selection[provider] = evolve(records, engine, ga, provider_key=provider)
+            selection[provider] = evolve(records, engine, ga, provider_key=provider, computer=computer)
         else:
             selection[provider] = ProviderMask(provider, default_mask_for(records), None, "default")
     return selection

@@ -148,8 +148,13 @@ def run_hierarchy(
     masks: Mapping[str, FieldMask] | None,
     config: EngineConfig,
     levels: Iterable[int] = LEVELS,
+    computer: SignatureComputer | None = None,
 ) -> HierarchyRun:
-    """Execute the requested levels over the corpus and assemble the forest."""
+    """Execute the requested levels over the corpus and assemble the forest.
+
+    Every level signs through one ``SignatureComputer``: ``computer`` when
+    given (a ``cluster`` run passes the one its GA signed with), else a new
+    one.  Its value store is emptied once the last level is signed."""
     requested = sorted(set(levels), reverse=True)
     unknown = [lv for lv in requested if lv not in LEVELS]
     if unknown:
@@ -182,7 +187,7 @@ def run_hierarchy(
         for provider, provider_records in unmasked.items():
             masks[provider] = default_mask_for(provider_records)
 
-    computer = SignatureComputer(count=config.minhash_count, seed=config.seed)
+    computer = computer or SignatureComputer(count=config.minhash_count, seed=config.seed)
     results: dict[int, LevelResult] = {}
     seconds: dict[int, float] = {}
     forest: list[HierarchyNode] = []
@@ -190,11 +195,10 @@ def run_hierarchy(
     duplicate_artificials: dict[str, Record] = {}
 
     def run_level(ids: list[str], level: int, mask_for) -> LevelResult:
-        nonlocal computer
         t0 = time.perf_counter()
         banding, ctx = level_inputs(by_id, ids, level, config, computer, mask_for)
         if level == requested[-1]:
-            computer = None  # no later level reads the value store: free it before clustering
+            computer.clear()  # no later level reads the value store: free it before clustering
         result = cluster_level(ids, level, ctx.similarity, banding, config)
         seconds[level] = time.perf_counter() - t0
         results[level] = result

@@ -132,13 +132,17 @@ class SignatureComputer:
             if None in found:
                 if len(store) + len(values) > STORE_LIMIT:
                     yield from self._finish(ids, lengths, tokenize)
-                    store.clear()
-                    self._rows = np.empty((0, self.count), dtype=np.uint64)
+                    self.clear()
                     ids, lengths = array("i"), array("q")
                 found = [setdefault(value, len(store)) for value in values]
             ids.extend(found)
             lengths.append(len(found))
         yield from self._finish(ids, lengths, tokenize)
+
+    def clear(self) -> None:
+        """Empty the value store; later calls tokenize every value anew."""
+        self._store.clear()
+        self._rows = np.empty((0, self.count), dtype=np.uint64)
 
     def signature_matrix(self, records: Sequence[Sequence[str]], tokenize: Tokenizer) -> np.ndarray:
         """All rows of ``signatures`` in one (N, count) matrix."""

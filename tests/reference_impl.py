@@ -8,7 +8,8 @@ family is drawn the way ``SignatureComputer`` draws it); band keys XOR each
 band's signature positions (only ``band_positions``, ``selected_values`` and
 ``tokenize`` come from production, and ``tokenize`` runs on whole records);
 candidate groups come from a bucket adjacency + BFS connected components (no
-label propagation), head selection, assignment and validation are inlined,
+label propagation), head selection, assignment and validation are inlined
+(validation always compares the exact rational sum with n * threshold),
 and one depth-first stack is drained where production processes waves.  It
 follows the same RNG sequence contract (one Random per processed group,
 seeded from the level, iteration, visit count and the group's ids; one
@@ -21,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -198,8 +200,10 @@ def reference_cluster_level(
                 members = assigned[head]
                 if not members:
                     continue
-                mean = sum(sim(head, m) for m in members) / len(members)
-                if mean >= threshold:
+                sims = [sim(head, m) for m in members]
+                mean = sum(sims) / len(sims)
+                # Exact rule: the rational sum reaches n * threshold.
+                if sum(Fraction(s) for s in sims) >= len(sims) * Fraction(threshold):
                     accepted.append((head, tuple(members), mean))
                 else:
                     stack.append(tuple(sorted([head] + members)))

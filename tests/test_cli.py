@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,24 @@ class TestClusterCommand:
         assert code == 1
         assert "error: compression level must be in 0-9" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_ga_run_tokenizes_each_distinct_value_once(self, corpus_path, tmp_path, monkeypatch):
+        # The GA and every level sign through one value store.
+        from metacluster import clusterer
+
+        calls: Counter = Counter()
+        tokenize = clusterer.tokenize
+
+        def counting(*values):
+            calls.update(values)
+            return tokenize(*values)
+
+        monkeypatch.setattr(clusterer, "tokenize", counting)
+        out = tmp_path / "out"
+        assert main(["cluster", "--input", str(corpus_path), "--out", str(out), "--seed", "33", *GA_FLAGS]) == 0
+        assert rundir.load_field_report(out)["ga_providers"]
+        records = ingest_path(corpus_path).records
+        assert calls == Counter({value: 1 for r in records for vs in r.fields.values() for value in vs})
 
 
 class TestSampleEval:

@@ -1,10 +1,12 @@
 import json
+import math
 import random
 from collections import Counter, defaultdict
 from dataclasses import asdict
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from metacluster import clusterer
@@ -26,6 +28,7 @@ from metacluster.errors import ConfigurationError
 from metacluster.hashing import derive_seed
 from metacluster.minhash import SENTINEL, SignatureComputer
 from metacluster.records import FieldMask, Record
+from metacluster.similarity import CONCAT_SEP, Compression, SimilarityContext
 from metacluster.synthetic import (
     duplicate_pairs_corpus,
     family_corpus,
@@ -424,25 +427,17 @@ def table_sim(table):
 
 class TestProcessGroup:
     @given(group_with_sims(), THRESHOLDS, st.integers(0, 2**32))
-    def test_each_ordered_pair_computed_once(self, spec, threshold, seed):
+    def test_three_steps_composed_agree(self, spec, threshold, seed):
         group, table = spec
-        raw = table_sim(table)
-        calls: Counter = Counter()
+        sim = table_sim(table)
+        got = _process_group(group, threshold, random.Random(seed), sim)
 
-        def counting(x, y):
-            calls[(x, y)] += 1
-            return raw(x, y)
-
-        got = _process_group(group, threshold, random.Random(seed), counting)
-        assert max(calls.values()) == 1
-
-        # The three steps composed over the bare similarity agree.
-        heads = select_heads(group, threshold, random.Random(seed), raw)
+        heads = select_heads(group, threshold, random.Random(seed), sim)
         accepted, restack = [], []
-        for candidate in assign_to_heads(group, heads, raw):
+        for candidate in assign_to_heads(group, heads, sim):
             if not candidate.members:
                 continue
-            ok, mean = validate_candidate(candidate, threshold, raw)
+            ok, mean = validate_candidate(candidate, threshold, sim)
             if ok:
                 accepted.append((candidate.head, candidate.members, mean))
             else:
@@ -450,57 +445,99 @@ class TestProcessGroup:
         assert got == (accepted, restack)
 
     @given(group_with_sims(), THRESHOLDS, st.integers(0, 2**32))
-    def test_restack_is_strict_subset_unless_mean_rounds_down(self, spec, threshold, seed):
+    def test_restack_is_strict_subset(self, spec, threshold, seed):
         group, table = spec
         sim = table_sim(table)
         accepted, restack = _process_group(group, threshold, random.Random(seed), sim)
         parts = [set(r) for r in restack] + [{head, *members} for head, members, _ in accepted]
         assert all(part <= set(group) for part in parts)
         assert sum(map(len, parts)) == len(set().union(*parts))  # pairwise disjoint
-        for part in restack:
-            if set(part) == set(group):
-                # Only a single head takes the whole group, and every member
-                # reached the threshold against it, so only float rounding of
-                # the mean can have failed the candidate.
-                heads = select_heads(group, threshold, random.Random(seed), sim)
-                assert len(heads) == 1
-                member_sims = [sim(heads[0], m) for m in group if m != heads[0]]
-                assert min(member_sims) >= threshold
-                assert sum(member_sims) / len(member_sims) < threshold
+        assert all(set(part) < set(group) for part in restack)
 
-    def test_mean_rounding_restacks_whole_single_head_group(self):
-        # The corner the strict-subset rule excludes: six members at exactly
-        # the threshold average to just below it in floating point.
+    def test_single_head_group_at_threshold_is_accepted(self):
+        # Six members at exactly the threshold average to just below it in
+        # floating point; the exact mean check still accepts the group whole.
         group = tuple(f"r{i}" for i in range(7))
-        sim = stub_sim({}, default=0.2)
         assert sum([0.2] * 6) / 6 < 0.2
-        accepted, restack = _process_group(group, 0.2, random.Random(0), sim)
-        assert accepted == [] and restack == [group]
+        sim = stub_sim({}, default=0.2)
+        [(head, members, _)], restack = _process_group(group, 0.2, random.Random(0), sim)
+        assert restack == [] and members == tuple(sorted(set(group) - {head}))
 
-    def test_visit_redraws_a_group_restacked_by_rounding(self):
-        # With r0 as head every member sits exactly at 0.2 and the mean rounds
-        # below the level-20 threshold; any other head passes.  A group whose
-        # first draw puts r0 first is restacked whole, and only the ``visit``
-        # term of the seed makes its second draw differ from the first.
+    def test_visit_accepts_single_head_group_on_first_draw(self):
+        # With r0 as head every member sits exactly at 0.2, and the float mean
+        # rounds below the level-20 threshold; any other head sees 0.9.  The
+        # group is accepted on its first draw, whichever head that draw puts
+        # first.
         group = tuple(f"r{i}" for i in range(7))
 
         def sim(x, y):
             return 1.0 if x == y else (0.2 if x == "r0" else 0.9)
 
-        def first_head(seed, visit):  # the documented per-group draw
-            order = sorted(group)
-            random.Random(derive_seed(seed, "level", 20, 1, visit, *group)).shuffle(order)
-            return order[0]
-
         banding = manual_banding(20, [group])
-        redrawn = 0
+        drew_r0 = 0
         for seed in range(60):
-            heads = [first_head(seed, 0), first_head(seed, 1)]
-            redrawn += heads[0] == "r0"
+            order = sorted(group)
+            random.Random(derive_seed(seed, "level", 20, 1, 0, *group)).shuffle(order)
+            drew_r0 += order[0] == "r0"
             result = cluster_level(group, 20, sim, banding, EngineConfig(seed=seed))
-            if heads == ["r0", "r0"]:
-                assert result.clusters == () and result.unclustered == group
-            else:
-                [cluster] = result.clusters
-                assert cluster.head == next(h for h in heads if h != "r0")
-        assert redrawn > 0
+            [cluster] = result.clusters
+            assert cluster.head == order[0]
+            assert cluster.members == tuple(sorted(set(group) - {order[0]}))
+            assert result.iterations_used == 1 and result.unclustered == ()
+        assert drew_r0 > 0
+
+
+class TestValidateCandidate:
+    @given(
+        st.lists(st.one_of(st.sampled_from(SIM_VALUES), st.floats(0.0, 1.0)), min_size=1, max_size=40),
+        THRESHOLDS,
+        st.integers(-2, 2),
+    )
+    @example([0.2] * 5, 0.2, 0)
+    def test_mean_check_is_exact(self, sims, threshold, ulps):
+        # Nudge one value a few ulps around the threshold, where float means round.
+        sims = sims + [threshold]
+        for _ in range(abs(ulps)):
+            sims[-1] = min(1.0, max(0.0, math.nextafter(sims[-1], math.copysign(2.0, ulps))))
+        members = tuple(f"m{i:02d}" for i in range(len(sims)))
+        by_member = dict(zip(members, sims))
+        ok, mean = validate_candidate(CandidateCluster("h", members), threshold, lambda _, m: by_member[m])
+        assert ok == (sum(map(Fraction, sims)) >= len(sims) * Fraction(threshold))
+        assert mean == sum(sims) / len(sims)
+
+    def test_members_all_at_threshold_pass_and_one_ulp_below_fails(self):
+        members = tuple(f"m{i}" for i in range(6))
+        assert validate_candidate(CandidateCluster("h", members), 0.2, lambda *_: 0.2)[0]
+        below = {m: 0.2 for m in members} | {"m5": math.nextafter(0.2, 0.0)}
+        assert not validate_candidate(CandidateCluster("h", members), 0.2, lambda _, m: below[m])[0]
+
+
+class TestSimilarityMemo:
+    def test_each_ordered_pair_compressed_once_per_pass(self, monkeypatch):
+        # One band group over twelve families: heads stay in the population,
+        # so later iterations ask again for pairs earlier ones scored.
+        records, _ = family_corpus(12, 5, seed=1)
+        by_id = {r.id: r for r in records}
+        ids = sorted(by_id)
+        ctx = SimilarityContext(by_id)
+        assert len({ctx.payload(rid) for rid in ids}) == len(ids)
+        compressed: Counter = Counter()
+        size = Compression.compressed_size
+
+        def counting_size(self, data):
+            compressed[data] += 1
+            return size(self, data)
+
+        monkeypatch.setattr(Compression, "compressed_size", counting_size)
+        asked: Counter = Counter()
+
+        def sim(x, y):
+            asked[(x, y)] += 1
+            return ctx.similarity(x, y)
+
+        result = cluster_level(ids, 80, sim, manual_banding(80, [ids]), EngineConfig(seed=1))
+        assert result.iterations_used >= 3 and max(asked.values()) > 1
+        assert max(compressed.values()) == 1
+        pairs = {ctx.payload(x) + CONCAT_SEP + ctx.payload(y) for x, y in asked}
+        alone = {ctx.payload(rid) for pair in asked for rid in pair}
+        assert set(compressed) == pairs | alone

@@ -25,8 +25,9 @@ from metacluster.ga import (
     tournament,
     Chromosome,
 )
+from metacluster.hierarchy import make_artificial_record
 from metacluster.records import FieldMask, Record
-from metacluster.similarity import SimilarityContext
+from metacluster.similarity import CONCAT_SEP, Compression, SimilarityContext
 from metacluster.synthetic import family_corpus, ga_provider_corpus
 
 
@@ -197,6 +198,28 @@ class TestEvolve:
         assert outcome.evaluations > 1
         assert calls == Counter({value: 1 for r in records for vs in r.fields.values() for value in vs})
 
+    def test_summary_built_once_per_member_tuple(self, monkeypatch):
+        from metacluster import ga
+
+        records = ga_provider_corpus(n_records=120, n_families=8, seed=3, extra_fields=1)
+        built: Counter = Counter()
+        scored: Counter = Counter()
+        make, score = ga.make_artificial_record, ga.fitness
+
+        def counting_make(cluster, members, value_cap=20):
+            built[cluster.record_ids()] += 1
+            return make(cluster, members, value_cap)
+
+        def counting_fitness(clusters, *args, **kwargs):
+            scored.update(cluster.record_ids() for cluster in clusters.clusters)
+            return score(clusters, *args, **kwargs)
+
+        monkeypatch.setattr(ga, "make_artificial_record", counting_make)
+        monkeypatch.setattr(ga, "fitness", counting_fitness)
+        outcome = evolve(records, EngineConfig(seed=3), GAConfig(seed=3, population_size=8, generations=4), "p")
+        assert outcome.evaluations > 1 and max(scored.values()) > 1
+        assert built == Counter(set(scored))
+
     def test_title_selected_description_rejected(self):
         # Exhaustive oracle over all masks (compulsory title fixed) for a
         # provider where the title carries family structure and the
@@ -263,3 +286,37 @@ class TestSelectAllProviders:
             "dc:title+dc:type": 1,
         }
         assert report["ga_providers"] == {}
+
+
+class TestFitnessReuse:
+    def test_fitness_compresses_only_what_validation_never_scored(self, monkeypatch):
+        records = ga_provider_corpus(n_records=120, n_families=8, seed=3, extra_fields=1)
+        by_id = {r.id: r for r in records}
+        ids = sorted(by_id)
+        engine = EngineConfig(seed=3)
+        mask = FieldMask.of("dc:title")
+        banding, ctx = level_inputs(by_id, ids, FSC_LEVEL, engine, mask_for=lambda r: mask)
+        compressed: list[bytes] = []
+        size = Compression.compressed_size
+
+        def counting_size(self, data):
+            compressed.append(data)
+            return size(self, data)
+
+        monkeypatch.setattr(Compression, "compressed_size", counting_size)
+        result = cluster_level(ids, FSC_LEVEL, ctx.similarity, banding, engine)
+        clustering = set(compressed)
+        compressed.clear()
+        assert fitness(result, ctx, engine) > SENTINEL_FITNESS
+
+        def concat(x, y):
+            return x + CONCAT_SEP + y
+
+        summaries = [
+            ctx.serialize(make_artificial_record(c, [by_id[rid] for rid in c.record_ids()])) for c in result.clusters
+        ]
+        between = {concat(a, b) for a, b in itertools.combinations(summaries, 2) if a != b}
+        within = {concat(ctx.payload(c.head), ctx.payload(m)) for c in result.clusters for m in c.members}
+        assert within & clustering  # validation scored these; fitness must not redo them
+        assert len(compressed) == len(set(compressed))
+        assert set(compressed) == set(summaries) | between | (within - clustering)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted((ROOT / "src" / "metacluster").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+MODULES = [path for part in ("src/metacluster", "tests", "scripts") for path in sorted((ROOT / part).glob("*.py"))]
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
