@@ -1,0 +1,211 @@
+#!/usr/bin/env python3
+"""Seconds and peak memory per stage of one `cluster` run, appended to a BENCH file.
+
+Examples:
+    python scripts/bench_memory.py --scenario dedup --label change
+    python scripts/bench_memory.py --scenario level100_1m --label parent
+
+Each invocation makes one run and appends one entry; alternate parent and
+change invocations to compare two trees.  The run writes the scenario's seeded
+corpus with ``generate_corpus.py``, then starts a fresh interpreter that runs
+the CLI in-process, so the memory figures cover interpreter start, imports and
+the run alone.  Stage hooks wrap the names the CLI and ``run_hierarchy`` call:
+ingest, digest, sign and band (``level_inputs``), cluster, verify and write.
+After each stage the child reads ``VmHWM`` (the process's peak resident set)
+and ``VmRSS`` from ``/proc/self/status``.  The entry goes to
+``BENCH_<scenario>.json`` at the repository root, with its stages, records/s,
+core count, git SHA, source digest and seed.  Run it from a source checkout;
+it imports ``src/metacluster``.
+"""
+
+import argparse
+import hashlib
+import importlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+#: Scenario -> (pairs, decoys, seed, extra CLI arguments) of a
+#: ``duplicate_pairs_corpus`` run.
+SCENARIOS = {
+    "dedup": (200, 39_600, 71, ["--levels", "100"]),
+    "level100_1m": (5_000, 990_000, 71, ["--levels", "100"]),
+}
+
+#: Stage name -> (module, attribute) wrapped in the namespace it is called from.
+STAGES = {
+    "ingest": ("metacluster.cli", "ingest_path"),
+    "digest": ("metacluster.hierarchy", "corpus_digest"),
+    "sign_band": ("metacluster.hierarchy", "level_inputs"),
+    "cluster": ("metacluster.hierarchy", "cluster_level"),
+    "verify": ("metacluster.hierarchy", "verify_run"),
+    "write": ("metacluster.rundir", "write_run"),
+}
+
+
+def memory_mb() -> dict[str, float]:
+    """This process's peak and current resident set, in MB."""
+    found = {}
+    with open("/proc/self/status", encoding="ascii") as fh:
+        for line in fh:
+            key, _, value = line.partition(":")
+            if key in ("VmHWM", "VmRSS"):
+                found[key] = int(value.split()[0]) / 1024.0
+    return found
+
+
+def measure(cli_args: list[str], result_path: Path) -> int:
+    """Run the CLI in this process with every stage wrapped; write the stages."""
+    sys.path.insert(0, str(SRC))
+    started = time.perf_counter()
+    stages = {name: {"seconds": 0.0, "calls": 0} for name in STAGES}
+    counts = {}
+
+    def wrap(name, fn):
+        def staged(*args, **kwargs):
+            t0 = time.perf_counter()
+            result = fn(*args, **kwargs)
+            stage = stages[name]
+            stage["seconds"] += time.perf_counter() - t0
+            stage["calls"] += 1
+            stage.update(memory_mb())
+            if name == "ingest":
+                counts["records"] = len(result.records)
+            return result
+
+        return staged
+
+    for name, (module, attr) in STAGES.items():
+        owner = importlib.import_module(module)
+        setattr(owner, attr, wrap(name, getattr(owner, attr)))
+    from metacluster.cli import main
+
+    imported = time.perf_counter()
+    code = main(cli_args)
+    wall = time.perf_counter() - started
+    doc = {
+        "exit_code": code,
+        "wall_s": wall,
+        "import_s": imported - started,
+        "records": counts.get("records"),
+        "stages": stages,
+        "end": memory_mb(),
+    }
+    result_path.write_text(json.dumps(doc), encoding="utf-8")
+    return code
+
+
+def git_sha() -> str | None:
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, check=True
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def source_dirty() -> bool | None:
+    """Whether ``src/`` differs from the commit, or None outside git."""
+    try:
+        out = subprocess.run(
+            ["git", "status", "--porcelain", "--", "src"], cwd=ROOT, capture_output=True, text=True, check=True
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return bool(out.stdout.strip())
+
+
+def source_digest() -> str:
+    h = hashlib.sha256()
+    for path in sorted((SRC / "metacluster").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()[:16]
+
+
+def run_once(scenario: str, work: Path) -> dict:
+    pairs, decoys, seed, extra = SCENARIOS[scenario]
+    corpus = work / "corpus.ndjson"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    subprocess.run(
+        [
+            sys.executable, str(ROOT / "scripts" / "generate_corpus.py"), "--kind", "duplicates",
+            "--pairs", str(pairs), "--decoys", str(decoys), "--seed", str(seed), "--out", str(corpus),
+        ],
+        env=env, check=True, stdout=subprocess.DEVNULL,
+    )
+    result = work / "result.json"
+    cli_args = ["cluster", "--input", str(corpus), "--out", str(work / "run"), *extra]
+    subprocess.run(
+        [sys.executable, __file__, "--measure", str(result), "--", *cli_args],
+        env=env, check=True, stdout=subprocess.DEVNULL,
+    )
+    doc = json.loads(result.read_text(encoding="utf-8"))
+    if doc["exit_code"] != 0:
+        raise SystemExit(f"cluster exited {doc['exit_code']}")
+    stages = {
+        name: {
+            "seconds": round(stage["seconds"], 3),
+            "calls": stage["calls"],
+            "vmhwm_mb": round(stage.get("VmHWM", 0.0), 1),
+            "vmrss_mb": round(stage.get("VmRSS", 0.0), 1),
+        }
+        for name, stage in doc["stages"].items()
+    }
+    return {
+        "seed": seed,
+        "corpus": f"duplicate_pairs_corpus({pairs}, {decoys}, seed={seed})",
+        "command": " ".join(["cluster", *extra]),
+        "records": doc["records"],
+        "wall_s": round(doc["wall_s"], 3),
+        "records_per_s": round(doc["records"] / doc["wall_s"], 1),
+        "peak_rss_mb": round(doc["end"]["VmHWM"], 1),
+        "stages": stages,
+    }
+
+
+def main() -> int:
+    if len(sys.argv) > 2 and sys.argv[1] == "--measure":
+        if sys.argv[3] != "--":
+            print("usage: bench_memory.py --measure <result.json> -- <cli arguments>", file=sys.stderr)
+            return 2
+        return measure(sys.argv[4:], Path(sys.argv[2]))
+
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--scenario", choices=sorted(SCENARIOS), required=True)
+    parser.add_argument("--label", required=True, help="names the entry, e.g. parent or change")
+    parser.add_argument("--out", type=Path, default=None, help="BENCH file (default: BENCH_<scenario>.json)")
+    args = parser.parse_args()
+
+    out = args.out or ROOT / f"BENCH_{args.scenario}.json"
+    bench = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {"scenario": args.scenario, "entries": []}
+    with tempfile.TemporaryDirectory(prefix="bench_memory_") as tmp:
+        entry = {
+            "label": args.label,
+            "git_sha": git_sha(),
+            "src_modified": source_dirty(),
+            "source_digest": source_digest(),
+            "cores": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            **run_once(args.scenario, Path(tmp)),
+        }
+    bench["entries"].append(entry)
+    print(
+        f"{args.scenario} {args.label}: {entry['wall_s']:.2f} s, peak {entry['peak_rss_mb']:.1f} MB, "
+        f"{entry['records_per_s']:.0f} records/s"
+    )
+    out.write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

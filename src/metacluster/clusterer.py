@@ -132,14 +132,17 @@ def sign_population(
     ids: list[str],
     computer: SignatureComputer,
     mask_for: Callable[[Record], FieldMask | None] | None = None,
+    keep: bool = True,
 ) -> Iterator[np.ndarray]:
     """Sign each record from the values its mask selects: minhash rows in id
     order, a block at a time.  Values new to the computer's store are
-    tokenized once; records are never tokenized whole."""
+    tokenized once, and stored only when ``keep``; records are never
+    tokenized whole."""
     population = (records[rid] for rid in ids)
     return computer.signatures(
         (selected_values(record, mask_for(record) if mask_for is not None else None) for record in population),
         tokenize,
+        keep,
     )
 
 
@@ -202,11 +205,14 @@ def level_inputs(
     config: EngineConfig,
     computer: SignatureComputer | None = None,
     mask_for: Callable[[Record], FieldMask | None] | None = None,
+    keep: bool = True,
 ) -> tuple[LevelBanding, SimilarityContext]:
-    """Banding plus a compatible similarity context for one level pass."""
+    """Banding plus a compatible similarity context for one level pass;
+    ``keep=False`` leaves the rows of values new to ``computer`` unstored."""
     id_list = list(ids)
     computer = computer or SignatureComputer(count=config.minhash_count, seed=config.seed)
-    banding = band_signatures(level, id_list, sign_population(records, id_list, computer, mask_for), config)
+    blocks = sign_population(records, id_list, computer, mask_for, keep)
+    banding = band_signatures(level, id_list, blocks, config)
     ctx = SimilarityContext(
         records,
         Compression(config.compressor, config.compression_level),

@@ -39,6 +39,16 @@ COMPRESSORS: dict[str, Callable[[bytes, int], bytes]] = {
 }
 
 
+class GroupSizes(dict):
+    """Band group size per level, read-only once built.  A dict, so that
+    ``dataclasses.asdict`` and JSON see the sizes as they are."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("band group sizes are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+
 def check_compression(name: str, level: int) -> None:
     """Raise ConfigurationError unless ``name`` is a compressor and ``level``
     one of its levels."""
@@ -55,7 +65,7 @@ class EngineConfig:
     an invalid combination raises ConfigurationError on construction."""
 
     minhash_count: int = 64
-    group_sizes: dict[int, int] = field(default_factory=lambda: dict(DEFAULT_GROUP_SIZES))
+    group_sizes: dict[int, int] = field(default_factory=lambda: GroupSizes(DEFAULT_GROUP_SIZES))
     band_match: str = "any"  # "any": union-find over shared keys; "all": exact 4-key match
     compressor: str = "zlib"
     compression_level: int = 6
@@ -67,6 +77,12 @@ class EngineConfig:
         if self.minhash_count < 8 or self.minhash_count % 4 != 0:
             raise ConfigurationError(
                 f"minhash count must be >= 8 and divisible by 4, got {self.minhash_count}"
+            )
+        object.__setattr__(self, "group_sizes", GroupSizes(self.group_sizes))
+        unknown = sorted(set(self.group_sizes) - set(LEVELS), key=str)
+        if unknown:
+            raise ConfigurationError(
+                f"band group sizes for unknown levels {unknown}; valid: {list(LEVELS)}"
             )
         for level in LEVELS:
             g = self.group_sizes.get(level)

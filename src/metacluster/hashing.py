@@ -8,6 +8,7 @@ through keyed blake2b instead.
 from __future__ import annotations
 
 import hashlib
+from typing import Iterable
 
 _SEED_BYTES = 8
 
@@ -43,3 +44,14 @@ def derive_seed(*parts: int | str) -> int:
 def digest_hex(data: bytes) -> str:
     """Short stable hex digest used for content-derived identifiers."""
     return hashlib.blake2b(data, digest_size=12).hexdigest()
+
+
+def digest_lines(lines: Iterable[bytes]) -> str:
+    """``digest_hex(b"\\n".join(lines))``, hashed a line at a time."""
+    h = hashlib.blake2b(digest_size=12)
+    separator = b""
+    for line in lines:
+        h.update(separator)
+        h.update(line)
+        separator = b"\n"
+    return h.hexdigest()

@@ -11,7 +11,6 @@ considered.  The forest links every chain cluster to the entities it grouped.
 
 from __future__ import annotations
 
-import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -22,14 +21,11 @@ from . import __version__ as _package_version
 from .clusterer import Cluster, LevelResult, cluster_level, level_inputs
 from .config import DESCRIPTION_FIELD, LEVELS, TITLE_FIELD, EngineConfig
 from .errors import ConfigurationError, IntegrityError
-from .hashing import digest_hex
+from .hashing import digest_lines
 from .minhash import SignatureComputer
-from .records import ARTIFICIAL, ORIGINAL, FieldMask, Record, check_record, export_line
+from .records import ARTIFICIAL, ORIGINAL, FieldMask, Record, check_record, export_line, find_surrogate
 
 CHAIN_LEVELS = (80, 60, 40, 20)
-
-# Surrogate code points have no UTF-8 form, paired or not.
-_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,15 +125,16 @@ def default_mask_for(provider_records: Iterable[Record]) -> FieldMask:
 def corpus_digest(records: Sequence[Record]) -> str:
     """Digest of the records' canonical lines, independent of their order.
 
-    A record with no UTF-8 form (an unpaired surrogate, which only a library
-    caller can build) raises ConfigurationError naming it; the records are
-    searched only on that path.
+    The sorted lines are hashed one at a time, never joined.  A record with
+    no UTF-8 form (an unpaired surrogate, which only a library caller can
+    build) raises ConfigurationError naming it; the records are searched only
+    on that path.
     """
     lines = [export_line(r) for r in records]
     try:
-        return digest_hex("\n".join(sorted(lines)).encode("utf-8"))
+        return digest_lines(line.encode("utf-8") for line in sorted(lines))
     except UnicodeEncodeError:
-        bad = next(r for r, line in zip(records, lines) if _SURROGATE_RE.search(line))
+        bad = records[find_surrogate(lines)]
         raise ConfigurationError(
             f"record {bad.id!r}: id, field name or value holds an unpaired surrogate"
         ) from None
@@ -154,7 +151,9 @@ def run_hierarchy(
 
     Every level signs through one ``SignatureComputer``: ``computer`` when
     given (a ``cluster`` run passes the one its GA signed with), else a new
-    one.  Its value store is emptied once the last level is signed."""
+    one.  The last level signs without storing the values new to it, since no
+    later level reads them, and the store is emptied once that level is
+    signed."""
     requested = sorted(set(levels), reverse=True)
     unknown = [lv for lv in requested if lv not in LEVELS]
     if unknown:
@@ -172,11 +171,11 @@ def run_hierarchy(
     original_ids = sorted(by_id)
     digest = corpus_digest(corpus)
     # The digest omits providers, yet the run directory writes them.
-    try:
-        "".join({record.provider for record in corpus}).encode("utf-8")
-    except UnicodeEncodeError:
-        bad = next(r for r in corpus if _SURROGATE_RE.search(r.provider))
-        raise ConfigurationError(f"record {bad.id!r}: provider holds an unpaired surrogate") from None
+    providers = list(dict.fromkeys(record.provider for record in corpus))
+    bad = find_surrogate(providers)
+    if bad is not None:
+        rid = next(r.id for r in corpus if r.provider == providers[bad])
+        raise ConfigurationError(f"record {rid!r}: provider holds an unpaired surrogate")
 
     masks = dict(masks) if masks else {}
     if 80 in requested:
@@ -196,8 +195,9 @@ def run_hierarchy(
 
     def run_level(ids: list[str], level: int, mask_for) -> LevelResult:
         t0 = time.perf_counter()
-        banding, ctx = level_inputs(by_id, ids, level, config, computer, mask_for)
-        if level == requested[-1]:
+        last = level == requested[-1]
+        banding, ctx = level_inputs(by_id, ids, level, config, computer, mask_for, keep=not last)
+        if last:
             computer.clear()  # no later level reads the value store: free it before clustering
         result = cluster_level(ids, level, ctx.similarity, banding, config)
         seconds[level] = time.perf_counter() - t0

@@ -7,7 +7,9 @@ the minimum over its shingles, a value's row the minimum over its tokens' rows
 and a record's row the minimum over its values' rows, under any field mask.
 ``SignatureComputer`` keeps one row per distinct value: each new value is
 tokenized once, and records are signed from their values' rows, a block of
-records at a time.
+records at a time.  A call whose rows no later call reads (``keep=False``)
+builds no value rows: each record's row is the minimum of its new values'
+token rows and its known values' stored rows.
 
 Per similarity level, a seeded permutation picks 4 disjoint groups of
 signature positions; XOR-ing each group yields the 4 band keys that route
@@ -109,7 +111,10 @@ class SignatureComputer:
     records before it are finished and the store starts over.  Memory: stored
     values x ``count`` x 8 bytes; while a batch is learned, its new values'
     tokens x ``count`` x 8 bytes more; a 4-byte id per value occurrence in the
-    batch; and one block of ``BLOCK_RECORDS`` record rows at a time.
+    batch; and one block of ``BLOCK_RECORDS`` record rows at a time.  A call
+    with ``keep=False`` adds no value rows: its new values take their tokens'
+    rows, a 4-byte id per token occurrence and a dict entry each, and at most
+    ``STORE_LIMIT`` of them are pending at once.
     """
 
     def __init__(self, count: int = 64, seed: int = 0):
@@ -121,23 +126,41 @@ class SignatureComputer:
         self._store: dict[str, int] = {}
         self._rows = np.empty((0, count), dtype=np.uint64)
 
-    def signatures(self, records: Iterable[Sequence[str]], tokenize: Tokenizer) -> Iterator[np.ndarray]:
+    def signatures(
+        self, records: Iterable[Sequence[str]], tokenize: Tokenizer, keep: bool = True
+    ) -> Iterator[np.ndarray]:
         """Raw uint64 minhash rows of records given by their values, in
-        order, as (n, count) blocks of at most ``BLOCK_RECORDS`` rows."""
+        order, as (n, count) blocks of at most ``BLOCK_RECORDS`` rows.
+
+        ``keep=False`` is for a caller that signs for the last time: the rows
+        the store holds are used, but a value it lacks gets no row and is not
+        stored; its tokens' rows go straight into its records' rows."""
         store = self._store
-        get, setdefault = store.get, store.setdefault
+        get = store.get
+        # Values new to the store are numbered on from it: into the store when
+        # kept, else into ``unkept``, whose values ``_finish`` signs from
+        # their token rows.
+        unkept: dict[str, int] = {}
+        new = store if keep else unkept
+        base = 0 if keep else len(store)
         ids, lengths = array("i"), array("q")
         for values in records:
             found = list(map(get, values))
             if None in found:
-                if len(store) + len(values) > STORE_LIMIT:
-                    yield from self._finish(ids, lengths, tokenize)
-                    self.clear()
+                if len(new) + len(values) > STORE_LIMIT:
+                    yield from self._finish(ids, lengths, tokenize, unkept)
+                    unkept.clear()
+                    if keep:
+                        self.clear()
+                        found = [None] * len(values)
                     ids, lengths = array("i"), array("q")
-                found = [setdefault(value, len(store)) for value in values]
+                setdefault = new.setdefault
+                found = [
+                    setdefault(value, base + len(new)) if row is None else row for value, row in zip(values, found)
+                ]
             ids.extend(found)
             lengths.append(len(found))
-        yield from self._finish(ids, lengths, tokenize)
+        yield from self._finish(ids, lengths, tokenize, unkept)
 
     def clear(self) -> None:
         """Empty the value store; later calls tokenize every value anew."""
@@ -157,17 +180,53 @@ class SignatureComputer:
         """One record's row: ``signature_matrix([values], tokenize)[0]``."""
         return self.signature_matrix([values], tokenize)[0]
 
-    def _finish(self, ids: array, lengths: array, tokenize: Tokenizer) -> Iterator[np.ndarray]:
-        """Learn the rows of new values, then yield the pending records' rows."""
+    def _finish(
+        self, ids: array, lengths: array, tokenize: Tokenizer, unkept: dict[str, int]
+    ) -> Iterator[np.ndarray]:
+        """Learn the rows of new stored values, then yield the pending
+        records' rows.  A record's row is the minimum over its stored values'
+        rows and over the token rows of its values in ``unkept``, which get no
+        row of their own."""
         self._learn(tokenize)
+        token_ids, token_counts, token_rows = self._tokens(unkept, tokenize)
+        token_starts = np.cumsum(token_counts) - token_counts
         value_ids = np.frombuffer(ids, dtype=np.intc)
         lengths = np.frombuffer(lengths, dtype=np.int64)
-        offsets = np.cumsum(lengths) - lengths
+        base = len(self._store)
+        new = value_ids >= base
+        new_before = np.concatenate(([0], np.cumsum(new)))
+        ends = np.cumsum(lengths)
+        new_counts = new_before[ends] - new_before[ends - lengths]
+        known_counts = lengths - new_counts
+        known_ids = value_ids[~new]
+        new_ids = value_ids[new] - base
+        # Tokens of each record's unkept values, as a count per record.
+        tokens_before = np.concatenate(([0], np.cumsum(token_counts[new_ids])))
+        new_ends = np.cumsum(new_counts)
+        record_tokens = tokens_before[new_ends] - tokens_before[new_ends - new_counts]
+        known_offsets = np.cumsum(known_counts) - known_counts
         for k in range(0, len(lengths), BLOCK_RECORDS):
-            part = lengths[k : k + BLOCK_RECORDS]
-            base = int(offsets[k])
-            out = np.empty((len(part), self.count), dtype=np.uint64)
-            _segment_min(part, lambda a, b: self._rows[value_ids[base + a : base + b]], out)
+            stop = k + BLOCK_RECORDS
+            known, tokens = known_counts[k:stop], record_tokens[k:stop]
+            out = np.empty((len(known), self.count), dtype=np.uint64)
+            start = int(known_offsets[k])
+
+            def stored(a: int, b: int) -> np.ndarray:
+                return self._rows[known_ids[start + a : start + b]]
+
+            if not tokens.any():
+                _segment_min(known, stored, out)
+            else:
+                values = new_ids[new_ends[k] - new_counts[k] : new_ends[min(stop, len(lengths)) - 1]]
+                counts = token_counts[values]
+                spans = np.repeat(token_starts[values] - (np.cumsum(counts) - counts), counts)
+                block_tokens = token_ids[spans + np.arange(len(spans))]
+                _segment_min(tokens, lambda a, b: token_rows[block_tokens[a:b]], out)
+                # A second buffer only where a block mixes both kinds of value.
+                if known.any():
+                    rows = np.empty_like(out)
+                    _segment_min(known, stored, rows)
+                    np.minimum(out, rows, out=out)
             yield out
 
     def _learn(self, tokenize: Tokenizer) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass, field
 from itertools import chain
@@ -26,6 +27,8 @@ ARTIFICIAL = "artificial"
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # JSON escape of a UTF-16 surrogate (\uD800-\uDFFF), paired or not.
 _SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD]")
+# A surrogate code point: a str holding one has no UTF-8 form.
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 # Single-byte separators for the deterministic compressor payload.
 _VALUE_SEP = b"\x1f"
@@ -101,6 +104,16 @@ def check_record(record: Record) -> None:
         raise ValueError("record has neither dc:title nor dc:description")
 
 
+def find_surrogate(texts: Iterable[str]) -> int | None:
+    """Index of the first text holding a surrogate code point, or None.
+
+    Such a text has no UTF-8 form and would crash serialization mid-run.
+    ``json.loads`` joins an escaped surrogate pair into one code point, so a
+    surrogate in an ingested str is unpaired.
+    """
+    return next((i for i, text in enumerate(texts) if _SURROGATE_RE.search(text)), None)
+
+
 def _parse_line(line: str) -> Record:
     doc = json.loads(line)
     if not isinstance(doc, dict):
@@ -118,17 +131,17 @@ def _parse_line(line: str) -> Record:
         if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
             raise ValueError(f"values of {name!r} are not a list of strings")
         if values:
-            fields[name] = tuple(values)
+            # One key object per distinct field name, not one per line.
+            fields[sys.intern(name)] = tuple(values)
     record = Record(id=rec_id, provider=resolve_provider(fields), fields=fields)
     check_record(record)
-    # An unpaired surrogate has no UTF-8 form and would crash serialization
-    # mid-run.  The line was decoded as strict UTF-8, so only a \uD800-\uDFFF
-    # escape can produce one; lines without such an escape skip the check.
-    if _SURROGATE_ESCAPE_RE.search(line):
-        try:
-            "".join([rec_id, *fields, *chain.from_iterable(fields.values())]).encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError("id, field name or value holds an unpaired surrogate") from None
+    # The line was decoded as strict UTF-8, so only a \uD800-\uDFFF escape
+    # can give an unpaired surrogate; lines without such an escape skip the
+    # check.
+    if _SURROGATE_ESCAPE_RE.search(line) and find_surrogate(
+        chain([rec_id], fields, chain.from_iterable(fields.values()))
+    ) is not None:
+        raise ValueError("id, field name or value holds an unpaired surrogate")
     return record
 
 

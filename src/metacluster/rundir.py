@@ -19,7 +19,7 @@ from .clusterer import Cluster, LevelResult
 from .errors import ConfigurationError, IntegrityError
 from .ga import ProviderMask
 from .hierarchy import HierarchyNode, HierarchyRun, forest_index, forest_roots
-from .records import FieldMask, Record, RejectedLine, export_line, ingest_path
+from .records import FieldMask, Record, RejectedLine, export_line, find_surrogate, ingest_path
 
 MANIFEST_FILE = "manifest.json"
 SUMMARY_FILE = "summary.json"
@@ -205,8 +205,8 @@ def _mask_entry(line: bytes) -> tuple[str, list[str]]:
         raise ValueError('"provider" must be a string and "mask" a list of strings')
     if not mask:
         raise ValueError('"mask" names no field, so level 80 could cluster nothing')
-    # An unpaired surrogate escape would otherwise crash the manifest write.
-    "".join([provider, *mask]).encode("utf-8")
+    if find_surrogate([provider, *mask]) is not None:  # it would crash the manifest write
+        raise ValueError('"provider" or "mask" holds an unpaired surrogate')
     return provider, mask
 
 

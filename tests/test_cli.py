@@ -177,6 +177,25 @@ class TestClusterCommand:
         )
         assert code == 1
 
+    def test_band_group_size_for_unknown_level_is_error_exit(self, corpus_path, tmp_path, capsys):
+        code = main(
+            [
+                "cluster", "--input", str(corpus_path), "--out", str(tmp_path / "x"),
+                "--band-group-sizes", "30:4", "--levels", "100",
+            ]
+        )
+        assert code == 1
+        assert "unknown levels [30]" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "manifest.json").exists()
+
+    def test_built_config_group_sizes_are_read_only(self):
+        config = EngineConfig(group_sizes={100: 16, 80: 8, 60: 6, 40: 4, 20: 2})
+        with pytest.raises(TypeError):
+            config.group_sizes[30] = 4
+        with pytest.raises(TypeError):
+            config.group_sizes.update({80: 4})
+        assert dict(config.group_sizes) == {100: 16, 80: 8, 60: 6, 40: 4, 20: 2}
+
     def test_workers_below_one_is_error_exit(self, corpus_path, tmp_path, capsys):
         code = main(
             [

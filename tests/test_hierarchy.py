@@ -6,6 +6,7 @@ from metacluster.config import EngineConfig
 from metacluster.errors import ConfigurationError, IntegrityError
 from metacluster.hierarchy import (
     HierarchyNode,
+    corpus_digest,
     default_mask_for,
     expand,
     forest_index,
@@ -15,7 +16,8 @@ from metacluster.hierarchy import (
     run_hierarchy,
     verify_run,
 )
-from metacluster.records import FieldMask, Record
+from metacluster.minhash import SignatureComputer
+from metacluster.records import ARTIFICIAL, FieldMask, Record, tokenize
 from metacluster.synthetic import (
     duplicate_pairs_corpus,
     family_corpus,
@@ -238,6 +240,22 @@ class TestRunHierarchy:
         with pytest.raises(ConfigurationError, match="record 'a'"):
             run_hierarchy(records, None, EngineConfig(seed=1))
 
+    def test_last_level_stores_no_value_it_meets_first(self):
+        records = [Record(f"r{i}", "p", {"dc:title": (f"title {i}",)}) for i in range(6)]
+        config = EngineConfig(seed=1)
+        computer = SignatureComputer(count=config.minhash_count, seed=config.seed)
+        computer.signature_matrix([("title 0",)], tokenize)
+        stored_at_clear = []
+        clear = computer.clear
+
+        def recording_clear():
+            stored_at_clear.append(sorted(computer._store))
+            clear()
+
+        computer.clear = recording_clear
+        run_hierarchy(records, None, config, levels=(100,), computer=computer)
+        assert stored_at_clear == [["title 0"]]
+
     def test_duplicate_ids_rejected(self):
         record = Record("r", "p", {"dc:title": ("t",)})
         with pytest.raises(ConfigurationError):
@@ -255,6 +273,24 @@ class TestRunHierarchy:
                 artificial = run.artificials[node.artificial_record_id]
                 assert artificial.kind == "artificial"
                 assert artificial.provenance == node.children
+
+
+class TestCorpusDigest:
+    RECORDS = [
+        Record("b2", "prov", {"dc:title": ("Zweite Ausgabe",), "dc:subject": ("maps", "atlas")}),
+        Record("a1", "prov", {"dc:title": ("Café été 日本",)}),
+        Record("c3", "other", {"dc:description": ('a "quoted"\nline',), "dc:date": ("1901",)}),
+        Record("L80-x", "prov", {"dc:title": ("Zweite Ausgabe",)}, kind=ARTIFICIAL, provenance=("a1", "b2")),
+    ]
+
+    def test_pinned_value(self):
+        # Pinned from the join-then-hash implementation it streams.
+        assert corpus_digest(self.RECORDS) == "55e58bebb5e8c5be24f16d64"
+        assert corpus_digest([]) == "b8e1dda3ac0aa3820ad2990b"
+
+    def test_independent_of_record_order(self):
+        assert corpus_digest(self.RECORDS[::-1]) == corpus_digest(self.RECORDS)
+        assert corpus_digest(self.RECORDS[1:] + self.RECORDS[:1]) == corpus_digest(self.RECORDS)
 
 
 class TestExpand:

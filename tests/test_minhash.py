@@ -258,6 +258,50 @@ def test_batch_signatures_match_reference_rows(batches, mask, count, seed, block
         assert np.array_equal(SignatureComputer(count=count, seed=seed).signature_matrix(values, tokenize), rows)
 
 
+# Values without tokens (empty, numeric-only) beside ones that have some.
+STREAM_VALUES = st.sampled_from(("", "12", "7 07", "alpha", "alpha beta", "gammadeltaepsilon")) | VALUES
+
+
+@st.composite
+def stored_then_last(draw):
+    """Two value streams over one small pool: the first is signed into the
+    store, the second signed last, so its records mix stored and new values
+    and repeat values within and across blocks."""
+    pool = draw(st.lists(STREAM_VALUES, min_size=1, max_size=6))
+    value = st.sampled_from(pool) | STREAM_VALUES
+    stream = st.lists(st.lists(value, max_size=4), max_size=30)
+    return draw(stream), draw(stream.filter(bool))
+
+
+@settings(deadline=None)
+@given(
+    stored_then_last(),
+    st.sampled_from((1, 3, 64)),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from((1, 3, minhash.BLOCK_RECORDS)),
+    st.sampled_from((3, minhash.STORE_LIMIT)),
+)
+def test_unkept_signatures_match_kept_and_reference_rows(streams, count, seed, per_block, limit):
+    stored, last = streams
+    keys = reference_keys(count, seed)
+    with (
+        patch.object(minhash, "BLOCK_RECORDS", per_block),
+        patch.object(minhash, "STORE_LIMIT", limit),
+    ):
+        computer = SignatureComputer(count=count, seed=seed)
+        kept = SignatureComputer(count=count, seed=seed)
+        for c in (computer, kept):
+            list(c.signatures(iter(stored), tokenize))
+        store, rows = dict(computer._store), computer._rows.copy()
+        blocks = list(computer.signatures(iter(last), tokenize, keep=False))
+        assert all(0 < len(b) <= per_block and b.dtype == np.uint64 for b in blocks)
+        assert computer._store == store and np.array_equal(computer._rows, rows)
+        expected = kept.signature_matrix(last, tokenize)
+    got = np.concatenate(blocks)
+    assert np.array_equal(got, expected)
+    assert [[int(v) for v in row] for row in got] == [reference_row(tokenize(*values), keys, seed) for values in last]
+
+
 KEY_VALUES = st.sampled_from((0, 1, 2, 2**63, 2**64 - 1))
 
 

@@ -122,6 +122,16 @@ class TestIngest:
         assert [r.id for r in result.records] == ["r1", "r2", "r3"]
         assert [r.line for r in result.rejects] == [2]
 
+    def test_equal_field_names_are_one_object(self):
+        # json.loads builds a new key string per line; ingest keeps one.
+        result = ingest_lines(
+            '{"id":"r1","fields":{"dc:title":["a"],"dc:subject":["x"]}}',
+            '{"id":"r2","fields":{"dc:title":["b"],"dc:subject":["y"]}}',
+        )
+        first, second = (list(r.fields) for r in result.records)
+        assert first == second == ["dc:title", "dc:subject"]
+        assert all(a is b for a, b in zip(first, second))
+
     def test_unpaired_surrogate_rejected(self):
         result = ingest_lines(
             '{"id":"r\\ud800","fields":{"dc:title":["a"]}}',
