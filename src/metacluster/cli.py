@@ -19,11 +19,11 @@ from pathlib import Path
 from . import rundir
 from .config import COMPRESSORS, DEFAULT_GROUP_SIZES, DEFAULT_SEED, LEVELS, EngineConfig, GAConfig
 from .errors import ConfigurationError, IntegrityError
-from .ga import select_all_providers
+from .ga import ProviderMask, select_all_providers
 from .hashing import derive_seed
-from .hierarchy import corpus_digest, run_hierarchy
+from .hierarchy import HierarchyRun, corpus_digest, run_hierarchy
 from .minhash import SignatureComputer
-from .records import ingest_path
+from .records import RejectedLine, ingest_path
 
 #: Magnitudes measured on a 23.6M-record cultural-heritage aggregation
 #: (dual 8-core server); printed next to local numbers for orientation.
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cluster = sub.add_parser("cluster", help="run the full clustering pipeline")
     p_cluster.add_argument("--input", required=True, type=Path, help="NDJSON corpus")
-    p_cluster.add_argument("--out", required=True, type=Path, help="run output directory")
+    p_cluster.add_argument("--out", required=True, type=Path, help="new or empty run output directory")
     p_cluster.add_argument(
         "--levels",
         type=_parse_levels,
@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_select = sub.add_parser("select-fields", help="run per-provider GA field selection only")
     p_select.add_argument("--input", required=True, type=Path)
-    p_select.add_argument("--out", required=True, type=Path, help="output directory")
+    p_select.add_argument("--out", required=True, type=Path, help="new or empty output directory")
     _add_engine_flags(p_select)
     _add_ga_flags(p_select)
 
@@ -186,31 +186,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out_dir: Path) -> None:
+    """Refuse an --out that holds anything, so a run never mixes with an earlier one."""
+    if out_dir.exists() and not (out_dir.is_dir() and not any(out_dir.iterdir())):
+        raise ConfigurationError(f"--out {out_dir} exists and is not an empty directory")
+
+
+def _write_outputs(
+    out_dir: Path,
+    rejects: list[RejectedLine],
+    selection: dict[str, ProviderMask] | None,
+    run: HierarchyRun | None,
+) -> None:
+    """Write a command's files once all of its computation has succeeded."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rundir.write_rejects(out_dir / rundir.REJECTS_FILE, rejects)
+    if rejects:
+        print(f"rejected {len(rejects)} input lines (see rejects.ndjson)", file=sys.stderr)
+    if selection is not None:
+        rundir.write_masks(out_dir / rundir.MASKS_FILE, selection)
+        rundir.write_field_report(out_dir / rundir.FIELD_REPORT_FILE, selection)
+    if run is not None:
+        rundir.write_run(out_dir, run)
+
+
 def cmd_cluster(args: argparse.Namespace) -> int:
     engine, ga = _configs_from(args)
     levels = sorted(set(args.levels), reverse=True)
-
+    _check_out(args.out)
     result = ingest_path(args.input)
-    out_dir: Path = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rundir.write_rejects(out_dir / rundir.REJECTS_FILE, result.rejects)
-    if result.rejects:
-        print(f"rejected {len(result.rejects)} input lines (see rejects.ndjson)", file=sys.stderr)
 
     # One value store for the GA and every level: each value is tokenized once.
     computer = SignatureComputer(count=engine.minhash_count, seed=engine.seed)
-    masks = None
+    masks = selection = None
     if 80 in levels:
         if args.masks is not None:
             masks = rundir.load_masks(args.masks)
         else:
             selection = select_all_providers(result.records, engine, ga, computer)
             masks = {provider: info.mask for provider, info in selection.items()}
-            rundir.write_masks(out_dir / rundir.MASKS_FILE, selection)
-            rundir.write_field_report(out_dir / rundir.FIELD_REPORT_FILE, selection)
 
     run = run_hierarchy(result.records, masks, engine, levels=levels, computer=computer)
-    rundir.write_run(out_dir, run)
+    _write_outputs(args.out, result.rejects, selection, run)
 
     for level, level_result in run.results.items():
         print(
@@ -222,13 +239,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 def cmd_select_fields(args: argparse.Namespace) -> int:
     engine, ga = _configs_from(args)
+    _check_out(args.out)
     result = ingest_path(args.input)
-    out_dir: Path = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rundir.write_rejects(out_dir / rundir.REJECTS_FILE, result.rejects)
     selection = select_all_providers(result.records, engine, ga)
-    rundir.write_masks(out_dir / rundir.MASKS_FILE, selection)
-    rundir.write_field_report(out_dir / rundir.FIELD_REPORT_FILE, selection)
+    _write_outputs(args.out, result.rejects, selection, None)
     print(f"selected masks for {len(selection)} providers")
     return 0
 

@@ -47,8 +47,8 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -110,14 +110,13 @@ class LevelResult:
         return sum(c.size for c in self.clusters) + len(self.unclustered)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class LevelBanding:
     """Band keys for one population at one level, regroupable per iteration."""
 
-    def __init__(self, level: int, ids: list[str], keys: np.ndarray, empty: np.ndarray):
-        self.level = level
-        self.ids = ids
-        self.keys = keys
-        self.empty = empty
+    ids: list[str]
+    keys: np.ndarray
+    empty: np.ndarray
 
     def groups(self, subset: set[str], mode: str = "any") -> list[tuple[str, ...]]:
         rows = [i for i, rid in enumerate(self.ids) if rid in subset]
@@ -125,25 +124,6 @@ class LevelBanding:
             return []
         sel = np.array(rows, dtype=np.intp)
         return group_ids([self.ids[i] for i in rows], self.keys[sel], self.empty[sel], mode=mode)
-
-
-def sign_population(
-    records: Mapping[str, Record],
-    ids: list[str],
-    computer: SignatureComputer,
-    mask_for: Callable[[Record], FieldMask | None] | None = None,
-    keep: bool = True,
-) -> Iterator[np.ndarray]:
-    """Sign each record from the values its mask selects: minhash rows in id
-    order, a block at a time.  Values new to the computer's store are
-    tokenized once, and stored only when ``keep``; records are never
-    tokenized whole."""
-    population = (records[rid] for rid in ids)
-    return computer.signatures(
-        (selected_values(record, mask_for(record) if mask_for is not None else None) for record in population),
-        tokenize,
-        keep,
-    )
 
 
 def band_signatures(
@@ -158,7 +138,7 @@ def band_signatures(
         stop = start + len(block)
         keys[start:stop], empty[start:stop] = band_key_matrix(block, level, config.seed, config.group_sizes)
         start = stop
-    return LevelBanding(level, ids, keys, empty)
+    return LevelBanding(ids, keys, empty)
 
 
 class FieldRows:
@@ -207,18 +187,16 @@ def level_inputs(
     mask_for: Callable[[Record], FieldMask | None] | None = None,
     keep: bool = True,
 ) -> tuple[LevelBanding, SimilarityContext]:
-    """Banding plus a compatible similarity context for one level pass;
-    ``keep=False`` leaves the rows of values new to ``computer`` unstored."""
+    """Banding plus a compatible similarity context for one level pass.  Each
+    record is signed from the values its mask selects; values new to
+    ``computer``'s store are tokenized once, and kept only when ``keep``."""
     id_list = list(ids)
     computer = computer or SignatureComputer(count=config.minhash_count, seed=config.seed)
-    blocks = sign_population(records, id_list, computer, mask_for, keep)
-    banding = band_signatures(level, id_list, blocks, config)
-    ctx = SimilarityContext(
-        records,
-        Compression(config.compressor, config.compression_level),
-        mask_for=mask_for,
-    )
-    return banding, ctx
+    population = (records[rid] for rid in id_list)
+    streams = (selected_values(r, mask_for(r) if mask_for is not None else None) for r in population)
+    banding = band_signatures(level, id_list, computer.signatures(streams, tokenize, keep), config)
+    compression = Compression(config.compressor, config.compression_level)
+    return banding, SimilarityContext(records, compression, mask_for)
 
 
 def select_heads(
@@ -288,6 +266,17 @@ def validate_candidate(
 _Accepted = tuple[str, tuple[str, ...], float]  # head, members, event mean
 
 
+@dataclass(slots=True)
+class _OpenCluster:
+    """A head's cluster while its level runs: ``direct`` members were
+    validated against the head (one similarity each, summed in ``sim_sum``),
+    ``inherited`` ones came from heads it absorbed."""
+
+    direct: list[str] = field(default_factory=list)
+    inherited: list[str] = field(default_factory=list)
+    sim_sum: float = 0.0
+
+
 def _process_group(
     group: tuple[str, ...],
     threshold: float,
@@ -354,10 +343,7 @@ def cluster_level(
     input_all = sorted(population)
     guard: Counter = Counter()
 
-    direct: dict[str, list[str]] = {}
-    inherited: dict[str, list[str]] = {}
-    sim_sums: dict[str, float] = {}
-    sim_counts: dict[str, int] = {}
+    open_clusters: dict[str, _OpenCluster] = {}
 
     iterations = 0
     while iterations < config.max_iterations:
@@ -370,41 +356,23 @@ def cluster_level(
         if not accepted:
             break
         for head, members, mean in accepted:
-            entry = direct.setdefault(head, [])
-            inherit = inherited.setdefault(head, [])
-            sim_sums[head] = sim_sums.get(head, 0.0) + mean * len(members)
-            sim_counts[head] = sim_counts.get(head, 0) + len(members)
+            entry = open_clusters.setdefault(head, _OpenCluster())
+            entry.sim_sum += mean * len(members)
+            entry.direct.extend(members)
             for member in members:
-                entry.append(member)
-                if member in direct:
-                    inherit.extend(direct.pop(member))
-                    inherit.extend(inherited.pop(member))
-                    sim_sums.pop(member)
-                    sim_counts.pop(member)
+                absorbed = open_clusters.pop(member, None)
+                if absorbed is not None:
+                    entry.inherited += absorbed.direct + absorbed.inherited
             population.difference_update(members)
 
     clusters = []
-    for head in sorted(direct):
-        members = tuple(sorted(direct[head] + inherited[head]))
-        mean = sim_sums[head] / sim_counts[head]
+    for head, entry in sorted(open_clusters.items()):
+        members = tuple(sorted(entry.direct + entry.inherited))
+        mean = entry.sim_sum / len(entry.direct)
         cid = f"L{level}-" + digest_hex("\x00".join((str(level), head) + members).encode("utf-8"))
-        clusters.append(
-            Cluster(
-                id=cid,
-                level=level,
-                head=head,
-                members=members,
-                mean_head_similarity=mean,
-                transferred=tuple(sorted(inherited[head])),
-            )
-        )
-    unclustered = tuple(sorted(population - direct.keys()))
-    result = LevelResult(
-        level=level,
-        clusters=tuple(clusters),
-        unclustered=unclustered,
-        iterations_used=iterations,
-    )
+        clusters.append(Cluster(cid, level, head, members, mean, transferred=tuple(sorted(entry.inherited))))
+    unclustered = tuple(sorted(population - open_clusters.keys()))
+    result = LevelResult(level, tuple(clusters), unclustered, iterations_used=iterations)
     _check_partition(result, input_all)
     return result
 

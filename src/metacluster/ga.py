@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from .clusterer import FieldRows, LevelResult, band_signatures, cluster_level
 from .config import EngineConfig, GAConfig
@@ -42,13 +42,7 @@ TOURNAMENT_SIZE = 2
 ELITISM = 1
 
 
-@dataclass(frozen=True, slots=True)
-class Chromosome:
-    bits: tuple[int, ...]
-    fitness: float | None = None
-
-    def mask(self, fields: Sequence[str]) -> FieldMask:
-        return FieldMask(frozenset(f for f, b in zip(fields, self.bits) if b))
+Bits = tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,11 +50,16 @@ class ProviderMask:
     provider: str
     mask: FieldMask
     fitness: float | None
-    method: str  # "ga" | "default" | "single-field"
+    method: str  # "ga" | "default"
     #: GA only: best fitness so far after the initial population and each generation.
     best_history: tuple[float, ...] = ()
     #: GA only: distinct masks scored.
     evaluations: int = 0
+
+
+def bits_mask(fields: Sequence[str], bits: Bits) -> FieldMask:
+    """The mask a chromosome encodes over the provider's sorted fields."""
+    return FieldMask(frozenset(f for f, b in zip(fields, bits) if b))
 
 
 def clusterability(avg_size: float, between: float, within: float) -> float:
@@ -155,13 +154,10 @@ def mutate(bits: Sequence[int], rate: float, rng: random.Random) -> list[int]:
     return [bit ^ 1 if rng.random() < rate else bit for bit in bits]
 
 
-def tournament(
-    population: list[Chromosome],
-    rng: random.Random,
-    size: int,
-) -> Chromosome:
+def tournament(population: list[Bits], scores: Mapping[Bits, float], rng: random.Random, size: int) -> Bits:
+    """The fittest of ``size`` sampled contenders; ties go to the lower index."""
     contenders = rng.sample(range(len(population)), min(size, len(population)))
-    best = max(contenders, key=lambda idx: (population[idx].fitness, -idx))
+    best = max(contenders, key=lambda idx: (scores[population[idx]], -idx))
     return population[best]
 
 
@@ -192,69 +188,59 @@ def evolve(
     rows = FieldRows([by_id[rid] for rid in ids], engine, computer)
     compression = Compression(engine.compressor, engine.compression_level)
     summaries: dict[tuple[str, ...], Record] = {}
-    cache: dict[tuple[int, ...], float] = {}
-    evaluations = 0
+    # Each distinct mask is scored once; its fitness lives only here.
+    scores: dict[Bits, float] = {}
 
-    def evaluate(bits: tuple[int, ...]) -> float:
-        nonlocal evaluations
-        cached = cache.get(bits)
-        if cached is not None:
-            return cached
-        mask = FieldMask(frozenset(f for f, b in zip(fields, bits) if b))
-        banding = band_signatures(FSC_LEVEL, ids, [rows.signatures(mask)], engine)
-        ctx = SimilarityContext(by_id, compression, mask_for=lambda record: mask)
-        result = cluster_level(ids, FSC_LEVEL, ctx.similarity, banding, engine)
-        value = fitness(
-            result,
-            ctx,
-            engine,
-            pair_seed=derive_seed(ga.seed, "ga-pairs", provider_key, "".join(map(str, bits))),
-            summaries=summaries,
-        )
-        cache[bits] = value
-        evaluations += 1
-        return value
+    def score(population: list[Bits]) -> None:
+        """Score the population's masks not yet scored, in population order."""
+        for bits in population:
+            if bits in scores:
+                continue
+            mask = bits_mask(fields, bits)
+            banding = band_signatures(FSC_LEVEL, ids, [rows.signatures(mask)], engine)
+            ctx = SimilarityContext(by_id, compression, mask_for=lambda record: mask)
+            result = cluster_level(ids, FSC_LEVEL, ctx.similarity, banding, engine)
+            pair_seed = derive_seed(ga.seed, "ga-pairs", provider_key, "".join(map(str, bits)))
+            scores[bits] = fitness(result, ctx, engine, pair_seed=pair_seed, summaries=summaries)
 
     if length == 1:
-        value = evaluate((1,))
-        return ProviderMask(provider_key, FieldMask(frozenset(fields)), value, "ga", (value,), evaluations)
+        score([(1,)])
+        value = scores[(1,)]
+        return ProviderMask(provider_key, bits_mask(fields, (1,)), value, "ga", (value,), len(scores))
 
     rng = random.Random(derive_seed(ga.seed, "ga", provider_key))
     mutation_rate = 1.0 / length
 
-    def spawn() -> Chromosome:
+    def spawn() -> Bits:
         bits = [1 if rng.random() < 0.5 else 0 for _ in range(length)]
-        force_compulsory(bits, compulsory)
-        return Chromosome(tuple(bits))
+        return tuple(force_compulsory(bits, compulsory))
 
     population = [spawn() for _ in range(ga.population_size)]
-    population = [replace(c, fitness=evaluate(c.bits)) for c in population]
-
-    best = max(population, key=lambda c: c.fitness)
-    history = [best.fitness]
+    score(population)
+    best = max(population, key=scores.__getitem__)
+    history = [scores[best]]
     for _ in range(ga.generations):
-        elite = sorted(population, key=lambda c: (-c.fitness, c.bits))[:ELITISM]
-        offspring: list[Chromosome] = list(elite)
+        offspring = sorted(population, key=lambda bits: (-scores[bits], bits))[:ELITISM]
         while len(offspring) < ga.population_size:
-            parent_a = tournament(population, rng, TOURNAMENT_SIZE)
-            parent_b = tournament(population, rng, TOURNAMENT_SIZE)
+            parent_a = tournament(population, scores, rng, TOURNAMENT_SIZE)
+            parent_b = tournament(population, scores, rng, TOURNAMENT_SIZE)
             if rng.random() < CROSSOVER_RATE:
-                child_a, child_b = crossover(parent_a.bits, parent_b.bits, rng)
+                child_a, child_b = crossover(parent_a, parent_b, rng)
             else:
-                child_a, child_b = list(parent_a.bits), list(parent_b.bits)
+                child_a, child_b = list(parent_a), list(parent_b)
             for bits in (child_a, child_b):
                 if len(offspring) >= ga.population_size:
                     break
-                mutated = mutate(bits, mutation_rate, rng)
-                force_compulsory(mutated, compulsory)
-                offspring.append(Chromosome(tuple(mutated)))
-        population = [replace(c, fitness=evaluate(c.bits)) for c in offspring]
-        generation_best = max(population, key=lambda c: c.fitness)
-        if generation_best.fitness > best.fitness:
+                offspring.append(tuple(force_compulsory(mutate(bits, mutation_rate, rng), compulsory)))
+        population = offspring
+        score(population)
+        generation_best = max(population, key=scores.__getitem__)
+        if scores[generation_best] > scores[best]:
             best = generation_best
-        history.append(best.fitness)
+        history.append(scores[best])
 
-    return ProviderMask(provider_key, best.mask(fields), best.fitness, "ga", tuple(history), evaluations)
+    mask = bits_mask(fields, best)
+    return ProviderMask(provider_key, mask, scores[best], "ga", tuple(history), len(scores))
 
 
 def select_all_providers(

@@ -189,11 +189,11 @@ def export_line(record: Record) -> str:
     """Canonical single-line JSON form.  ``ingest`` reads back only the id
     and the fields, not ``kind`` or ``provenance``; a run directory keeps
     that structure in ``forest.ndjson``."""
-    doc: dict = {"id": record.id, "fields": {k: list(v) for k, v in sorted(record.fields.items())}}
+    doc: dict = {"id": record.id, "fields": record.fields}
     if record.kind != ORIGINAL:
         doc["kind"] = record.kind
     if record.provenance:
-        doc["provenance"] = list(record.provenance)
+        doc["provenance"] = record.provenance
     return json.dumps(doc, ensure_ascii=False, sort_keys=True)
 
 

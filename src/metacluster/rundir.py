@@ -15,7 +15,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .clusterer import Cluster, LevelResult
+from .clusterer import Cluster
 from .errors import ConfigurationError, IntegrityError
 from .ga import ProviderMask
 from .hierarchy import HierarchyNode, HierarchyRun, forest_index, forest_roots
@@ -244,18 +244,6 @@ def load_unclustered(run_dir: Path, level: int) -> list[str]:
     if not path.exists():
         raise IntegrityError(f"missing run file {path}")
     return path.read_text(encoding="utf-8").splitlines()
-
-
-def load_level_result(run_dir: Path, level: int) -> LevelResult:
-    entry = load_summary(run_dir)["levels"].get(str(level), {})
-    if "iterations_used" not in entry:
-        raise IntegrityError(f"summary of {run_dir} has no iterations_used for level {level}")
-    return LevelResult(
-        level=level,
-        clusters=tuple(load_clusters(run_dir, level)),
-        unclustered=tuple(load_unclustered(run_dir, level)),
-        iterations_used=entry["iterations_used"],
-    )
 
 
 def load_forest(run_dir: Path) -> list[HierarchyNode]:

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from metacluster import rundir
+from metacluster import cli, rundir
 from metacluster.cli import EVAL_CATEGORIES, _configs_from, build_parser, main
 from metacluster.config import EngineConfig, GAConfig
+from metacluster.errors import IntegrityError
 from metacluster.ga import SENTINEL_FITNESS, ProviderMask
 from metacluster.hierarchy import run_hierarchy
 from metacluster.records import FieldMask, Record, RejectedLine, ingest_path, write_records
@@ -309,6 +310,44 @@ class TestSampleEval:
         assert any(m["fields"] is None for row in level80 for m in row["members"])
 
 
+class TestOutDirectory:
+    """A run's directory describes only that run: ``cluster`` and
+    ``select-fields`` refuse an --out that holds anything, and write nothing
+    until all of their computation has succeeded."""
+
+    @pytest.mark.parametrize("command", ["cluster", "select-fields"])
+    def test_rerun_into_used_out_is_refused(self, corpus_path, full_run, tmp_path, capsys, command):
+        # The rerun of the reproduced case: saved masks, two levels, same --out.
+        out = tmp_path / "used"
+        shutil.copytree(full_run, out)
+        before = run_files(out)
+        saved = ["--levels", "100,80", "--masks", str(out / rundir.MASKS_FILE)]
+        extra = saved if command == "cluster" else GA_FLAGS
+        code = main([command, "--input", str(corpus_path), "--out", str(out), *extra])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not an empty directory" in err
+        assert run_files(out) == before
+
+    def test_empty_existing_out_is_accepted(self, corpus_path, tmp_path):
+        out = tmp_path / "empty"
+        out.mkdir()
+        assert main(["cluster", "--input", str(corpus_path), "--out", str(out), "--levels", "100"]) == 0
+        assert (out / rundir.MANIFEST_FILE).exists()
+
+    def test_failed_run_writes_nothing(self, corpus_path, tmp_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise IntegrityError("injected failure")
+
+        monkeypatch.setattr(cli, "run_hierarchy", failing)
+        out = tmp_path / "out"
+        code = main(["cluster", "--input", str(corpus_path), "--out", str(out), "--seed", "33", *GA_FLAGS])
+        assert code == 1
+        assert "error: injected failure" in capsys.readouterr().err
+        for name in (rundir.MASKS_FILE, rundir.FIELD_REPORT_FILE, rundir.REJECTS_FILE):
+            assert not (out / name).exists()
+
+
 class TestStats:
     def test_stats_consistent_with_summary(self, full_run, capsys):
         code = main(["stats", "--run", str(full_run)])
@@ -371,11 +410,12 @@ class TestRunDirRoundTrip:
         out = tmp_path / "run"
         rundir.write_run(out, run)
         assert any(result.iterations_used > 0 for result in run.results.values())
+        summary = rundir.load_summary(out)
         for level, result in run.results.items():
-            loaded = rundir.load_level_result(out, level)
-            assert loaded.iterations_used == result.iterations_used
-            assert sorted(loaded.clusters, key=lambda c: c.id) == sorted(result.clusters, key=lambda c: c.id)
-            assert loaded.unclustered == result.unclustered
+            assert summary["levels"][str(level)]["iterations_used"] == result.iterations_used
+            loaded = rundir.load_clusters(out, level)
+            assert sorted(loaded, key=lambda c: c.id) == sorted(result.clusters, key=lambda c: c.id)
+            assert tuple(rundir.load_unclustered(out, level)) == result.unclustered
         assert main(["stats", "--run", str(out)]) == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines()]
         assert rows[0][:8] == ["level", "records", "clusters", "unclustered", "min", "max", "mean", "iters"]

@@ -20,14 +20,13 @@ from metacluster.clusterer import (
     cluster_level,
     level_inputs,
     select_heads,
-    sign_population,
     validate_candidate,
 )
 from metacluster.config import EngineConfig
 from metacluster.errors import ConfigurationError
 from metacluster.hashing import derive_seed
 from metacluster.minhash import SENTINEL, SignatureComputer
-from metacluster.records import FieldMask, Record
+from metacluster.records import FieldMask, Record, selected_values, tokenize
 from metacluster.similarity import CONCAT_SEP, Compression, SimilarityContext
 from metacluster.synthetic import (
     duplicate_pairs_corpus,
@@ -55,7 +54,7 @@ def run_level(records, level, config, mask_for=None):
     return cluster_level(ids, level, ctx.similarity, banding, config), ctx
 
 
-def manual_banding(level, groups_spec):
+def manual_banding(groups_spec):
     """Banding where records listed together share one synthetic band key."""
     ids = sorted(rid for group in groups_spec for rid in group)
     index = {rid: i for i, rid in enumerate(ids)}
@@ -67,7 +66,7 @@ def manual_banding(level, groups_spec):
     for g, group in enumerate(groups_spec):
         for rid in group:
             keys[index[rid], 0] = g + 1
-    return LevelBanding(level, ids, keys, np.zeros(len(ids), dtype=bool))
+    return LevelBanding(ids, keys, np.zeros(len(ids), dtype=bool))
 
 
 class TestSelectHeads:
@@ -297,7 +296,7 @@ class TestClusterLevel:
             return 1.0 if a == b else table[(a, b)]
 
         ids = ["p", "pm", "q", "qm"]
-        banding = manual_banding(80, [tuple(ids)])
+        banding = manual_banding([tuple(ids)])
         merged = []
         for seed in range(40):
             config = EngineConfig(seed=seed)
@@ -356,7 +355,8 @@ class TestFieldRows:
         by_id = {r.id: r for r in ROW_RECORDS}
         ids = [r.id for r in ROW_RECORDS]
         computer = SignatureComputer(count=ROW_CONFIG.minhash_count, seed=ROW_CONFIG.seed)
-        expected = np.concatenate(list(sign_population(by_id, ids, computer, lambda record: mask)))
+        streams = (selected_values(by_id[rid], mask) for rid in ids)
+        expected = np.concatenate(list(computer.signatures(streams, tokenize)))
         got = row_store.signatures(mask)
         assert got.dtype == np.uint64
         assert np.array_equal(got, expected)
@@ -473,7 +473,7 @@ class TestProcessGroup:
         def sim(x, y):
             return 1.0 if x == y else (0.2 if x == "r0" else 0.9)
 
-        banding = manual_banding(20, [group])
+        banding = manual_banding([group])
         drew_r0 = 0
         for seed in range(60):
             order = sorted(group)
@@ -535,7 +535,7 @@ class TestSimilarityMemo:
             asked[(x, y)] += 1
             return ctx.similarity(x, y)
 
-        result = cluster_level(ids, 80, sim, manual_banding(80, [ids]), EngineConfig(seed=1))
+        result = cluster_level(ids, 80, sim, manual_banding([ids]), EngineConfig(seed=1))
         assert result.iterations_used >= 3 and max(asked.values()) > 1
         assert max(compressed.values()) == 1
         pairs = {ctx.payload(x) + CONCAT_SEP + ctx.payload(y) for x, y in asked}

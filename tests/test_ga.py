@@ -23,7 +23,6 @@ from metacluster.ga import (
     mutate,
     select_all_providers,
     tournament,
-    Chromosome,
 )
 from metacluster.hierarchy import make_artificial_record
 from metacluster.records import FieldMask, Record
@@ -141,12 +140,10 @@ class TestOperators:
         assert sorted(child_a + child_b) == sorted(a + b)
 
     def test_tournament_prefers_fitter(self):
-        population = [
-            Chromosome((0, 1), fitness=1.0),
-            Chromosome((1, 0), fitness=5.0),
-        ]
+        population = [(0, 1), (1, 0)]
+        scores = {(0, 1): 1.0, (1, 0): 5.0}
         rng = random.Random(0)
-        wins = sum(tournament(population, rng, 2).fitness == 5.0 for _ in range(20))
+        wins = sum(scores[tournament(population, scores, rng, 2)] == 5.0 for _ in range(20))
         assert wins >= 15
 
 
