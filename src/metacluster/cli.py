@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import rundir
-from .config import COMPRESSORS, DEFAULT_GROUP_SIZES, DEFAULT_SEED, LEVELS, EngineConfig, GAConfig
+from .config import COMPRESSORS, DEFAULT_GROUP_SIZES, DEFAULT_SEED, LEVELS, EngineConfig, GAConfig, check_seed
 from .errors import ConfigurationError, IntegrityError
 from .ga import ProviderMask, select_all_providers
 from .hashing import derive_seed
@@ -250,6 +250,7 @@ def cmd_select_fields(args: argparse.Namespace) -> int:
 def cmd_sample_eval(args: argparse.Namespace) -> int:
     if args.per_level < 0:
         raise ConfigurationError(f"per-level must be >= 0, got {args.per_level}")
+    check_seed(args.seed)
     run_dir: Path = args.run
     manifest = rundir.load_manifest(run_dir)
     by_id = {}

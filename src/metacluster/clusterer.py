@@ -55,7 +55,7 @@ import numpy as np
 from .config import BAND_COUNT, EngineConfig
 from .errors import IntegrityError
 from .hashing import derive_seed, digest_hex
-from .minhash import SENTINEL, SignatureComputer, band_key_matrix, group_ids
+from .minhash import SignatureComputer, band_key_matrix, group_ids, segment_min
 from .records import FieldMask, Record, selected_values, tokenize
 from .similarity import Compression, SimilarityContext
 
@@ -150,7 +150,8 @@ class FieldRows:
     is the minimum over its field's value rows in a ``SignatureComputer``
     store, which tokenizes each distinct value once: the given computer's,
     which keeps the value rows for later signing, or else a new one dropped
-    when the build returns.  Memory: pairs x ``minhash_count`` x 8 bytes.
+    when the build returns.  Memory: pairs x ``minhash_count`` x 8 bytes;
+    a mask's signatures gather the selected rows a block at a time.
     """
 
     def __init__(
@@ -169,12 +170,10 @@ class FieldRows:
     def signatures(self, mask: FieldMask) -> np.ndarray:
         """Minhash matrix of the population under ``mask``, in record order."""
         selected = np.array([name in mask for name in self.fields], dtype=bool)
-        keep = selected[self.field_index]
-        owners = self.record_index[keep]
-        out = np.full((self.size, self.count), SENTINEL, dtype=np.uint64)
-        if len(owners):
-            starts = np.flatnonzero(np.diff(owners, prepend=-1))
-            out[owners[starts]] = np.minimum.reduceat(self.rows[keep], starts, axis=0)
+        chosen = np.flatnonzero(selected[self.field_index])
+        out = np.empty((self.size, self.count), dtype=np.uint64)
+        lengths = np.bincount(self.record_index[chosen], minlength=self.size)
+        segment_min(lengths, lambda a, b: self.rows[chosen[a:b]], out)
         return out
 
 

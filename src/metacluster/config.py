@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ConfigurationError
+from .hashing import MAX_U64
 
 LEVELS = (100, 80, 60, 40, 20)
 
@@ -59,6 +60,13 @@ def check_compression(name: str, level: int) -> None:
         raise ConfigurationError(f"compression level must be in {lowest}-9 for {name}, got {level}")
 
 
+def check_seed(seed: int) -> None:
+    """Raise ConfigurationError unless ``seed`` fits the 64 unsigned bits a
+    run's hashes are keyed with."""
+    if not 0 <= seed <= MAX_U64:
+        raise ConfigurationError(f"seed must be in 0-{MAX_U64}, got {seed}")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Parameters shared by banding, similarity and the level clusterer;
@@ -100,6 +108,7 @@ class EngineConfig:
             raise ConfigurationError(f"max iterations must be >= 1, got {self.max_iterations}")
         if self.artificial_value_cap < 1:
             raise ConfigurationError("artificial record value cap must be >= 1")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -120,3 +129,4 @@ class GAConfig:
             raise ConfigurationError(f"GA generations must be >= 1, got {self.generations}")
         if self.sample_cap < 2:
             raise ConfigurationError("evaluation sample cap must be >= 2")
+        check_seed(self.seed)

@@ -191,7 +191,6 @@ def run_hierarchy(
     seconds: dict[int, float] = {}
     forest: list[HierarchyNode] = []
     artificials: dict[str, Record] = {}
-    duplicate_artificials: dict[str, Record] = {}
 
     def run_level(ids: list[str], level: int, mask_for) -> LevelResult:
         t0 = time.perf_counter()
@@ -204,43 +203,37 @@ def run_hierarchy(
         results[level] = result
         return result
 
-    if 100 in requested:
-        result = run_level(original_ids, 100, None)
-        for cluster in result.clusters:
-            member_records = [by_id[rid] for rid in cluster.record_ids()]
-            duplicate_artificials[cluster.id] = make_artificial_record(
-                cluster, member_records, config.artificial_value_cap
-            )
+    def summarize(result: LevelResult) -> dict[str, Record]:
+        cap = config.artificial_value_cap
+        return {
+            c.id: make_artificial_record(c, [by_id[rid] for rid in c.record_ids()], cap) for c in result.clusters
+        }
+
+    duplicate_artificials = summarize(run_level(original_ids, 100, None)) if 100 in requested else {}
 
     chain = [lv for lv in requested if lv in CHAIN_LEVELS]
     population = list(original_ids)
-    for position, level in enumerate(chain):
+    for level in chain:
         mask_for = None
         if level == 80:
             mask_for = lambda record: masks[record.provider] if record.kind == ORIGINAL else None
         result = run_level(population, level, mask_for)
-        has_next = position + 1 < len(chain)
-        next_population: list[str] = []
+        has_next = level != chain[-1]
         for cluster in result.clusters:
-            member_records = [by_id[rid] for rid in cluster.record_ids()]
-            artificial_id = None
-            if has_next:
-                artificial = make_artificial_record(cluster, member_records, config.artificial_value_cap)
-                artificials[artificial.id] = artificial
-                by_id[artificial.id] = artificial
-                next_population.append(artificial.id)
-                artificial_id = artificial.id
             forest.append(
                 HierarchyNode(
                     cluster_id=cluster.id,
                     level=level,
                     head=cluster.head,
                     children=cluster.record_ids(),
-                    artificial_record_id=artificial_id,
+                    artificial_record_id=cluster.id if has_next else None,
                 )
             )
-        next_population.extend(result.unclustered)
-        population = sorted(next_population)
+        if has_next:
+            made = summarize(result)
+            artificials.update(made)
+            by_id.update(made)
+            population = sorted([*made, *result.unclustered])
 
     manifest = RunManifest(
         config=config,

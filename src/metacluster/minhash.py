@@ -77,7 +77,7 @@ def _mix(values: np.ndarray) -> np.ndarray:
     return z ^ (z >> _S31)
 
 
-def _segment_min(lengths: np.ndarray, rows: Callable[[int, int], np.ndarray], out: np.ndarray) -> None:
+def segment_min(lengths: np.ndarray, rows: Callable[[int, int], np.ndarray], out: np.ndarray) -> None:
     """Set ``out[k]`` to the elementwise minimum of segment k of a row source,
     where the segments are consecutive runs of ``lengths[k]`` rows; an empty
     segment gets the sentinel row.  ``rows(a, b)`` materialises source rows
@@ -215,17 +215,17 @@ class SignatureComputer:
                 return self._rows[known_ids[start + a : start + b]]
 
             if not tokens.any():
-                _segment_min(known, stored, out)
+                segment_min(known, stored, out)
             else:
                 values = new_ids[new_ends[k] - new_counts[k] : new_ends[min(stop, len(lengths)) - 1]]
                 counts = token_counts[values]
                 spans = np.repeat(token_starts[values] - (np.cumsum(counts) - counts), counts)
                 block_tokens = token_ids[spans + np.arange(len(spans))]
-                _segment_min(tokens, lambda a, b: token_rows[block_tokens[a:b]], out)
+                segment_min(tokens, lambda a, b: token_rows[block_tokens[a:b]], out)
                 # A second buffer only where a block mixes both kinds of value.
                 if known.any():
                     rows = np.empty_like(out)
-                    _segment_min(known, stored, rows)
+                    segment_min(known, stored, rows)
                     np.minimum(out, rows, out=out)
             yield out
 
@@ -237,7 +237,7 @@ class SignatureComputer:
         token_ids, counts, token_rows = self._tokens(islice(self._store, known, None), tokenize)
         rows = np.empty((len(self._store), self.count), dtype=np.uint64)
         rows[:known] = self._rows
-        _segment_min(counts, lambda a, b: token_rows[token_ids[a:b]], rows[known:])
+        segment_min(counts, lambda a, b: token_rows[token_ids[a:b]], rows[known:])
         self._rows = rows
 
     def _tokens(
@@ -273,7 +273,7 @@ class SignatureComputer:
         hashes = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
         rows = np.empty((len(counts), self.count), dtype=np.uint64)
         keys = self._keys
-        _segment_min(np.frombuffer(counts, dtype=np.int64), lambda a, b: _mix(hashes[a:b, None] ^ keys), rows)
+        segment_min(np.frombuffer(counts, dtype=np.int64), lambda a, b: _mix(hashes[a:b, None] ^ keys), rows)
         return rows
 
 

@@ -92,12 +92,15 @@ def resolve_provider(fields: dict[str, tuple[str, ...]]) -> str:
 
 def check_record(record: Record) -> None:
     """The rules every corpus record obeys, from ingest or a library caller:
-    a non-empty id, and an original carries dc:title or dc:description.
+    a non-empty id without a line feed (run files list ids one per line), and
+    an original carries dc:title or dc:description.
 
     Raises ValueError naming the broken rule.
     """
     if not record.id:
         raise ValueError("missing or empty id")
+    if "\n" in record.id:
+        raise ValueError("id holds a line feed")
     if record.kind == ORIGINAL and not (
         record.fields.get(TITLE_FIELD) or record.fields.get(DESCRIPTION_FIELD)
     ):

@@ -19,7 +19,7 @@ from .clusterer import Cluster
 from .errors import ConfigurationError, IntegrityError
 from .ga import ProviderMask
 from .hierarchy import HierarchyNode, HierarchyRun, forest_index, forest_roots
-from .records import FieldMask, Record, RejectedLine, export_line, find_surrogate, ingest_path
+from .records import FieldMask, Record, RejectedLine, find_surrogate, ingest_path, write_records
 
 MANIFEST_FILE = "manifest.json"
 SUMMARY_FILE = "summary.json"
@@ -52,17 +52,32 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _read_lines(path: Path) -> list[str]:
+    """A run file's lines, split only at "\\n": a record id may hold "\\r" or
+    U+2028.  A missing or non-UTF-8 file is an IntegrityError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="\n") as fh:
+            return [line.removesuffix("\n") for line in fh]
+    except FileNotFoundError:
+        raise IntegrityError(f"missing run file {path}") from None
+    except UnicodeDecodeError as exc:
+        raise IntegrityError(f"run file {path} is not UTF-8: {exc.reason}") from None
+
+
+def _parse_json(path: Path, lineno: int, text: str):
+    # A file cut mid-write, say by a crash, must not end in a traceback.
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise IntegrityError(f"run file {path} line {lineno + exc.lineno - 1}: {exc.msg}") from None
+
+
 def _read_ndjson(path: Path) -> list[dict]:
-    if not path.exists():
-        raise IntegrityError(f"missing run file {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    return [_parse_json(path, n, line) for n, line in enumerate(_read_lines(path), start=1) if line.strip()]
 
 
 def _read_json(path: Path) -> dict:
-    if not path.exists():
-        raise IntegrityError(f"missing run file {path}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    return _parse_json(path, 1, "\n".join(_read_lines(path)))
 
 
 def _finite_or_none(value: float | None) -> float | None:
@@ -97,10 +112,8 @@ def write_run(out_dir: Path, run: HierarchyRun) -> None:
             for node in sorted(run.forest, key=lambda n: (-n.level, n.cluster_id))
         ),
     )
-    (out_dir / ARTIFICIALS_FILE).write_text(
-        "".join(export_line(run.artificials[rid]) + "\n" for rid in sorted(run.artificials)),
-        encoding="utf-8",
-    )
+    with open(out_dir / ARTIFICIALS_FILE, "w", encoding="utf-8") as fh:
+        write_records((run.artificials[rid] for rid in sorted(run.artificials)), fh)
 
     if 100 in run.results:
         _write_ndjson(
@@ -240,10 +253,7 @@ def load_clusters(run_dir: Path, level: int) -> list[Cluster]:
 
 
 def load_unclustered(run_dir: Path, level: int) -> list[str]:
-    path = run_dir / unclustered_file(level)
-    if not path.exists():
-        raise IntegrityError(f"missing run file {path}")
-    return path.read_text(encoding="utf-8").splitlines()
+    return _read_lines(run_dir / unclustered_file(level))
 
 
 def load_forest(run_dir: Path) -> list[HierarchyNode]:

@@ -11,6 +11,7 @@ from metacluster.cli import EVAL_CATEGORIES, _configs_from, build_parser, main
 from metacluster.config import EngineConfig, GAConfig
 from metacluster.errors import IntegrityError
 from metacluster.ga import SENTINEL_FITNESS, ProviderMask
+from metacluster.hashing import MAX_U64
 from metacluster.hierarchy import run_hierarchy
 from metacluster.records import FieldMask, Record, RejectedLine, ingest_path, write_records
 from metacluster.synthetic import (
@@ -207,6 +208,24 @@ class TestClusterCommand:
         assert code == 1
         assert "workers must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, seed",
+        [("cluster", -1), ("cluster", 2**64), ("select-fields", -1), ("sample-eval", 2**127)],
+    )
+    def test_seed_out_of_range_is_error_exit(self, corpus_path, full_run, tmp_path, capsys, command, seed):
+        # Seeds key 8-byte hashes: any other seed is refused before ingest.
+        out = tmp_path / "out"
+        if command == "sample-eval":
+            argv = ["sample-eval", "--run", str(full_run)]
+        else:
+            argv = [command, "--input", str(corpus_path), *GA_FLAGS]
+        code = main([*argv, "--out", str(out), "--seed", str(seed)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: seed must be in 0-{MAX_U64}, got {seed}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_flag_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["cluster", "--input", "c.ndjson", "--out", "o"])
         assert _configs_from(args) == (EngineConfig(), GAConfig())
@@ -379,6 +398,42 @@ class TestStats:
         path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
         code = main(["stats", "--run", str(out)])
         assert code == 1
+
+    @pytest.mark.parametrize("name", [rundir.cluster_file(60), rundir.SUMMARY_FILE])
+    def test_run_file_cut_mid_line_is_error_exit(self, full_run, tmp_path, capsys, name):
+        # A crash mid-write can leave a partial file; stats names it, no traceback.
+        run_dir = tmp_path / "run"
+        shutil.copytree(full_run, run_dir)
+        path = run_dir / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        cut = len(lines) // 2
+        path.write_bytes(b"".join(lines[:cut]) + lines[cut][: len(lines[cut]) // 2])
+        code = main(["stats", "--run", str(run_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: run file {path} line {cut + 1}: " in err
+        assert "Traceback" not in err
+
+    def test_run_file_cut_inside_a_character_is_error_exit(self, full_run, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(full_run, run_dir)
+        path = run_dir / rundir.unclustered_file(20)
+        path.write_bytes(path.read_bytes() + "é".encode("utf-8")[:1])
+        assert main(["stats", "--run", str(run_dir)]) == 1
+        assert f"error: run file {path} is not UTF-8" in capsys.readouterr().err
+
+    def test_ids_with_other_line_separators_round_trip(self, tmp_path, capsys):
+        # Run files end lines at "\n" only; "\r" and U+2028 may sit in an id.
+        ids = ["a\u2028b", "c\rd", "e"]
+        titles = ["alpha canal", "brick furnace", "cobalt glaze"]
+        records = [Record(rid, "p", {"dc:title": (title,)}) for rid, title in zip(ids, titles)]
+        corpus = write_corpus(tmp_path / "c.ndjson", records)
+        out = tmp_path / "run"
+        assert main(["cluster", "--input", str(corpus), "--out", str(out)]) == 0
+        for level in rundir.load_manifest(out)["levels"]:
+            assert rundir.load_unclustered(out, level) == sorted(ids)
+        assert main(["stats", "--run", str(out)]) == 0
+        assert "error" not in capsys.readouterr().err
 
     def test_outputs_reparseable_by_loaders(self, corpus_path, full_run):
         manifest = rundir.load_manifest(full_run)

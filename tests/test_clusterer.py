@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import asdict
 from fractions import Fraction
@@ -378,6 +379,21 @@ class TestFieldRows:
             sum(len(r.fields) for r in ROW_RECORDS),
             ROW_CONFIG.minhash_count,
         )
+
+
+def test_field_rows_mask_gathers_rows_a_block_at_a_time():
+    # Every field selected: a mask's signatures must not copy the selected
+    # pair rows whole (15.4 MB here).  numpy reports its allocations to
+    # tracemalloc.
+    rows = FieldRows(ga_provider_corpus(n_records=5000, seed=5), EngineConfig(seed=5))
+    mask = FieldMask(frozenset(rows.fields))
+    tracemalloc.start()
+    try:
+        rows.signatures(mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows.rows.nbytes / 2
 
 
 def test_second_level_over_seen_values_tokenizes_nothing(monkeypatch):

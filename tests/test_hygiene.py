@@ -57,3 +57,23 @@ def test_no_unused_imports(path):
     used = used_names(tree)
     unused = sorted(f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_no_unreferenced_private_definitions():
+    # A private function, class or method nothing in the package names is
+    # dead: say, a helper left behind when its last caller was deleted.
+    package = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "src/metacluster").glob("*.py"))]
+    defined, referenced = set(), set()
+    for tree in package:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert private, "the scan found no private definitions"
+    assert not private - referenced, f"private definitions nothing references: {sorted(private - referenced)}"

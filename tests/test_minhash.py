@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -83,6 +84,24 @@ class TestSignature:
         a = computer.signature_vector(["alpha", "beta", "gamma"], tokenize)
         b = computer.signature_vector(["gamma", "alpha", "beta", "alpha"], tokenize)
         assert (a == b).all()
+
+
+def test_unkept_signing_builds_no_value_rows():
+    # 20,000 distinct single-value records, each three of 60 tokens: their
+    # value rows alone would take 10.24 MB.  numpy reports its allocations
+    # to tracemalloc.
+    words = [a + b + "word" for a in "abcdef" for b in "abcdefghij"]
+    records = [[" ".join(words[k // 60**p % 60] for p in range(3))] for k in range(20_000)]
+    computer = SignatureComputer(count=64, seed=3)
+    value_rows = len(records) * computer.count * 8
+    tracemalloc.start()
+    try:
+        for _ in computer.signatures(records, tokenize, keep=False):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < value_rows / 2
 
 
 class TestBandKeys:

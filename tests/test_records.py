@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from metacluster.records import (
     FieldMask,
     Record,
+    RejectedLine,
     export_line,
     ingest,
     ingest_path,
@@ -210,7 +211,8 @@ values = st.lists(st.text(min_size=1, max_size=20), min_size=1, max_size=3)
 def record_documents(draw):
     extra = draw(st.dictionaries(field_names, values, max_size=4))
     extra["dc:title"] = draw(values)
-    rid = draw(st.text(min_size=1, max_size=12))
+    # An id never holds a line feed: ``check_record`` rejects one.
+    rid = draw(st.text(st.characters(exclude_characters="\n"), min_size=1, max_size=12))
     return rid, extra
 
 
@@ -273,6 +275,16 @@ def test_export_ingest_round_trip(docs):
     original = {(r.id, tuple(sorted(r.fields.items()))) for r in records}
     restored = {(r.id, tuple(sorted(r.fields.items()))) for r in result.records}
     assert restored == original
+
+
+def test_id_with_line_feed_is_rejected():
+    # Run files list ids one per line; other line separators are id characters.
+    lines = [
+        json.dumps({"id": rid, "fields": {"dc:title": ["t"]}}) for rid in ("a\nb", "a\u2028b", "c\rd")
+    ]
+    result = ingest(io.BytesIO("\n".join(lines).encode("utf-8")))
+    assert [r.id for r in result.records] == ["a\u2028b", "c\rd"]
+    assert result.rejects == [RejectedLine(1, "id holds a line feed")]
 
 
 def test_export_line_is_single_json_line():
