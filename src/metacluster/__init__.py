@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .config import EngineConfig, GAConfig, LEVELS  # noqa: E402
 from .records import FieldMask, Record, ingest, serialize_for_compression, tokenize  # noqa: E402
 from .clusterer import Cluster, LevelResult, cluster_level  # noqa: E402
-from .hierarchy import HierarchyRun, RunManifest, make_artificial_record, run_hierarchy  # noqa: E402
+from .hierarchy import HierarchyRun, make_artificial_record, run_hierarchy  # noqa: E402
 from .similarity import Compression, SimilarityContext  # noqa: E402
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "LevelResult",
     "cluster_level",
     "HierarchyRun",
-    "RunManifest",
     "make_artificial_record",
     "run_hierarchy",
     "Compression",

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import random
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -198,16 +201,29 @@ def _write_outputs(
     selection: dict[str, ProviderMask] | None,
     run: HierarchyRun | None,
 ) -> None:
-    """Write a command's files once all of its computation has succeeded."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rundir.write_rejects(out_dir / rundir.REJECTS_FILE, rejects)
+    """Write a command's files once all of its computation has succeeded.
+
+    The files are staged in a hidden temporary sibling of ``out_dir`` and
+    moved into place by one ``os.replace`` (onto an empty ``out_dir`` if there
+    is one) after every write has succeeded.  On any failure the sibling is
+    removed and ``out_dir`` stays as it was; only a killed process can leave
+    the sibling behind."""
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    holder = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+    try:
+        stage = holder / "run"
+        stage.mkdir()  # not the private holder itself: the run directory keeps the umask's mode
+        rundir.write_rejects(stage / rundir.REJECTS_FILE, rejects)
+        if selection is not None:
+            rundir.write_masks(stage / rundir.MASKS_FILE, selection)
+            rundir.write_field_report(stage / rundir.FIELD_REPORT_FILE, selection)
+        if run is not None:
+            rundir.write_run(stage, run)
+        os.replace(stage, out_dir)
+    finally:
+        shutil.rmtree(holder, ignore_errors=True)
     if rejects:
         print(f"rejected {len(rejects)} input lines (see rejects.ndjson)", file=sys.stderr)
-    if selection is not None:
-        rundir.write_masks(out_dir / rundir.MASKS_FILE, selection)
-        rundir.write_field_report(out_dir / rundir.FIELD_REPORT_FILE, selection)
-    if run is not None:
-        rundir.write_run(out_dir, run)
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
@@ -295,7 +311,7 @@ def cmd_sample_eval(args: argparse.Namespace) -> int:
                 }
             )
     out_path = args.out or (run_dir / "eval_sample.ndjson")
-    rundir._write_ndjson(out_path, rows)
+    rundir.write_ndjson(out_path, rows)
     print(f"wrote {len(rows)} worksheet rows to {out_path}")
     return 0
 
@@ -345,7 +361,21 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if 20 in manifest["levels"]:
         print(f"reference level-20 mean cluster size: {REFERENCE_LEVEL20_MEAN_SIZE}")
 
+    # The GA's files must describe this run's masks, not another run's.
+    masks_path = run_dir / rundir.MASKS_FILE
+    if masks_path.exists():
+        saved = {provider: sorted(mask) for provider, mask in rundir.load_masks(masks_path).items()}
+        if saved != manifest["masks"]:
+            print(f"error: {masks_path} does not match the manifest's masks", file=sys.stderr)
+            status = 1
     report = rundir.load_field_report(run_dir)
+    if report is not None and report["providers"] != len(manifest["masks"]):
+        print(
+            f"error: the field selection report counts {report['providers']} providers, "
+            f"the manifest's masks {len(manifest['masks'])}",
+            file=sys.stderr,
+        )
+        status = 1
     for provider, ga_info in (report or {}).get("ga_providers", {}).items():
         # null marks a degenerate clustering (fewer than two clusters).
         history = ["-" if v is None else f"{v:.4f}" for v in ga_info["best_history"]]

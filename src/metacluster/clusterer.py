@@ -25,8 +25,9 @@ suite): every processed group gets its own ``random.Random`` seeded with
 tuple and ``visit`` is how often that exact tuple was processed before at
 this level (0 or 1; a tuple seen twice is dissolved to unclustered).  The
 group consumes exactly one ``rng.shuffle(sorted(group))`` call and nothing
-else.  Groups in one wave are pairwise disjoint and each draws from its own
-RNG, so the order a wave is processed in does not change the result.
+else.  An iteration drains its groups off one stack: they are pairwise
+disjoint, each draws from its own RNG and no tuple recurs within the drain
+(see below), so the order they are processed in does not change the result.
 
 A restack is a strict subset of the group it came from.  A group with a
 single head cannot be restacked whole: every member reached the threshold
@@ -87,12 +88,6 @@ class Cluster:
 
     def record_ids(self) -> tuple[str, ...]:
         return (self.head,) + self.members
-
-
-@dataclass(frozen=True, slots=True)
-class CandidateCluster:
-    head: str
-    members: tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,9 +217,10 @@ def assign_to_heads(
     group: Iterable[str],
     heads: list[str],
     sim: SimilarityFn,
-) -> list[CandidateCluster]:
+) -> list[tuple[str, tuple[str, ...]]]:
     """Attach each non-head record to its most similar head; ties go to the
-    smallest head id.  Returns one candidate per head, members possibly empty."""
+    smallest head id.  Returns one (head, members) candidate per head,
+    members possibly empty."""
     head_set = set(heads)
     members: dict[str, list[str]] = {head: [] for head in heads}
     heads_sorted = sorted(heads)
@@ -238,11 +234,12 @@ def assign_to_heads(
             if s > best_sim:
                 best_head, best_sim = head, s
         members[best_head].append(rid)
-    return [CandidateCluster(head, tuple(members[head])) for head in heads]
+    return [(head, tuple(members[head])) for head in heads]
 
 
 def validate_candidate(
-    candidate: CandidateCluster,
+    head: str,
+    members: tuple[str, ...],
     threshold: float,
     sim: SimilarityFn,
 ) -> tuple[bool, float]:
@@ -255,9 +252,9 @@ def validate_candidate(
     always pass, where the float mean may round below it
     (``sum([0.2] * 6) / 6 < 0.2``).  ``math.fsum`` rounds the exact value of
     the sum minus n thresholds correctly, so its sign is exact."""
-    if not candidate.members:
+    if not members:
         return False, 0.0
-    sims = [sim(candidate.head, member) for member in candidate.members]
+    sims = [sim(head, member) for member in members]
     ok = math.fsum(sims + [-threshold] * len(sims)) >= 0.0
     return ok, sum(sims) / len(sims)
 
@@ -285,14 +282,14 @@ def _process_group(
     heads = select_heads(group, threshold, rng, sim)
     accepted: list[_Accepted] = []
     restack: list[tuple[str, ...]] = []
-    for candidate in assign_to_heads(group, heads, sim):
-        if not candidate.members:
+    for head, members in assign_to_heads(group, heads, sim):
+        if not members:
             continue
-        ok, mean = validate_candidate(candidate, threshold, sim)
+        ok, mean = validate_candidate(head, members, threshold, sim)
         if ok:
-            accepted.append((candidate.head, candidate.members, mean))
+            accepted.append((head, members, mean))
         else:
-            restack.append(tuple(sorted((candidate.head,) + candidate.members)))
+            restack.append(tuple(sorted((head,) + members)))
     return accepted, restack
 
 
@@ -305,26 +302,26 @@ def _drain(
     level: int,
     iteration: int,
 ) -> list[_Accepted]:
-    """Process candidate groups in waves until none is restacked.
+    """Process one iteration's candidate groups off one stack, pushing each
+    group's restacks back on, until the stack is empty.
 
-    Groups in one wave are pairwise disjoint (a restack is a subset of the
-    group it came from) and each draws from its own RNG, so the result does
-    not depend on the order they run in.
+    The groups are pairwise disjoint and a restack is a strict subset of its
+    group, so no tuple is processed twice in one drain: ``guard`` counts only
+    earlier iterations.  Each group draws from its own RNG, so the result
+    does not depend on the order of ``work``.
     """
     accepted: list[_Accepted] = []
-    frontier = sorted(work)
-    while frontier:
-        restacks: list[tuple[str, ...]] = []
-        for group in frontier:
-            visit = guard[group]
-            if visit >= 2:
-                continue  # livelocked set: dissolve to unclustered
-            guard[group] += 1
-            rng = random.Random(derive_seed(seed, "level", level, iteration, visit, *group))
-            got, restack = _process_group(group, threshold, rng, sim)
-            accepted.extend(got)
-            restacks.extend(restack)
-        frontier = sorted(restacks)
+    stack = list(work)
+    while stack:
+        group = stack.pop()
+        visit = guard[group]
+        if visit >= 2:
+            continue  # livelocked set: dissolve to unclustered
+        guard[group] += 1
+        rng = random.Random(derive_seed(seed, "level", level, iteration, visit, *group))
+        got, restack = _process_group(group, threshold, rng, sim)
+        accepted.extend(got)
+        stack.extend(restack)
     accepted.sort()
     return accepted
 

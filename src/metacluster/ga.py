@@ -59,7 +59,7 @@ class ProviderMask:
 
 def bits_mask(fields: Sequence[str], bits: Bits) -> FieldMask:
     """The mask a chromosome encodes over the provider's sorted fields."""
-    return FieldMask(frozenset(f for f, b in zip(fields, bits) if b))
+    return frozenset(f for f, b in zip(fields, bits) if b)
 
 
 def clusterability(avg_size: float, between: float, within: float) -> float:
@@ -172,7 +172,7 @@ def evolve(
     bit-flip mutation and elitism; returns the best-ever mask.  The sample
     is signed into ``computer``'s value store when one is given."""
     fields = sorted({name for record in provider_records for name in record.fields})
-    (compulsory_field,) = default_mask_for(provider_records).selected
+    (compulsory_field,) = default_mask_for(provider_records)
     compulsory = fields.index(compulsory_field)
     length = len(fields)
 

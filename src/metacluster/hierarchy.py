@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Mapping, Sequence
 
@@ -40,47 +40,16 @@ class HierarchyNode:
     artificial_record_id: str | None = None
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run bit-exactly."""
-
-    config: EngineConfig
-    levels: tuple[int, ...]
-    masks: dict[str, list[str]]
-    corpus_digest: str
-    record_count: int
-    started_at: str = ""
-    finished_at: str = ""
-    version: str = _package_version
-
-    def to_dict(self) -> dict:
-        config = self.config
-        return {
-            "seed": config.seed,
-            "compressor": f"{config.compressor}:{config.compression_level}",
-            "minhash_count": config.minhash_count,
-            "group_sizes": {str(k): v for k, v in sorted(config.group_sizes.items())},
-            "band_match": config.band_match,
-            "max_iterations": config.max_iterations,
-            "artificial_value_cap": config.artificial_value_cap,
-            "levels": list(self.levels),
-            "masks": {k: v for k, v in sorted(self.masks.items())},
-            "corpus_digest": self.corpus_digest,
-            "record_count": self.record_count,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "version": self.version,
-        }
-
-
 @dataclass
 class HierarchyRun:
-    """Results and seconds per level, both in run order (descending level)."""
+    """Results and seconds per level, both in run order (descending level);
+    ``manifest`` is the dict ``manifest.json`` holds, enough to reproduce the
+    run bit-exactly."""
 
     results: dict[int, LevelResult]
     seconds: dict[int, float]
     forest: list[HierarchyNode]
-    manifest: RunManifest
+    manifest: dict
     artificials: dict[str, Record] = field(default_factory=dict)
     duplicate_artificials: dict[str, Record] = field(default_factory=dict)
 
@@ -114,9 +83,9 @@ def default_mask_for(provider_records: Iterable[Record]) -> FieldMask:
     for record in provider_records:
         names.update(record.fields)
     if TITLE_FIELD in names:
-        return FieldMask.of(TITLE_FIELD)
+        return frozenset([TITLE_FIELD])
     if DESCRIPTION_FIELD in names:
-        return FieldMask.of(DESCRIPTION_FIELD)
+        return frozenset([DESCRIPTION_FIELD])
     raise ConfigurationError(
         "provider has neither dc:title nor dc:description in its schema; no mask derivable"
     )
@@ -235,14 +204,17 @@ def run_hierarchy(
             by_id.update(made)
             population = sorted([*made, *result.unclustered])
 
-    manifest = RunManifest(
-        config=config,
-        levels=tuple(requested),
-        masks={p: m.sorted_names() for p, m in sorted(masks.items())},
+    manifest = asdict(config)
+    manifest["compressor"] = f"{config.compressor}:{manifest.pop('compression_level')}"
+    manifest["group_sizes"] = {str(k): v for k, v in config.group_sizes.items()}
+    manifest.update(
+        levels=requested,
+        masks={p: sorted(m) for p, m in sorted(masks.items())},
         corpus_digest=digest,
         record_count=len(corpus),
         started_at=started,
         finished_at=datetime.now(timezone.utc).isoformat(),
+        version=_package_version,
     )
     run = HierarchyRun(
         results=results,
@@ -297,7 +269,7 @@ def forest_roots(forest: list[HierarchyNode]) -> list[HierarchyNode]:
 
 def never_clustered(run: HierarchyRun, original_ids: set[str]) -> set[str]:
     """Originals that stayed unclustered through every chain level."""
-    chain = [lv for lv in run.manifest.levels if lv in CHAIN_LEVELS]
+    chain = [lv for lv in run.manifest["levels"] if lv in CHAIN_LEVELS]
     if not chain:
         return set(original_ids)
     last = run.results[chain[-1]]

@@ -35,21 +35,8 @@ _VALUE_SEP = b"\x1f"
 _FIELD_SEP = b"\x1e"
 
 
-@dataclass(frozen=True, slots=True)
-class FieldMask:
-    """A subset of field names used to represent records during one pass."""
-
-    selected: frozenset[str]
-
-    @classmethod
-    def of(cls, *names: str) -> "FieldMask":
-        return cls(frozenset(names))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.selected
-
-    def sorted_names(self) -> list[str]:
-        return sorted(self.selected)
+#: The field names that represent records during one pass.
+FieldMask = frozenset[str]
 
 
 @dataclass(frozen=True, slots=True)

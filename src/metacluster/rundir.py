@@ -19,7 +19,7 @@ from .clusterer import Cluster
 from .errors import ConfigurationError, IntegrityError
 from .ga import ProviderMask
 from .hierarchy import HierarchyNode, HierarchyRun, forest_index, forest_roots
-from .records import FieldMask, Record, RejectedLine, find_surrogate, ingest_path, write_records
+from .records import FieldMask, Record, RejectedLine, find_surrogate, resolve_provider, write_records
 
 MANIFEST_FILE = "manifest.json"
 SUMMARY_FILE = "summary.json"
@@ -40,7 +40,7 @@ def unclustered_file(level: int) -> str:
     return f"unclustered_level_{level}.txt"
 
 
-def _write_ndjson(path: Path, docs: Iterable[dict]) -> None:
+def write_ndjson(path: Path, docs: Iterable[dict]) -> None:
     """One sorted-key JSON document per line, non-ASCII kept as is (run files
     and the sample-eval worksheet)."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -98,7 +98,7 @@ def write_run(out_dir: Path, run: HierarchyRun) -> None:
             "".join(rid + "\n" for rid in result.unclustered), encoding="utf-8"
         )
 
-    _write_ndjson(
+    write_ndjson(
         out_dir / FOREST_FILE,
         (
             {
@@ -116,7 +116,7 @@ def write_run(out_dir: Path, run: HierarchyRun) -> None:
         write_records((run.artificials[rid] for rid in sorted(run.artificials)), fh)
 
     if 100 in run.results:
-        _write_ndjson(
+        write_ndjson(
             out_dir / DUPLICATES_FILE,
             (
                 {
@@ -142,14 +142,14 @@ def write_run(out_dir: Path, run: HierarchyRun) -> None:
         ),
         encoding="utf-8",
     )
-    _write_json(out_dir / MANIFEST_FILE, run.manifest.to_dict())
+    _write_json(out_dir / MANIFEST_FILE, run.manifest)
     _write_json(out_dir / SUMMARY_FILE, summarize_run(run))
 
 
 def write_clusters(path: Path, clusters: Iterable[Cluster]) -> None:
     # Explicit docs: ``dataclasses.asdict`` deep-copies every member id and
     # made ``write_run`` 70% slower on a five-level run.
-    _write_ndjson(
+    write_ndjson(
         path,
         (
             {
@@ -167,16 +167,16 @@ def write_clusters(path: Path, clusters: Iterable[Cluster]) -> None:
 
 
 def write_rejects(path: Path, rejects: Iterable[RejectedLine]) -> None:
-    _write_ndjson(path, ({"line": r.line, "reason": r.reason} for r in rejects))
+    write_ndjson(path, ({"line": r.line, "reason": r.reason} for r in rejects))
 
 
 def write_masks(path: Path, selection: Mapping[str, ProviderMask]) -> None:
-    _write_ndjson(
+    write_ndjson(
         path,
         (
             {
                 "provider": provider,
-                "mask": info.mask.sorted_names(),
+                "mask": sorted(info.mask),
                 "fitness": _finite_or_none(info.fitness),
                 "method": info.method,
             }
@@ -190,8 +190,8 @@ def write_field_report(path: Path, selection: Mapping[str, ProviderMask]) -> Non
     field_counts: Counter = Counter()
     combination_counts: Counter = Counter()
     for info in selection.values():
-        field_counts.update(info.mask.selected)
-        combination_counts["+".join(info.mask.sorted_names())] += 1
+        field_counts.update(info.mask)
+        combination_counts["+".join(sorted(info.mask))] += 1
     doc = {
         "providers": len(selection),
         "field_counts": field_counts,
@@ -234,7 +234,7 @@ def load_masks(path: Path) -> dict[str, FieldMask]:
             provider, mask = _mask_entry(line)
         except ValueError as exc:  # JSONDecodeError and UnicodeError included
             raise ConfigurationError(f"masks file {path} line {lineno}: {exc}") from None
-        masks[provider] = FieldMask(frozenset(mask))
+        masks[provider] = frozenset(mask)
     return masks
 
 
@@ -284,14 +284,14 @@ def load_field_report(run_dir: Path) -> dict | None:
 
 
 def load_artificials(run_dir: Path) -> dict[str, Record]:
-    """Artificial records by id.  Only ids and fields come back (read through
-    ``ingest``, each is an original without provenance); ``load_forest`` has
-    what each one summarizes."""
-    path = run_dir / ARTIFICIALS_FILE
-    if not path.exists():
-        return {}
-    result = ingest_path(path)
-    return {record.id: record for record in result.records}
+    """Artificial records by id.  Only ids and fields come back (each as an
+    original without provenance); ``load_forest`` has what each one
+    summarizes."""
+    records = {}
+    for doc in _read_ndjson(run_dir / ARTIFICIALS_FILE):
+        fields = {name: tuple(values) for name, values in doc["fields"].items()}
+        records[doc["id"]] = Record(doc["id"], resolve_provider(fields), fields)
+    return records
 
 
 def size_histogram(sizes: list[int]) -> dict[str, int]:
@@ -356,7 +356,7 @@ def summarize_run(run: HierarchyRun) -> dict:
             "depth_distribution": forest_depths(run.forest),
         },
         "corpus": {
-            "records": run.manifest.record_count,
-            "providers": len(run.manifest.masks),
+            "records": run.manifest["record_count"],
+            "providers": len(run.manifest["masks"]),
         },
     }

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import shutil
@@ -13,7 +14,7 @@ from metacluster.errors import IntegrityError
 from metacluster.ga import SENTINEL_FITNESS, ProviderMask
 from metacluster.hashing import MAX_U64
 from metacluster.hierarchy import run_hierarchy
-from metacluster.records import FieldMask, Record, RejectedLine, ingest_path, write_records
+from metacluster.records import Record, RejectedLine, ingest_path, write_records
 from metacluster.synthetic import (
     family_corpus,
     ga_provider_corpus,
@@ -145,7 +146,7 @@ class TestClusterCommand:
         )
         loaded = rundir.load_masks(masks)
         assert sorted(loaded) == ["p", "q"]
-        assert loaded["q"] == FieldMask(frozenset(["dc:type"]))
+        assert loaded["q"] == frozenset(["dc:type"])
 
     def test_rejects_report(self, tmp_path):
         corpus = tmp_path / "bad.ndjson"
@@ -329,6 +330,28 @@ class TestSampleEval:
         assert any(m["fields"] is None for row in level80 for m in row["members"])
 
 
+    @pytest.mark.parametrize("damage", ["cut", "missing"])
+    def test_damaged_artificial_records_is_error_exit(self, full_run, tmp_path, capsys, damage):
+        # A line cut mid-write was once read as a reject and dropped: the
+        # worksheet then held null fields for the members it summarized.
+        run_dir = tmp_path / "run"
+        shutil.copytree(full_run, run_dir)
+        path = run_dir / rundir.ARTIFICIALS_FILE
+        if damage == "cut":
+            lines = path.read_bytes().splitlines(keepends=True)
+            cut = len(lines) // 2
+            path.write_bytes(b"".join(lines[:cut]) + lines[cut][: len(lines[cut]) // 2])
+        else:
+            path.unlink()
+        out_file = tmp_path / "sample.ndjson"
+        code = main(["sample-eval", "--run", str(run_dir), "--out", str(out_file)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"run file {path}" in err
+        assert "Traceback" not in err
+        assert not out_file.exists()
+
+
 class TestOutDirectory:
     """A run's directory describes only that run: ``cluster`` and
     ``select-fields`` refuse an --out that holds anything, and write nothing
@@ -367,6 +390,37 @@ class TestOutDirectory:
             assert not (out / name).exists()
 
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_out_as_it_was(self, corpus_path, tmp_path, monkeypatch, capsys, existing):
+        # Files are written to a hidden sibling, moved into place only when
+        # every write has succeeded.  A nested --out, as perfbench passes,
+        # gets its parents made.
+        out = tmp_path / "nest" / "out"
+        if existing:
+            out.mkdir(parents=True)
+        write_clusters = rundir.write_clusters
+        calls = []
+
+        def failing_after_two(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 2:
+                raise OSError("injected write failure")
+            write_clusters(*args, **kwargs)
+
+        monkeypatch.setattr(rundir, "write_clusters", failing_after_two)
+        argv = ["cluster", "--input", str(corpus_path), "--out", str(out), "--seed", "33", *GA_FLAGS]
+        assert main(argv) == 1
+        assert "error: injected write failure" in capsys.readouterr().err
+        assert len(calls) == 3
+        assert list(out.parent.iterdir()) == ([out] if existing else [])
+        assert not out.exists() or not any(out.iterdir())
+
+        monkeypatch.setattr(rundir, "write_clusters", write_clusters)
+        assert main(argv) == 0
+        assert list(out.parent.iterdir()) == [out]
+        assert main(["stats", "--run", str(out)]) == 0
+
+
 class TestStats:
     def test_stats_consistent_with_summary(self, full_run, capsys):
         code = main(["stats", "--run", str(full_run)])
@@ -398,6 +452,19 @@ class TestStats:
         path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
         code = main(["stats", "--run", str(out)])
         assert code == 1
+
+    @pytest.mark.parametrize("name", [rundir.MASKS_FILE, rundir.FIELD_REPORT_FILE])
+    def test_mask_files_of_another_run_detected(self, full_run, tmp_path, capsys, name):
+        other = tmp_path / "other"
+        corpus = write_corpus(tmp_path / "c.ndjson", ga_provider_corpus(n_records=120, n_families=8, seed=5))
+        assert main(["select-fields", "--input", str(corpus), "--out", str(other), *GA_FLAGS]) == 0
+        run_dir = tmp_path / "run"
+        shutil.copytree(full_run, run_dir)
+        shutil.copyfile(other / name, run_dir / name)
+        capsys.readouterr()
+        assert main(["stats", "--run", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "manifest's masks" in err
 
     @pytest.mark.parametrize("name", [rundir.cluster_file(60), rundir.SUMMARY_FILE])
     def test_run_file_cut_mid_line_is_error_exit(self, full_run, tmp_path, capsys, name):
@@ -460,6 +527,20 @@ class TestStats:
 
 
 class TestRunDirRoundTrip:
+    def test_manifest_records_every_engine_config_field(self, full_run):
+        # The manifest is built from the config's fields, so a new field
+        # lands in it without a second list to update.
+        manifest = rundir.load_manifest(full_run)
+        config = EngineConfig(seed=33)
+        for name, value in dataclasses.asdict(config).items():
+            if name == "compression_level":
+                assert name not in manifest
+                assert manifest["compressor"] == f"{config.compressor}:{value}"
+            elif name == "group_sizes":
+                assert manifest[name] == {str(level): size for level, size in value.items()}
+            elif name != "compressor":
+                assert manifest[name] == value
+
     def test_iterations_used_round_trip(self, corpus_path, tmp_path, capsys):
         run = run_hierarchy(ingest_path(corpus_path).records, None, EngineConfig(seed=33))
         out = tmp_path / "run"
@@ -479,8 +560,8 @@ class TestRunDirRoundTrip:
 
     def test_ga_history_round_trip(self, tmp_path):
         selection = {
-            "big": ProviderMask("big", FieldMask.of("dc:title"), 2.5, "ga", (SENTINEL_FITNESS, 1.5, 2.5), 7),
-            "small": ProviderMask("small", FieldMask.of("dc:title"), None, "default"),
+            "big": ProviderMask("big", frozenset({"dc:title"}), 2.5, "ga", (SENTINEL_FITNESS, 1.5, 2.5), 7),
+            "small": ProviderMask("small", frozenset({"dc:title"}), None, "default"),
         }
         rundir.write_field_report(tmp_path / rundir.FIELD_REPORT_FILE, selection)
         report = rundir.load_field_report(tmp_path)
@@ -499,7 +580,7 @@ class TestRunDirRoundTrip:
         rundir.write_run(out, run)
         rundir.write_rejects(out / rundir.REJECTS_FILE, [RejectedLine(1, "bad line — «x»")])
         selection = {
-            "prov-é": ProviderMask("prov-é", FieldMask.of("dc:title"), 1.5, "ga", (SENTINEL_FITNESS, 1.5), 3)
+            "prov-é": ProviderMask("prov-é", frozenset({"dc:title"}), 1.5, "ga", (SENTINEL_FITNESS, 1.5), 3)
         }
         rundir.write_masks(out / rundir.MASKS_FILE, selection)
         rundir.write_field_report(out / rundir.FIELD_REPORT_FILE, selection)

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from metacluster import clusterer
 from metacluster.clusterer import (
-    CandidateCluster,
     FieldRows,
     LevelBanding,
+    _drain,
     _process_group,
     assign_to_heads,
     band_signatures,
@@ -27,7 +27,7 @@ from metacluster.config import EngineConfig
 from metacluster.errors import ConfigurationError
 from metacluster.hashing import derive_seed
 from metacluster.minhash import SENTINEL, SignatureComputer
-from metacluster.records import FieldMask, Record, selected_values, tokenize
+from metacluster.records import Record, selected_values, tokenize
 from metacluster.similarity import CONCAT_SEP, Compression, SimilarityContext
 from metacluster.synthetic import (
     duplicate_pairs_corpus,
@@ -126,12 +126,12 @@ class TestSelectHeads:
 class TestAssign:
     def test_single_head_takes_all(self):
         candidates = assign_to_heads(["a", "b", "c"], ["b"], stub_sim({}))
-        assert candidates == [CandidateCluster("b", ("a", "c"))]
+        assert candidates == [("b", ("a", "c"))]
 
     def test_tie_goes_to_smallest_head_id(self):
         sim = stub_sim({("h1", "x"): 0.7, ("h2", "x"): 0.7})
         candidates = assign_to_heads(["h1", "h2", "x"], ["h2", "h1"], sim)
-        by_head = {c.head: c.members for c in candidates}
+        by_head = dict(candidates)
         assert by_head == {"h1": ("x",), "h2": ()}
 
     def test_families_join_their_heads(self):
@@ -145,33 +145,33 @@ class TestAssign:
         assert len(heads) == 3
         candidates = assign_to_heads(ids, heads, ctx.similarity)
         # oracle: argmax over the brute-force similarity matrix
-        for candidate in candidates:
-            for member in candidate.members:
+        for head, members in candidates:
+            for member in members:
                 sims = {h: ctx.similarity(h, member) for h in heads}
                 best = max(sims.values())
                 winners = sorted(h for h, s in sims.items() if s == best)
-                assert candidate.head == winners[0]
-                assert families[member] == families[candidate.head]
+                assert head == winners[0]
+                assert families[member] == families[head]
 
 
 class TestValidate:
     def test_identical_members_accepted(self):
         sim = stub_sim({}, default=1.0)
-        ok, mean = validate_candidate(CandidateCluster("h", ("a", "b")), 0.8, sim)
+        ok, mean = validate_candidate("h", ("a", "b"), 0.8, sim)
         assert ok and mean == 1.0
 
     def test_single_low_member_rejected(self):
         sim = stub_sim({("h", "m"): 0.5})
-        ok, mean = validate_candidate(CandidateCluster("h", ("m",)), 0.8, sim)
+        ok, mean = validate_candidate("h", ("m",), 0.8, sim)
         assert not ok and mean == 0.5
 
     def test_boundary_mean_accepted(self):
         sim = stub_sim({("h", "a"): 0.8, ("h", "b"): 0.8})
-        ok, mean = validate_candidate(CandidateCluster("h", ("a", "b")), 0.8, sim)
+        ok, mean = validate_candidate("h", ("a", "b"), 0.8, sim)
         assert ok and mean == pytest.approx(0.8)
 
     def test_empty_members_never_accepted(self):
-        ok, mean = validate_candidate(CandidateCluster("h", ()), 0.8, stub_sim({}))
+        ok, mean = validate_candidate("h", (), 0.8, stub_sim({}))
         assert not ok and mean == 0.0
 
 
@@ -352,7 +352,7 @@ def row_store() -> FieldRows:
 class TestFieldRows:
     @given(st.sets(st.sampled_from(ROW_FIELDS)))
     def test_store_matches_tokenizing_path(self, row_store, names):
-        mask = FieldMask(frozenset(names))
+        mask = frozenset(names)
         by_id = {r.id: r for r in ROW_RECORDS}
         ids = [r.id for r in ROW_RECORDS]
         computer = SignatureComputer(count=ROW_CONFIG.minhash_count, seed=ROW_CONFIG.seed)
@@ -367,10 +367,10 @@ class TestFieldRows:
         assert np.array_equal(banding.empty, reference.empty)
 
     def test_numeric_only_and_missing_fields_give_sentinel(self, row_store):
-        assert (row_store.signatures(FieldMask.of("dc:date")) == np.uint64(SENTINEL)).all()
-        assert (row_store.signatures(FieldMask(frozenset())) == np.uint64(SENTINEL)).all()
+        assert (row_store.signatures(frozenset({"dc:date"})) == np.uint64(SENTINEL)).all()
+        assert (row_store.signatures(frozenset()) == np.uint64(SENTINEL)).all()
         lacking = [i for i, r in enumerate(ROW_RECORDS) if "dc:description" not in r.fields]
-        sig = row_store.signatures(FieldMask.of("dc:description"))
+        sig = row_store.signatures(frozenset({"dc:description"}))
         assert (sig[lacking] == np.uint64(SENTINEL)).all()
         assert not (np.delete(sig, lacking, axis=0) == np.uint64(SENTINEL)).any()
 
@@ -386,7 +386,7 @@ def test_field_rows_mask_gathers_rows_a_block_at_a_time():
     # pair rows whole (15.4 MB here).  numpy reports its allocations to
     # tracemalloc.
     rows = FieldRows(ga_provider_corpus(n_records=5000, seed=5), EngineConfig(seed=5))
-    mask = FieldMask(frozenset(rows.fields))
+    mask = frozenset(rows.fields)
     tracemalloc.start()
     try:
         rows.signatures(mask)
@@ -415,7 +415,7 @@ def test_second_level_over_seen_values_tokenizes_nothing(monkeypatch):
     level_inputs(by_id, ids, 100, config, computer)
     assert calls == Counter({value: 1 for r in records for vs in r.fields.values() for value in vs})
     calls.clear()
-    title = FieldMask.of("dc:title")
+    title = frozenset({"dc:title"})
     level_inputs(by_id, ids, 80, config, computer, mask_for=lambda record: title)
     copies = {f"c{i}": Record(f"c{i}", r.provider, dict(r.fields)) for i, r in enumerate(records)}
     level_inputs(copies, sorted(copies), 60, config, computer)
@@ -441,6 +441,34 @@ def table_sim(table):
     return lambda x, y: 1.0 if x == y else table[(x, y)]
 
 
+@st.composite
+def disjoint_groups_with_sims(draw):
+    """Pairwise disjoint candidate groups, as one iteration's band groups are,
+    and a directed similarity for every ordered pair within a group."""
+    groups, table = [], {}
+    for k, (group, sims) in enumerate(draw(st.lists(group_with_sims(), min_size=1, max_size=4))):
+        groups.append(tuple(f"g{k}{rid}" for rid in group))
+        table.update({(f"g{k}{a}", f"g{k}{b}"): value for (a, b), value in sims.items()})
+    return groups, table
+
+
+class TestDrain:
+    @given(disjoint_groups_with_sims(), THRESHOLDS, st.integers(0, 2**32), st.data())
+    def test_order_of_work_does_not_change_result(self, spec, threshold, seed, data):
+        # Each group draws from its own RNG and no tuple recurs within one
+        # drain, so the stack gives the same clusters and visit counts
+        # whatever order the groups come in, also after an earlier iteration.
+        groups, table = spec
+        sim = table_sim(table)
+        prior: Counter = Counter()
+        _drain(groups, threshold, sim, prior, seed, 80, 1)
+        runs = []
+        for work in (sorted(groups), data.draw(st.permutations(groups))):
+            guard = Counter(prior)
+            runs.append((_drain(list(work), threshold, sim, guard, seed, 80, 2), guard))
+        assert runs[0] == runs[1]
+
+
 class TestProcessGroup:
     @given(group_with_sims(), THRESHOLDS, st.integers(0, 2**32))
     def test_three_steps_composed_agree(self, spec, threshold, seed):
@@ -450,14 +478,14 @@ class TestProcessGroup:
 
         heads = select_heads(group, threshold, random.Random(seed), sim)
         accepted, restack = [], []
-        for candidate in assign_to_heads(group, heads, sim):
-            if not candidate.members:
+        for head, members in assign_to_heads(group, heads, sim):
+            if not members:
                 continue
-            ok, mean = validate_candidate(candidate, threshold, sim)
+            ok, mean = validate_candidate(head, members, threshold, sim)
             if ok:
-                accepted.append((candidate.head, candidate.members, mean))
+                accepted.append((head, members, mean))
             else:
-                restack.append(tuple(sorted((candidate.head,) + candidate.members)))
+                restack.append(tuple(sorted((head,) + members)))
         assert got == (accepted, restack)
 
     @given(group_with_sims(), THRESHOLDS, st.integers(0, 2**32))
@@ -517,15 +545,15 @@ class TestValidateCandidate:
             sims[-1] = min(1.0, max(0.0, math.nextafter(sims[-1], math.copysign(2.0, ulps))))
         members = tuple(f"m{i:02d}" for i in range(len(sims)))
         by_member = dict(zip(members, sims))
-        ok, mean = validate_candidate(CandidateCluster("h", members), threshold, lambda _, m: by_member[m])
+        ok, mean = validate_candidate("h", members, threshold, lambda _, m: by_member[m])
         assert ok == (sum(map(Fraction, sims)) >= len(sims) * Fraction(threshold))
         assert mean == sum(sims) / len(sims)
 
     def test_members_all_at_threshold_pass_and_one_ulp_below_fails(self):
         members = tuple(f"m{i}" for i in range(6))
-        assert validate_candidate(CandidateCluster("h", members), 0.2, lambda *_: 0.2)[0]
+        assert validate_candidate("h", members, 0.2, lambda *_: 0.2)[0]
         below = {m: 0.2 for m in members} | {"m5": math.nextafter(0.2, 0.0)}
-        assert not validate_candidate(CandidateCluster("h", members), 0.2, lambda _, m: below[m])[0]
+        assert not validate_candidate("h", members, 0.2, lambda _, m: below[m])[0]
 
 
 class TestSimilarityMemo:

@@ -25,7 +25,7 @@ from metacluster.ga import (
     tournament,
 )
 from metacluster.hierarchy import make_artificial_record
-from metacluster.records import FieldMask, Record
+from metacluster.records import Record
 from metacluster.similarity import CONCAT_SEP, Compression, SimilarityContext
 from metacluster.synthetic import family_corpus, ga_provider_corpus
 
@@ -49,7 +49,7 @@ def result_from_partition(groups, level=80):
 def evaluate_mask(records, mask_fields, engine, pair_seed=0):
     by_id = {r.id: r for r in records}
     ids = sorted(by_id)
-    mask = FieldMask(frozenset(mask_fields))
+    mask = frozenset(mask_fields)
     banding, ctx = level_inputs(by_id, ids, FSC_LEVEL, engine, mask_for=lambda r: mask)
     result = cluster_level(ids, FSC_LEVEL, ctx.similarity, banding, engine)
     return fitness(result, ctx, engine, pair_seed=pair_seed)
@@ -153,7 +153,7 @@ class TestEvolve:
             Record(f"r{i}", "p", {"dc:title": (f"title words here {i}",)}) for i in range(20)
         ]
         outcome = evolve(records, EngineConfig(seed=1), GAConfig(seed=1, population_size=4, generations=1))
-        assert outcome.mask.selected == {"dc:title"}
+        assert outcome.mask == {"dc:title"}
 
     def test_no_fields_is_error(self):
         with pytest.raises(ConfigurationError):
@@ -240,7 +240,7 @@ class TestEvolve:
             outcome = evolve(records, engine, ga, provider_key="prov")
             if outcome.fitness >= 0.95 * best_fitness:
                 ga_hits += 1
-            if "dc:title" in outcome.mask.selected and "dc:description" not in outcome.mask.selected:
+            if "dc:title" in outcome.mask and "dc:description" not in outcome.mask:
                 mask_hits += 1
         assert ga_hits >= 9
         assert mask_hits >= 9
@@ -255,7 +255,7 @@ class TestSelectAllProviders:
         assert list(selection) == ["large", "small"]
         assert selection["small"].method == "default"
         assert selection["large"].method == "ga"
-        assert selection["small"].mask.selected == {"dc:title"}
+        assert selection["small"].mask == {"dc:title"}
 
     def test_selection_keeps_ga_history(self):
         records = ga_provider_corpus(n_records=150, n_families=8, seed=7, provider="large")
@@ -273,7 +273,7 @@ class TestSelectAllProviders:
             ("p2", {"dc:title"}),
             ("p3", {"dc:title", "dc:type"}),
         ):
-            selection[provider] = ProviderMask(provider, FieldMask(frozenset(names)), None, "default")
+            selection[provider] = ProviderMask(provider, frozenset(names), None, "default")
         rundir.write_field_report(tmp_path / rundir.FIELD_REPORT_FILE, selection)
         report = rundir.load_field_report(tmp_path)
         assert report["providers"] == 3
@@ -291,7 +291,7 @@ class TestFitnessReuse:
         by_id = {r.id: r for r in records}
         ids = sorted(by_id)
         engine = EngineConfig(seed=3)
-        mask = FieldMask.of("dc:title")
+        mask = frozenset({"dc:title"})
         banding, ctx = level_inputs(by_id, ids, FSC_LEVEL, engine, mask_for=lambda r: mask)
         compressed: list[bytes] = []
         size = Compression.compressed_size

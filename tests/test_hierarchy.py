@@ -17,7 +17,7 @@ from metacluster.hierarchy import (
     verify_run,
 )
 from metacluster.minhash import SignatureComputer
-from metacluster.records import ARTIFICIAL, FieldMask, Record, tokenize
+from metacluster.records import ARTIFICIAL, Record, tokenize
 from metacluster.synthetic import (
     duplicate_pairs_corpus,
     family_corpus,
@@ -91,11 +91,11 @@ class TestArtificialRecord:
 class TestDefaultMask:
     def test_title_preferred(self):
         records = [Record("r", "p", {"dc:title": ("t",), "dc:description": ("d",)})]
-        assert default_mask_for(records) == FieldMask.of("dc:title")
+        assert default_mask_for(records) == frozenset({"dc:title"})
 
     def test_description_fallback(self):
         records = [Record("r", "p", {"dc:description": ("d",)})]
-        assert default_mask_for(records) == FieldMask.of("dc:description")
+        assert default_mask_for(records) == frozenset({"dc:description"})
 
     def test_neither_is_configuration_error(self):
         records = [Record("r", "p", {"dc:subject": ("s",)})]
@@ -206,7 +206,7 @@ class TestRunHierarchy:
                     {"dc:title": ("shared family title words here",), "dc:description": (noise_b,)},
                 )
             )
-        masks = {"p": FieldMask.of("dc:title")}
+        masks = {"p": frozenset({"dc:title"})}
         run = run_hierarchy(records, masks, EngineConfig(seed=12), levels=(80,))
         assert len(run.results[80].clusters) == 1
         assert run.results[80].clusters[0].size == 12

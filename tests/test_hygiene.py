@@ -1,4 +1,5 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and no module reaches into
+another module's private names.
 
 An AST scan, since no linter is a dependency: a name counts as used when the
 module loads it anywhere (code, annotations, decorators), and a package's
@@ -12,6 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = [path for part in ("src/metacluster", "tests", "scripts") for path in sorted((ROOT / part).glob("*.py"))]
+PACKAGE = {path.stem for path in (ROOT / "src/metacluster").glob("*.py")}
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -77,3 +79,42 @@ def test_no_unreferenced_private_definitions():
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     assert private, "the scan found no private definitions"
     assert not private - referenced, f"private definitions nothing references: {sorted(private - referenced)}"
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def package_modules(tree: ast.Module) -> set[str]:
+    """The names (dotted for a plain ``import``) that refer to a metacluster
+    module in this file."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module == "metacluster" or (node.level and not node.module)):
+            names.update(alias.asname or alias.name for alias in node.names if alias.name in PACKAGE)
+        elif isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name for alias in node.names if alias.name.split(".")[0] == "metacluster")
+    return names
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in MODULES if path.parent.name != "tests"], ids=lambda path: f"{path.parent.name}/{path.name}"
+)
+def test_no_private_names_of_other_modules(path):
+    # A private name is its module's own business: ``mod._name`` or
+    # ``from .mod import _name`` elsewhere ties the two modules together.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = package_modules(tree)
+    reached = [
+        f"{ast.unparse(node)} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and is_private(node.attr) and ast.unparse(node.value) in modules
+    ]
+    reached += [
+        f"{alias.name} from {node.module} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("metacluster"))
+        for alias in node.names
+        if is_private(alias.name)
+    ]
+    assert not reached, f"{path.name} reaches into private names of metacluster modules: {', '.join(reached)}"

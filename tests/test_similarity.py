@@ -6,7 +6,7 @@ import pytest
 from metacluster.config import COMPRESSORS, EngineConfig
 from metacluster.errors import ConfigurationError
 from metacluster.hierarchy import run_hierarchy
-from metacluster.records import FieldMask, Record, serialize_for_compression
+from metacluster.records import Record, serialize_for_compression
 from metacluster.similarity import (
     CONCAT_SEP,
     Compression,
@@ -68,7 +68,7 @@ class TestCompression:
     def test_identifier(self):
         # The manifest records the compressor as name:level.
         run = run_hierarchy([], None, EngineConfig(compression_level=3), levels=(100,))
-        assert run.manifest.to_dict()["compressor"] == "zlib:3"
+        assert run.manifest["compressor"] == "zlib:3"
 
 
 class _FixedSizes(Compression):
@@ -135,7 +135,7 @@ class TestSimilarityFormula:
 class TestCache:
     def test_cached_size_matches_serialization(self):
         records = random_corpus(5, seed=1)
-        mask = FieldMask.of("dc:title")
+        mask = frozenset({"dc:title"})
         compression = Compression("zlib", 6)
         ctx = make_ctx(records, compression=compression, mask_for=lambda r: mask)
         rid = records[0].id
@@ -147,7 +147,7 @@ class TestCache:
     def test_mask_changes_payload(self):
         record = Record("r", "p", {"dc:title": ("a",), "dc:type": ("t",)})
         full = SimilarityContext({"r": record})
-        masked = SimilarityContext({"r": record}, mask_for=lambda r: FieldMask.of("dc:title"))
+        masked = SimilarityContext({"r": record}, mask_for=lambda r: frozenset({"dc:title"}))
         assert full.payload("r") != masked.payload("r")
 
 
