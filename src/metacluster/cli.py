@@ -328,7 +328,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         clusters = rundir.load_clusters(run_dir, level)
         unclustered = rundir.load_unclustered(run_dir, level)
         stats = rundir.cluster_stats(clusters)
-        recorded = summary["levels"][str(level)]
+        recorded = summary["levels"].get(str(level), {})
         recomputed = {
             "count": stats["count"],
             "min_size": stats["min_size"],
@@ -336,7 +336,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             "mean_size": stats["mean_size"],
             "unclustered_records": len(unclustered),
         }
-        recorded_view = {k: recorded[k] for k in recomputed}
+        recorded_view = {k: recorded.get(k) for k in recomputed}
         if recomputed != recorded_view:
             print(
                 f"error: level {level} stats recomputed from cluster files do not match "
@@ -352,7 +352,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             else "-"
         )
         print(
-            f"{level:>5} {recorded['input_records']:>10} {stats['count']:>9} "
+            f"{level:>5} {recorded.get('input_records', '-'):>10} {stats['count']:>9} "
             f"{len(unclustered):>11} {stats['min_size']:>5} {stats['max_size']:>7} "
             f"{stats['mean_size']:>8.2f} {recorded.get('iterations_used', '-'):>5}   {ref_text}"
         )

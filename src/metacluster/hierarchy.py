@@ -6,7 +6,8 @@ the originals again, represented by each provider's selected fields.  Below
 80, every accepted cluster is summarized into an artificial record that
 replaces its members, and each lower level clusters the previous level's
 artificial records together with whatever stayed unclustered, all fields
-considered.  The forest links every chain cluster to the entities it grouped.
+considered.  The forest maps every chain cluster's id to the entities it
+grouped; it is derived from the chain levels' results, never stored beside them.
 """
 
 from __future__ import annotations
@@ -28,27 +29,14 @@ from .records import ARTIFICIAL, ORIGINAL, FieldMask, Record, check_record, expo
 CHAIN_LEVELS = (80, 60, 40, 20)
 
 
-@dataclass(frozen=True, slots=True)
-class HierarchyNode:
-    """One cluster in the forest; children are ids from the previous level's
-    output population (higher-level cluster ids or original record ids)."""
-
-    cluster_id: str
-    level: int
-    head: str
-    children: tuple[str, ...]
-    artificial_record_id: str | None = None
-
-
 @dataclass
 class HierarchyRun:
     """Results and seconds per level, both in run order (descending level);
-    ``manifest`` is the dict ``manifest.json`` holds, enough to reproduce the
-    run bit-exactly."""
+    ``forest_of`` derives the forest from the results.  ``manifest`` is the
+    dict ``manifest.json`` holds, enough to reproduce the run bit-exactly."""
 
     results: dict[int, LevelResult]
     seconds: dict[int, float]
-    forest: list[HierarchyNode]
     manifest: dict
     artificials: dict[str, Record] = field(default_factory=dict)
     duplicate_artificials: dict[str, Record] = field(default_factory=dict)
@@ -116,7 +104,7 @@ def run_hierarchy(
     levels: Iterable[int] = LEVELS,
     computer: SignatureComputer | None = None,
 ) -> HierarchyRun:
-    """Execute the requested levels over the corpus and assemble the forest.
+    """Execute the requested levels over the corpus and verify the forest.
 
     Every level signs through one ``SignatureComputer``: ``computer`` when
     given (a ``cluster`` run passes the one its GA signed with), else a new
@@ -158,7 +146,6 @@ def run_hierarchy(
     computer = computer or SignatureComputer(count=config.minhash_count, seed=config.seed)
     results: dict[int, LevelResult] = {}
     seconds: dict[int, float] = {}
-    forest: list[HierarchyNode] = []
     artificials: dict[str, Record] = {}
 
     def run_level(ids: list[str], level: int, mask_for) -> LevelResult:
@@ -187,18 +174,7 @@ def run_hierarchy(
         if level == 80:
             mask_for = lambda record: masks[record.provider] if record.kind == ORIGINAL else None
         result = run_level(population, level, mask_for)
-        has_next = level != chain[-1]
-        for cluster in result.clusters:
-            forest.append(
-                HierarchyNode(
-                    cluster_id=cluster.id,
-                    level=level,
-                    head=cluster.head,
-                    children=cluster.record_ids(),
-                    artificial_record_id=cluster.id if has_next else None,
-                )
-            )
-        if has_next:
+        if level != chain[-1]:
             made = summarize(result)
             artificials.update(made)
             by_id.update(made)
@@ -219,7 +195,6 @@ def run_hierarchy(
     run = HierarchyRun(
         results=results,
         seconds=seconds,
-        forest=forest,
         manifest=manifest,
         artificials=artificials,
         duplicate_artificials=duplicate_artificials,
@@ -228,52 +203,53 @@ def run_hierarchy(
     return run
 
 
-def forest_index(forest: Iterable[HierarchyNode]) -> dict[str, HierarchyNode]:
-    return {node.cluster_id: node for node in forest}
+def chain_results(run: HierarchyRun) -> list[LevelResult]:
+    """The results of the chain levels that ran, in run order."""
+    return [result for level, result in run.results.items() if level in CHAIN_LEVELS]
+
+
+def forest_of(run: HierarchyRun) -> dict[str, tuple[str, ...]]:
+    """The forest: each chain cluster's id mapped to its children, ids from the
+    previous chain level's output population (its cluster ids or originals)."""
+    return {c.id: c.record_ids() for result in chain_results(run) for c in result.clusters}
 
 
 def expand(
-    node: HierarchyNode,
-    index: Mapping[str, HierarchyNode],
+    cluster_id: str,
+    forest: Mapping[str, Sequence[str]],
     original_ids: set[str],
 ) -> set[str]:
-    """Recursive union of the node's children down to original record ids.
+    """Recursive union of the cluster's children down to original record ids.
 
     Raises IntegrityError on a dangling child id or when two children expand
     to overlapping sets (the refinement property).
     """
     out: set[str] = set()
-    for child in node.children:
-        child_node = index.get(child)
-        if child_node is not None:
-            part = expand(child_node, index, original_ids)
+    for child in forest[cluster_id]:
+        if child in forest:
+            part = expand(child, forest, original_ids)
         elif child in original_ids:
             part = {child}
         else:
-            raise IntegrityError(f"dangling child id {child!r} under {node.cluster_id}")
+            raise IntegrityError(f"dangling child id {child!r} under {cluster_id}")
         dup = out & part
         if dup:
-            raise IntegrityError(
-                f"node {node.cluster_id} children overlap on {sorted(dup)[:3]}"
-            )
+            raise IntegrityError(f"node {cluster_id} children overlap on {sorted(dup)[:3]}")
         out |= part
     return out
 
 
-def forest_roots(forest: list[HierarchyNode]) -> list[HierarchyNode]:
-    referenced: set[str] = set()
-    for node in forest:
-        referenced.update(node.children)
-    return [node for node in forest if node.cluster_id not in referenced]
+def forest_roots(forest: Mapping[str, Sequence[str]]) -> list[str]:
+    referenced = {child for children in forest.values() for child in children}
+    return [cluster_id for cluster_id in forest if cluster_id not in referenced]
 
 
 def never_clustered(run: HierarchyRun, original_ids: set[str]) -> set[str]:
     """Originals that stayed unclustered through every chain level."""
-    chain = [lv for lv in run.manifest["levels"] if lv in CHAIN_LEVELS]
+    chain = chain_results(run)
     if not chain:
         return set(original_ids)
-    last = run.results[chain[-1]]
-    return {rid for rid in last.unclustered if rid in original_ids}
+    return {rid for rid in chain[-1].unclustered if rid in original_ids}
 
 
 def verify_run(run: HierarchyRun, original_ids: set[str]) -> None:
@@ -281,19 +257,16 @@ def verify_run(run: HierarchyRun, original_ids: set[str]) -> None:
 
     Raises IntegrityError on the first violation.
     """
-    index = forest_index(run.forest)
+    forest = forest_of(run)
     level100_ids = {c.id for c in run.results[100].clusters} if 100 in run.results else set()
-    for node in run.forest:
-        for child in node.children:
+    for children in forest.values():
+        for child in children:
             if child in level100_ids:
-                raise IntegrityError(
-                    f"duplicate-pass cluster {child} appears in the hierarchy chain"
-                )
+                raise IntegrityError(f"duplicate-pass cluster {child} appears in the hierarchy chain")
 
     covered: set[str] = set()
-    roots = forest_roots(run.forest)
-    for root in roots:
-        expansion = expand(root, index, original_ids)
+    for root in forest_roots(forest):
+        expansion = expand(root, forest, original_ids)
         clash = covered & expansion
         if clash:
             raise IntegrityError(
@@ -316,11 +289,10 @@ def verify_run(run: HierarchyRun, original_ids: set[str]) -> None:
     if extra:
         raise IntegrityError(f"forest covers unknown ids (e.g. {sorted(extra)[:3]})")
 
-    chain = [result for level, result in run.results.items() if level in (60, 40, 20)]
+    chain = chain_results(run)
     for earlier, later in zip(chain, chain[1:]):
         if later.input_count > earlier.input_count:
             raise IntegrityError(
                 f"population grew from level {earlier.level} ({earlier.input_count}) "
                 f"to level {later.level} ({later.input_count})"
             )
-

@@ -13,12 +13,12 @@ import json
 import math
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .clusterer import Cluster
 from .errors import ConfigurationError, IntegrityError
 from .ga import ProviderMask
-from .hierarchy import HierarchyNode, HierarchyRun, forest_index, forest_roots
+from .hierarchy import HierarchyRun, chain_results, forest_of, forest_roots
 from .records import FieldMask, Record, RejectedLine, find_surrogate, resolve_provider, write_records
 
 MANIFEST_FILE = "manifest.json"
@@ -72,8 +72,20 @@ def _parse_json(path: Path, lineno: int, text: str):
         raise IntegrityError(f"run file {path} line {lineno + exc.lineno - 1}: {exc.msg}") from None
 
 
-def _read_ndjson(path: Path) -> list[dict]:
-    return [_parse_json(path, n, line) for n, line in enumerate(_read_lines(path), start=1) if line.strip()]
+def _read_ndjson(path: Path, build: Callable) -> list:
+    """``build`` applied to each line's document.  A document of the wrong
+    shape (a key missing, a list where an object belongs) is an
+    IntegrityError naming the file and line, like a line cut mid-JSON."""
+    out = []
+    for n, line in enumerate(_read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            out.append(build(_parse_json(path, n, line)))
+        except (KeyError, TypeError, AttributeError) as exc:
+            problem = f"{type(exc).__name__}: {exc}"
+            raise IntegrityError(f"run file {path} line {n}: unexpected shape ({problem})") from None
+    return out
 
 
 def _read_json(path: Path) -> dict:
@@ -98,18 +110,19 @@ def write_run(out_dir: Path, run: HierarchyRun) -> None:
             "".join(rid + "\n" for rid in result.unclustered), encoding="utf-8"
         )
 
+    chain_clusters = [c for result in chain_results(run) for c in result.clusters]
     write_ndjson(
         out_dir / FOREST_FILE,
         (
             {
-                "cluster_id": node.cluster_id,
-                "level": node.level,
-                "head": node.head,
-                "children": node.children,
-                "artificial_record_id": node.artificial_record_id,
+                "cluster_id": c.id,
+                "level": c.level,
+                "head": c.head,
+                "children": c.record_ids(),
+                "artificial_record_id": c.id if c.id in run.artificials else None,
                 "category": "",
             }
-            for node in sorted(run.forest, key=lambda n: (-n.level, n.cluster_id))
+            for c in sorted(chain_clusters, key=lambda c: (-c.level, c.id))
         ),
     )
     with open(out_dir / ARTIFICIALS_FILE, "w", encoding="utf-8") as fh:
@@ -239,34 +252,27 @@ def load_masks(path: Path) -> dict[str, FieldMask]:
 
 
 def load_clusters(run_dir: Path, level: int) -> list[Cluster]:
-    return [
-        Cluster(
+    return _read_ndjson(
+        run_dir / cluster_file(level),
+        lambda doc: Cluster(
             id=doc["id"],
             level=doc["level"],
             head=doc["head"],
             members=tuple(doc["members"]),
             mean_head_similarity=doc["mean_head_similarity"],
             transferred=tuple(doc["transferred"]),
-        )
-        for doc in _read_ndjson(run_dir / cluster_file(level))
-    ]
+        ),
+    )
 
 
 def load_unclustered(run_dir: Path, level: int) -> list[str]:
     return _read_lines(run_dir / unclustered_file(level))
 
 
-def load_forest(run_dir: Path) -> list[HierarchyNode]:
-    return [
-        HierarchyNode(
-            cluster_id=doc["cluster_id"],
-            level=doc["level"],
-            head=doc["head"],
-            children=tuple(doc["children"]),
-            artificial_record_id=doc["artificial_record_id"],
-        )
-        for doc in _read_ndjson(run_dir / FOREST_FILE)
-    ]
+def load_forest(run_dir: Path) -> dict[str, tuple[str, ...]]:
+    """The forest as ``hierarchy.forest_of`` gives it: each cluster id mapped
+    to its children."""
+    return dict(_read_ndjson(run_dir / FOREST_FILE, lambda doc: (doc["cluster_id"], tuple(doc["children"]))))
 
 
 def load_manifest(run_dir: Path) -> dict:
@@ -287,11 +293,12 @@ def load_artificials(run_dir: Path) -> dict[str, Record]:
     """Artificial records by id.  Only ids and fields come back (each as an
     original without provenance); ``load_forest`` has what each one
     summarizes."""
-    records = {}
-    for doc in _read_ndjson(run_dir / ARTIFICIALS_FILE):
+
+    def build(doc: dict) -> Record:
         fields = {name: tuple(values) for name, values in doc["fields"].items()}
-        records[doc["id"]] = Record(doc["id"], resolve_provider(fields), fields)
-    return records
+        return Record(doc["id"], resolve_provider(fields), fields)
+
+    return {record.id: record for record in _read_ndjson(run_dir / ARTIFICIALS_FILE, build)}
 
 
 def size_histogram(sizes: list[int]) -> dict[str, int]:
@@ -322,11 +329,9 @@ def cluster_stats(clusters: list[Cluster]) -> dict:
     }
 
 
-def forest_depths(forest: list[HierarchyNode]) -> dict[str, int]:
-    index = forest_index(forest)
-
-    def depth(node: HierarchyNode) -> int:
-        child_depths = [depth(index[c]) for c in node.children if c in index]
+def forest_depths(forest: Mapping[str, Sequence[str]]) -> dict[str, int]:
+    def depth(cluster_id: str) -> int:
+        child_depths = [depth(c) for c in forest[cluster_id] if c in forest]
         return 1 + (max(child_depths) if child_depths else 0)
 
     counts: dict[str, int] = {}
@@ -337,6 +342,7 @@ def forest_depths(forest: list[HierarchyNode]) -> dict[str, int]:
 
 
 def summarize_run(run: HierarchyRun) -> dict:
+    forest = forest_of(run)
     levels = {}
     for level, result in run.results.items():
         entry = cluster_stats(list(result.clusters))
@@ -352,8 +358,8 @@ def summarize_run(run: HierarchyRun) -> dict:
     return {
         "levels": levels,
         "forest": {
-            "nodes": len(run.forest),
-            "depth_distribution": forest_depths(run.forest),
+            "nodes": len(forest),
+            "depth_distribution": forest_depths(forest),
         },
         "corpus": {
             "records": run.manifest["record_count"],

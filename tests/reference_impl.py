@@ -10,11 +10,11 @@ band's signature positions (only ``band_positions``, ``selected_values`` and
 candidate groups come from a bucket adjacency + BFS connected components (no
 label propagation), head selection, assignment and validation are inlined
 (validation always compares the exact rational sum with n * threshold),
-and one depth-first stack is drained where production processes waves.  It
-follows the same RNG sequence contract (one Random per processed group,
-seeded from the level, iteration, visit count and the group's ids; one
-shuffle per processed group), so for a fixed seed the two must produce
-byte-identical results.
+and each level's groups are drained off one depth-first stack, as in
+production.  It follows the same RNG sequence contract (one Random per
+processed group, seeded from the level, iteration, visit count and the
+group's ids; one shuffle per processed group), so for a fixed seed the two
+must produce byte-identical results.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from metacluster.config import EngineConfig, GAConfig
 from metacluster.ga import SENTINEL_FITNESS, clusterability, evolve
 from metacluster.hierarchy import (
     expand,
-    forest_index,
+    forest_of,
     forest_roots,
     never_clustered,
     run_hierarchy,
@@ -169,10 +169,10 @@ def test_criterion_4_hierarchy_integrity_at_scale():
     run = run_hierarchy(records, None, config)  # verify_run asserts internally too
 
     original_ids = {r.id for r in records}
-    index = forest_index(run.forest)
+    forest = forest_of(run)
     covered = set()
-    for root in forest_roots(run.forest):
-        expansion = expand(root, index, original_ids)
+    for root in forest_roots(forest):
+        expansion = expand(root, forest, original_ids)
         assert not covered & expansion, "root expansions overlap"
         covered |= expansion
     leftovers = never_clustered(run, original_ids)

@@ -13,7 +13,7 @@ from metacluster.config import EngineConfig, GAConfig
 from metacluster.errors import IntegrityError
 from metacluster.ga import SENTINEL_FITNESS, ProviderMask
 from metacluster.hashing import MAX_U64
-from metacluster.hierarchy import run_hierarchy
+from metacluster.hierarchy import forest_of, run_hierarchy
 from metacluster.records import Record, RejectedLine, ingest_path, write_records
 from metacluster.synthetic import (
     family_corpus,
@@ -50,6 +50,10 @@ def full_run(corpus_path, tmp_path_factory) -> Path:
     return out
 
 
+def without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
 def run_files(run_dir: Path) -> dict[str, bytes]:
     return {
         p.name: p.read_bytes()
@@ -69,7 +73,7 @@ class TestClusterCommand:
         assert (out / rundir.DUPLICATES_FILE).exists()
         assert not (out / "clusters_level_80.ndjson").exists()
         assert not (out / rundir.MASKS_FILE).exists()  # GA skipped without level 80
-        assert rundir.load_forest(out) == []
+        assert rundir.load_forest(out) == {}
 
     def test_deterministic_outputs(self, corpus_path, full_run, tmp_path):
         out2 = tmp_path / "again"
@@ -481,6 +485,39 @@ class TestStats:
         assert f"error: run file {path} line {cut + 1}: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name,damage,command,message",
+        [
+            (rundir.cluster_file(80), lambda doc: without(doc, "head"), "stats", "line 1: unexpected shape"),
+            (rundir.FOREST_FILE, lambda doc: [1, 2], "stats", "line 1: unexpected shape"),
+            (rundir.ARTIFICIALS_FILE, lambda doc: without(doc, "fields"), "sample-eval", "line 1: unexpected shape"),
+            (
+                rundir.SUMMARY_FILE,
+                lambda doc: {**doc, "levels": without(doc["levels"], "60")},
+                "stats",
+                "error: level 60 stats recomputed from cluster files do not match the run summary",
+            ),
+        ],
+        ids=["cluster-without-head", "forest-line-a-list", "artificial-without-fields", "summary-without-level"],
+    )
+    def test_run_file_of_wrong_shape_is_error_exit(self, full_run, tmp_path, capsys, name, damage, command, message):
+        # Valid JSON of the wrong shape ends in an error line, not a traceback.
+        run_dir = tmp_path / "run"
+        shutil.copytree(full_run, run_dir)
+        path = run_dir / name
+        text = path.read_text(encoding="utf-8")
+        if name == rundir.SUMMARY_FILE:
+            path.write_text(json.dumps(damage(json.loads(text))), encoding="utf-8")
+        else:
+            first, *rest = text.splitlines(keepends=True)
+            path.write_text(json.dumps(damage(json.loads(first))) + "\n" + "".join(rest), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--run", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        if name != rundir.SUMMARY_FILE:
+            assert f"error: run file {path} line 1: " in err
+
     def test_run_file_cut_inside_a_character_is_error_exit(self, full_run, tmp_path, capsys):
         run_dir = tmp_path / "run"
         shutil.copytree(full_run, run_dir)
@@ -514,9 +551,9 @@ class TestStats:
             assert placed  # partition re-checked in acceptance suite
         forest = rundir.load_forest(full_run)
         artificials = rundir.load_artificials(full_run)
-        for node in forest:
-            if node.artificial_record_id:
-                assert node.artificial_record_id in artificials
+        # Every chain cluster but the last level's has an artificial record.
+        last = {c.id for c in rundir.load_clusters(full_run, 20)}
+        assert set(artificials) == set(forest) - last
         # Only ids and fields come back; kind and provenance live in the forest.
         masks = rundir.load_masks(full_run / rundir.MASKS_FILE)
         run = run_hierarchy(ingest_path(corpus_path).records, masks, EngineConfig(seed=33))
@@ -604,7 +641,7 @@ class TestRunDirRoundTrip:
         assert run.results[100].clusters
         for level, result in run.results.items():
             assert rundir.load_clusters(out, level) == sorted(result.clusters, key=lambda c: c.id)
-        assert rundir.load_forest(out) == sorted(run.forest, key=lambda n: (-n.level, n.cluster_id))
+        assert rundir.load_forest(out) == forest_of(run)
 
     def test_stats_prints_ga_history(self, full_run, capsys):
         report = rundir.load_field_report(full_run)

@@ -1,15 +1,17 @@
+import dataclasses
+import json
+
 import pytest
 
-from metacluster import hierarchy
+from metacluster import hierarchy, rundir
 from metacluster.clusterer import Cluster
 from metacluster.config import EngineConfig
 from metacluster.errors import ConfigurationError, IntegrityError
 from metacluster.hierarchy import (
-    HierarchyNode,
     corpus_digest,
     default_mask_for,
     expand,
-    forest_index,
+    forest_of,
     forest_roots,
     make_artificial_record,
     never_clustered,
@@ -106,7 +108,7 @@ class TestDefaultMask:
 class TestRunHierarchy:
     def test_empty_corpus(self):
         run = run_hierarchy([], None, EngineConfig(seed=1))
-        assert run.forest == []
+        assert forest_of(run) == {}
         assert all(result.clusters == () for result in run.results.values())
 
     def test_degenerate_flow_when_nothing_clusters_at_80(self):
@@ -115,44 +117,49 @@ class TestRunHierarchy:
         assert run.results[80].clusters == ()
         assert run.results[60].input_count == len(records)
 
-    def test_forest_levels_and_children_population(self):
+    @pytest.mark.parametrize(
+        "levels", [(80, 40), (60, 20), (100, 60), (100, 80, 60, 40, 20)], ids=["80-40", "60-20", "100-60", "full"]
+    )
+    def test_forest_levels_and_children_population(self, tmp_path, levels):
         records = hierarchical_corpus(n_works=10, seed=5, noise_records=10)
-        run = run_hierarchy(records, None, EngineConfig(seed=5))
-        by_level = {}
-        for node in run.forest:
-            by_level.setdefault(node.level, []).append(node)
-        assert set(by_level) <= {80, 60, 40, 20}
-        # children of level-80 nodes are original record ids only
-        original_ids = {r.id for r in records}
-        for node in by_level.get(80, []):
-            assert all(child in original_ids for child in node.children)
-        # children of a lower node come from the adjacent higher level's
-        # output population: its artificial records plus its unclustered set
-        # (which may carry entities through from even higher levels).
-        population = set(original_ids)
-        for level in (80, 60, 40, 20):
-            if level not in run.results:
-                continue
-            for node in by_level.get(level, []):
-                assert set(node.children) <= population
+        run = run_hierarchy(records, None, EngineConfig(seed=5), levels=levels)
+        rundir.write_run(tmp_path, run)
+        with open(tmp_path / rundir.FOREST_FILE, encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh]
+        forest = forest_of(run)
+        assert forest, "no chain level clustered anything"
+        assert {line["cluster_id"]: tuple(line["children"]) for line in lines} == forest
+        assert rundir.load_forest(tmp_path) == forest
+        chain = [level for level in levels if level != 100]
+        # Children of the first chain level's nodes are original record ids;
+        # those of a lower node come from the previous chain level's output
+        # population: its artificial records plus its unclustered set (which
+        # may carry entities through from even higher levels).  Exactly the
+        # clusters of a level with a next chain level have an artificial record.
+        population = {r.id for r in records}
+        for level in chain:
             result = run.results[level]
-            population = {
-                node.artificial_record_id
-                for node in by_level.get(level, [])
-                if node.artificial_record_id
-            } | set(result.unclustered)
+            nodes = [line for line in lines if line["level"] == level]
+            assert {line["cluster_id"] for line in nodes} == {c.id for c in result.clusters}
+            for line in nodes:
+                assert set(line["children"]) <= population
+                expected = line["cluster_id"] if level != chain[-1] else None
+                assert line["artificial_record_id"] == expected
+            made = {c.id for c in result.clusters} if level != chain[-1] else set()
+            assert made <= set(run.artificials)
+            population = made | set(result.unclustered)
+        assert {line["artificial_record_id"] for line in lines} - {None} == set(run.artificials)
 
     def test_editions_merge_into_lower_level_node(self):
         records = hierarchical_corpus(
             n_works=6, editions_per_work=2, volumes_per_edition=4, seed=8, duplicate_share=0.0
         )
         run = run_hierarchy(records, None, EngineConfig(seed=8))
-        index = forest_index(run.forest)
+        level80 = {c.id for c in run.results[80].clusters}
         merged = [
-            node
-            for node in run.forest
-            if node.level < 80
-            and sum(1 for child in node.children if child in index and index[child].level == 80) >= 2
+            cluster_id
+            for cluster_id, children in forest_of(run).items()
+            if cluster_id not in level80 and sum(1 for child in children if child in level80) >= 2
         ]
         assert merged, "no lower-level node joined two level-80 clusters"
 
@@ -161,7 +168,7 @@ class TestRunHierarchy:
         run = run_hierarchy(records, None, EngineConfig(seed=9))
         assert run.results[100].clusters  # duplicates exist
         assert run.duplicate_artificials
-        chain_children = {c for node in run.forest for c in node.children}
+        chain_children = {c for children in forest_of(run).values() for c in children}
         for cluster in run.results[100].clusters:
             assert cluster.id not in chain_children
 
@@ -175,10 +182,10 @@ class TestRunHierarchy:
         records = hierarchical_corpus(n_works=10, seed=11, noise_records=15)
         run = run_hierarchy(records, None, EngineConfig(seed=11))
         original_ids = {r.id for r in records}
-        index = forest_index(run.forest)
+        forest = forest_of(run)
         covered = set()
-        for root in forest_roots(run.forest):
-            expansion = expand(root, index, original_ids)
+        for root in forest_roots(forest):
+            expansion = expand(root, forest, original_ids)
             assert not covered & expansion
             covered |= expansion
         leftovers = never_clustered(run, original_ids)
@@ -268,11 +275,11 @@ class TestRunHierarchy:
     def test_artificial_records_exported_for_chain(self):
         records, _ = family_corpus(4, 6, seed=13)
         run = run_hierarchy(records, None, EngineConfig(seed=13), levels=(80, 60))
-        for node in run.forest:
-            if node.level == 80 and node.artificial_record_id:
-                artificial = run.artificials[node.artificial_record_id]
-                assert artificial.kind == "artificial"
-                assert artificial.provenance == node.children
+        assert run.results[80].clusters
+        for cluster in run.results[80].clusters:
+            artificial = run.artificials[cluster.id]
+            assert artificial.kind == "artificial"
+            assert artificial.provenance == cluster.record_ids()
 
 
 class TestCorpusDigest:
@@ -295,37 +302,34 @@ class TestCorpusDigest:
 
 class TestExpand:
     def test_leaf_cluster_expands_to_head_and_members(self):
-        node = HierarchyNode("c1", 80, "h", ("h", "m1", "m2"))
-        assert expand(node, {}, {"h", "m1", "m2"}) == {"h", "m1", "m2"}
+        forest = {"c1": ("h", "m1", "m2")}
+        assert expand("c1", forest, {"h", "m1", "m2"}) == {"h", "m1", "m2"}
 
     def test_two_child_clusters(self):
-        leaf_a = HierarchyNode("a", 80, "h1", ("h1", "x1", "x2"))
-        leaf_b = HierarchyNode("b", 80, "h2", ("h2", "y1", "y2", "y3"))
-        top = HierarchyNode("t", 60, "a", ("a", "b"))
-        index = {"a": leaf_a, "b": leaf_b}
+        forest = {"a": ("h1", "x1", "x2"), "b": ("h2", "y1", "y2", "y3"), "t": ("a", "b")}
         originals = {"h1", "x1", "x2", "h2", "y1", "y2", "y3"}
-        assert expand(top, index, originals) == originals
+        assert forest_roots(forest) == ["t"]
+        assert expand("t", forest, originals) == originals
 
     def test_dangling_child_is_integrity_error(self):
-        node = HierarchyNode("c1", 80, "h", ("h", "ghost"))
         with pytest.raises(IntegrityError):
-            expand(node, {}, {"h"})
+            expand("c1", {"c1": ("h", "ghost")}, {"h"})
 
     def test_overlapping_children_are_integrity_error(self):
-        leaf = HierarchyNode("a", 80, "h1", ("h1", "x1"))
-        top = HierarchyNode("t", 60, "a", ("a", "x1"))
+        forest = {"a": ("h1", "x1"), "t": ("a", "x1")}
         with pytest.raises(IntegrityError, match="overlap"):
-            expand(top, {"a": leaf}, {"h1", "x1"})
+            expand("t", forest, {"h1", "x1"})
 
 
 class TestVerify:
     def test_tampered_forest_detected(self):
         records, _ = duplicate_pairs_corpus(6, 10, seed=14)
         run = run_hierarchy(records, None, EngineConfig(seed=14), levels=(80, 60))
-        node = next((n for n in run.forest if n.level == 80), None)
-        if node is None:
+        result = run.results[80]
+        if not result.clusters:
             pytest.skip("corpus produced no level-80 clusters")
-        bad = HierarchyNode(node.cluster_id, node.level, node.head, node.children + ("ghost",))
-        run.forest[run.forest.index(node)] = bad
-        with pytest.raises(IntegrityError):
+        first, *rest = result.clusters
+        bad = dataclasses.replace(first, members=first.members + ("ghost",))
+        run.results[80] = dataclasses.replace(result, clusters=(bad, *rest))
+        with pytest.raises(IntegrityError, match="ghost"):
             verify_run(run, {r.id for r in records})
