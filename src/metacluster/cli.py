@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sample.add_argument("--out", type=Path, default=None, help="output file (default: run dir)")
 
-    p_stats = sub.add_parser("stats", help="recompute and print statistics for a run")
+    p_stats = sub.add_parser("stats", help="verify a run directory and print its statistics")
     p_stats.add_argument("--run", required=True, type=Path)
 
     return parser
@@ -267,33 +267,26 @@ def cmd_sample_eval(args: argparse.Namespace) -> int:
     if args.per_level < 0:
         raise ConfigurationError(f"per-level must be >= 0, got {args.per_level}")
     check_seed(args.seed)
-    run_dir: Path = args.run
-    manifest = rundir.load_manifest(run_dir)
+    # The run is read and checked before --out is opened: a damaged run leaves it as it was.
+    run = rundir.load_run(args.run)
     by_id = {}
     if args.input is not None:
         corpus = ingest_path(args.input)
         by_id = {record.id: record for record in corpus.records}
-        digest = corpus_digest(corpus.records)
-        if digest != manifest["corpus_digest"]:
-            print(
-                "warning: --input digest differs from the run's corpus digest",
-                file=sys.stderr,
-            )
-    by_id.update(rundir.load_artificials(run_dir))
+        if corpus_digest(corpus.records) != run.manifest["corpus_digest"]:
+            print("warning: --input digest differs from the run's corpus digest", file=sys.stderr)
+    by_id.update(run.artificials)
 
-    # Every cluster file is read before the worksheet is opened, so a run
-    # with a missing level leaves an existing --out file untouched.
-    clusters_by_level = {level: rundir.load_clusters(run_dir, level) for level in manifest["levels"]}
     rows = []
-    for level, clusters in clusters_by_level.items():
-        if len(clusters) < args.per_level:
+    for level, result in run.results.items():
+        if len(result.clusters) < args.per_level:
             print(
-                f"warning: level {level} has only {len(clusters)} clusters "
+                f"warning: level {level} has only {len(result.clusters)} clusters "
                 f"(requested {args.per_level}); exporting all",
                 file=sys.stderr,
             )
         rng = random.Random(derive_seed(args.seed, "sample-eval", level))
-        ordered = sorted(clusters, key=lambda c: c.id)
+        ordered = sorted(result.clusters, key=lambda c: c.id)
         chosen = ordered if len(ordered) <= args.per_level else rng.sample(ordered, args.per_level)
         for cluster in sorted(chosen, key=lambda c: c.id):
             members = [
@@ -310,72 +303,45 @@ def cmd_sample_eval(args: argparse.Namespace) -> int:
                     "category_choices": EVAL_CATEGORIES,
                 }
             )
-    out_path = args.out or (run_dir / "eval_sample.ndjson")
+    out_path = args.out or (args.run / "eval_sample.ndjson")
     rundir.write_ndjson(out_path, rows)
     print(f"wrote {len(rows)} worksheet rows to {out_path}")
     return 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    run_dir: Path = args.run
-    manifest = rundir.load_manifest(run_dir)
-    summary = rundir.load_summary(run_dir)
-
-    status = 0
-    print(f"{'level':>5} {'records':>10} {'clusters':>9} {'unclustered':>11} "
-          f"{'min':>5} {'max':>7} {'mean':>8} {'iters':>5}   reference")
-    for level in manifest["levels"]:
-        clusters = rundir.load_clusters(run_dir, level)
-        unclustered = rundir.load_unclustered(run_dir, level)
-        stats = rundir.cluster_stats(clusters)
-        recorded = summary["levels"].get(str(level), {})
-        recomputed = {
-            "count": stats["count"],
-            "min_size": stats["min_size"],
-            "max_size": stats["max_size"],
-            "mean_size": stats["mean_size"],
-            "unclustered_records": len(unclustered),
-        }
-        recorded_view = {k: recorded.get(k) for k in recomputed}
-        if recomputed != recorded_view:
-            print(
-                f"error: level {level} stats recomputed from cluster files do not match "
-                f"the run summary: {recomputed} vs {recorded_view}",
-                file=sys.stderr,
-            )
-            status = 1
-        ref = REFERENCE_RUN.get(level)
-        ref_text = (
-            f"{ref['records']:,} recs / {ref['clusters']:,} clusters"
-            + (f" / {ref['time']}" if ref["time"] else "")
-            if ref
-            else "-"
-        )
-        print(
-            f"{level:>5} {recorded.get('input_records', '-'):>10} {stats['count']:>9} "
-            f"{len(unclustered):>11} {stats['min_size']:>5} {stats['max_size']:>7} "
-            f"{stats['mean_size']:>8.2f} {recorded.get('iterations_used', '-'):>5}   {ref_text}"
-        )
-        if stats["histogram"]:
-            print(f"      size histogram: {stats['histogram']}")
-    if 20 in manifest["levels"]:
-        print(f"reference level-20 mean cluster size: {REFERENCE_LEVEL20_MEAN_SIZE}")
-
+    run = rundir.load_run(args.run)
+    masks = run.manifest["masks"]
     # The GA's files must describe this run's masks, not another run's.
-    masks_path = run_dir / rundir.MASKS_FILE
+    masks_path = args.run / rundir.MASKS_FILE
     if masks_path.exists():
         saved = {provider: sorted(mask) for provider, mask in rundir.load_masks(masks_path).items()}
-        if saved != manifest["masks"]:
-            print(f"error: {masks_path} does not match the manifest's masks", file=sys.stderr)
-            status = 1
-    report = rundir.load_field_report(run_dir)
-    if report is not None and report["providers"] != len(manifest["masks"]):
-        print(
-            f"error: the field selection report counts {report['providers']} providers, "
-            f"the manifest's masks {len(manifest['masks'])}",
-            file=sys.stderr,
+        if saved != masks:
+            raise IntegrityError(f"{masks_path} does not match the manifest's masks")
+    report = rundir.load_field_report(args.run)
+    if report is not None and report["providers"] != len(masks):
+        raise IntegrityError(
+            f"the field selection report counts {report['providers']} providers, "
+            f"the manifest's masks {len(masks)}"
         )
-        status = 1
+
+    summary = rundir.summarize_run(run)
+    print(f"{'level':>5} {'records':>10} {'clusters':>9} {'unclustered':>11} "
+          f"{'min':>5} {'max':>7} {'mean':>8} {'iters':>5}   reference")
+    for level in run.results:
+        entry = summary["levels"][str(level)]
+        ref = REFERENCE_RUN[level]
+        ref_text = f"{ref['records']:,} recs / {ref['clusters']:,} clusters"
+        ref_text += f" / {ref['time']}" if ref["time"] else ""
+        print(
+            f"{level:>5} {entry['input_records']:>10} {entry['count']:>9} {entry['unclustered_records']:>11} "
+            f"{entry['min_size']:>5} {entry['max_size']:>7} {entry['mean_size']:>8.2f} "
+            f"{entry['iterations_used']!s:>5}   {ref_text}"
+        )
+        if entry["histogram"]:
+            print(f"      size histogram: {entry['histogram']}")
+    if 20 in run.results:
+        print(f"reference level-20 mean cluster size: {REFERENCE_LEVEL20_MEAN_SIZE}")
     for provider, ga_info in (report or {}).get("ga_providers", {}).items():
         # null marks a degenerate clustering (fewer than two clusters).
         history = ["-" if v is None else f"{v:.4f}" for v in ga_info["best_history"]]
@@ -383,14 +349,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
             f"ga {provider}: {ga_info['evaluations']} evaluations, best fitness "
             f"{history[0]} -> {history[-1]} over {len(history) - 1} generations"
         )
-
-    forest = rundir.load_forest(run_dir)
-    depths = rundir.forest_depths(forest)
-    print(f"forest: {len(forest)} nodes, depth distribution {depths}")
-    if depths != summary["forest"]["depth_distribution"]:
-        print("error: forest depth distribution does not match summary", file=sys.stderr)
-        status = 1
-    return status
+    forest = summary["forest"]
+    print(f"forest: {forest['nodes']} nodes, depth distribution {forest['depth_distribution']}")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

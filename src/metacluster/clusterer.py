@@ -369,11 +369,12 @@ def cluster_level(
         clusters.append(Cluster(cid, level, head, members, mean, transferred=tuple(sorted(entry.inherited))))
     unclustered = tuple(sorted(population - open_clusters.keys()))
     result = LevelResult(level, tuple(clusters), unclustered, iterations_used=iterations)
-    _check_partition(result, input_all)
+    check_partition(result, input_all)
     return result
 
 
-def _check_partition(result: LevelResult, input_ids: list[str]) -> None:
+def check_partition(result: LevelResult, input_ids: list[str]) -> None:
+    """Every input id placed once, and every cluster non-empty and at its level's threshold."""
     seen: list[str] = list(result.unclustered)
     for cluster in result.clusters:
         seen.append(cluster.head)

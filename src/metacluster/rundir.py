@@ -1,10 +1,12 @@
 """Run directory layout: newline-delimited output files and their loaders.
 
-Every file the tool writes is re-parseable by the loaders here; the stats and
-sample-eval subcommands work purely from a run directory.  All record-shaped
-outputs are NDJSON with sorted keys; manifest and summary are single JSON
-documents.  Wall-clock data lives only in ``manifest.json`` and
-``timings.tsv`` so that every other file is byte-stable for a fixed seed.
+Every file the tool writes is re-parseable by the loaders here.  The stats
+and sample-eval subcommands read a run through ``load_run``, which rebuilds
+each level's result from its files and checks it with the engine's own
+checks.  All record-shaped outputs are NDJSON with sorted keys; manifest and
+summary are single JSON documents.  Wall-clock data lives only in
+``manifest.json`` and ``timings.tsv`` so that every other file is
+byte-stable for a fixed seed.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .clusterer import Cluster
+from .clusterer import Cluster, LevelResult, check_partition
 from .errors import ConfigurationError, IntegrityError
 from .ga import ProviderMask
-from .hierarchy import HierarchyRun, chain_results, forest_of, forest_roots
+from .hierarchy import CHAIN_LEVELS, HierarchyRun, chain_results, forest_of, forest_roots, verify_run
 from .records import FieldMask, Record, RejectedLine, find_surrogate, resolve_provider, write_records
 
 MANIFEST_FILE = "manifest.json"
@@ -86,6 +88,18 @@ def _read_ndjson(path: Path, build: Callable) -> list:
             problem = f"{type(exc).__name__}: {exc}"
             raise IntegrityError(f"run file {path} line {n}: unexpected shape ({problem})") from None
     return out
+
+
+def _id(value: object) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"id {value!r} is not a string")
+    return value
+
+
+def _id_list(value: object) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not a list of ids")
+    return tuple(map(_id, value))
 
 
 def _read_json(path: Path) -> dict:
@@ -255,24 +269,22 @@ def load_clusters(run_dir: Path, level: int) -> list[Cluster]:
     return _read_ndjson(
         run_dir / cluster_file(level),
         lambda doc: Cluster(
-            id=doc["id"],
+            id=_id(doc["id"]),
             level=doc["level"],
-            head=doc["head"],
-            members=tuple(doc["members"]),
+            head=_id(doc["head"]),
+            members=_id_list(doc["members"]),
             mean_head_similarity=doc["mean_head_similarity"],
-            transferred=tuple(doc["transferred"]),
+            transferred=_id_list(doc["transferred"]),
         ),
     )
-
-
-def load_unclustered(run_dir: Path, level: int) -> list[str]:
-    return _read_lines(run_dir / unclustered_file(level))
 
 
 def load_forest(run_dir: Path) -> dict[str, tuple[str, ...]]:
     """The forest as ``hierarchy.forest_of`` gives it: each cluster id mapped
     to its children."""
-    return dict(_read_ndjson(run_dir / FOREST_FILE, lambda doc: (doc["cluster_id"], tuple(doc["children"]))))
+    return dict(
+        _read_ndjson(run_dir / FOREST_FILE, lambda doc: (_id(doc["cluster_id"]), _id_list(doc["children"])))
+    )
 
 
 def load_manifest(run_dir: Path) -> dict:
@@ -296,7 +308,7 @@ def load_artificials(run_dir: Path) -> dict[str, Record]:
 
     def build(doc: dict) -> Record:
         fields = {name: tuple(values) for name, values in doc["fields"].items()}
-        return Record(doc["id"], resolve_provider(fields), fields)
+        return Record(_id(doc["id"]), resolve_provider(fields), fields)
 
     return {record.id: record for record in _read_ndjson(run_dir / ARTIFICIALS_FILE, build)}
 
@@ -316,28 +328,11 @@ def size_histogram(sizes: list[int]) -> dict[str, int]:
     return dict(sorted(buckets.items(), key=lambda kv: int(kv[0].split("-")[0])))
 
 
-def cluster_stats(clusters: list[Cluster]) -> dict:
-    sizes = [c.size for c in clusters]
-    if not sizes:
-        return {"count": 0, "min_size": 0, "max_size": 0, "mean_size": 0.0, "histogram": {}}
-    return {
-        "count": len(sizes),
-        "min_size": min(sizes),
-        "max_size": max(sizes),
-        "mean_size": sum(sizes) / len(sizes),
-        "histogram": size_histogram(sizes),
-    }
-
-
 def forest_depths(forest: Mapping[str, Sequence[str]]) -> dict[str, int]:
     def depth(cluster_id: str) -> int:
-        child_depths = [depth(c) for c in forest[cluster_id] if c in forest]
-        return 1 + (max(child_depths) if child_depths else 0)
+        return 1 + max((depth(c) for c in forest[cluster_id] if c in forest), default=0)
 
-    counts: dict[str, int] = {}
-    for root in forest_roots(forest):
-        d = str(depth(root))
-        counts[d] = counts.get(d, 0) + 1
+    counts = Counter(str(depth(root)) for root in forest_roots(forest))
     return dict(sorted(counts.items(), key=lambda kv: int(kv[0])))
 
 
@@ -345,16 +340,18 @@ def summarize_run(run: HierarchyRun) -> dict:
     forest = forest_of(run)
     levels = {}
     for level, result in run.results.items():
-        entry = cluster_stats(list(result.clusters))
-        entry.update(
-            {
-                "input_records": result.input_count,
-                "clustered_records": sum(c.size for c in result.clusters),
-                "unclustered_records": len(result.unclustered),
-                "iterations_used": result.iterations_used,
-            }
-        )
-        levels[str(level)] = entry
+        sizes = [c.size for c in result.clusters]
+        levels[str(level)] = {
+            "count": len(sizes),
+            "min_size": min(sizes, default=0),
+            "max_size": max(sizes, default=0),
+            "mean_size": sum(sizes) / len(sizes) if sizes else 0.0,
+            "histogram": size_histogram(sizes),
+            "input_records": result.input_count,
+            "clustered_records": sum(sizes),
+            "unclustered_records": len(result.unclustered),
+            "iterations_used": result.iterations_used,
+        }
     return {
         "levels": levels,
         "forest": {
@@ -366,3 +363,57 @@ def summarize_run(run: HierarchyRun) -> dict:
             "providers": len(run.manifest["masks"]),
         },
     }
+
+
+def load_run(run_dir: Path) -> HierarchyRun:
+    """The run ``run_dir`` holds, checked as ``run_hierarchy`` checks it in
+    memory: level 100 and the first chain level partition the originals (the
+    ids the first level places, ``record_count`` of them), each later chain
+    level the previous one's output, and ``verify_run`` holds.  The summary,
+    the forest and the artificial record ids must be what the clusters give.
+    ``iterations_used`` comes from the summary on trust; seconds are not read."""
+    manifest = load_manifest(run_dir)
+    summary = load_summary(run_dir)
+    results: dict[int, LevelResult] = {}
+    for level in manifest["levels"]:
+        clusters = tuple(load_clusters(run_dir, level))
+        if any(c.level != level for c in clusters):
+            raise IntegrityError(f"run file {run_dir / cluster_file(level)} holds a cluster of another level")
+        unclustered = tuple(_read_lines(run_dir / unclustered_file(level)))
+        try:
+            iterations = summary["levels"][str(level)]["iterations_used"]
+        except (KeyError, TypeError):
+            iterations = None  # the summary check below names what is missing
+        results[level] = LevelResult(level, clusters, unclustered, iterations)
+    run = HierarchyRun(results, seconds={}, manifest=manifest, artificials=load_artificials(run_dir))
+
+    first = next(iter(results.values()))
+    population = sorted({*first.unclustered, *(rid for c in first.clusters for rid in c.record_ids())})
+    if len(population) != manifest["record_count"]:
+        raise IntegrityError(
+            f"level {first.level} places {len(population)} ids; the manifest counts {manifest['record_count']}"
+        )
+    originals = set(population)
+    for level, result in results.items():
+        check_partition(result, population)
+        if level in CHAIN_LEVELS:
+            population = sorted([*(c.id for c in result.clusters), *result.unclustered])
+    verify_run(run, originals)
+
+    _check_mirror(run_dir / SUMMARY_FILE, summary, summarize_run(run))
+    _check_mirror(run_dir / FOREST_FILE, load_forest(run_dir), forest_of(run))
+    # Every chain level but the last summarizes its clusters into artificial records.
+    summarized = dict.fromkeys(c.id for result in chain_results(run)[:-1] for c in result.clusters)
+    _check_mirror(run_dir / ARTIFICIALS_FILE, dict.fromkeys(run.artificials), summarized)
+    return run
+
+
+def _check_mirror(path: Path, recorded: object, derived: dict) -> None:
+    """``recorded`` must equal ``derived``; the error names the first sorted key where they part."""
+    keys: list[str] = []
+    while isinstance(recorded, dict) and isinstance(derived, dict) and recorded != derived:
+        key = min(k for k in recorded.keys() | derived.keys() if recorded.get(k, ...) != derived.get(k, ...))
+        keys.append(key)
+        recorded, derived = recorded.get(key, ...), derived.get(key, ...)
+    if recorded != derived:
+        raise IntegrityError(f"run file {path} does not match the cluster files at {'.'.join(keys) or 'its top'}")

@@ -54,6 +54,16 @@ def without(doc: dict, key: str) -> dict:
     return {k: v for k, v in doc.items() if k != key}
 
 
+def with_first(rows: list[dict], **changes) -> list[dict]:
+    return [{**rows[0], **changes}, *rows[1:]]
+
+
+def swap_level80_children(rows: list[dict]) -> list[dict]:
+    a, b = [row for row in rows if row["level"] == 80][:2]
+    a["children"][-1], b["children"][-1] = b["children"][-1], a["children"][-1]
+    return rows
+
+
 def run_files(run_dir: Path) -> dict[str, bytes]:
     return {
         p.name: p.read_bytes()
@@ -495,7 +505,7 @@ class TestStats:
                 rundir.SUMMARY_FILE,
                 lambda doc: {**doc, "levels": without(doc["levels"], "60")},
                 "stats",
-                "error: level 60 stats recomputed from cluster files do not match the run summary",
+                f"{rundir.SUMMARY_FILE} does not match the cluster files at levels.60",
             ),
         ],
         ids=["cluster-without-head", "forest-line-a-list", "artificial-without-fields", "summary-without-level"],
@@ -518,6 +528,51 @@ class TestStats:
         if name != rundir.SUMMARY_FILE:
             assert f"error: run file {path} line 1: " in err
 
+    @pytest.mark.parametrize(
+        "name,edit",
+        [
+            (rundir.FOREST_FILE, swap_level80_children),
+            (rundir.cluster_file(80), lambda rows: with_first(rows, members=["ghost", *rows[0]["members"][1:]])),
+            (rundir.cluster_file(80), lambda rows: with_first(rows, mean_head_similarity=0.1)),
+            (rundir.cluster_file(60), lambda rows: with_first(rows, members=[[1], *rows[0]["members"][1:]])),
+            (rundir.ARTIFICIALS_FILE, lambda rows: with_first(rows, id=[1])),
+            (rundir.FOREST_FILE, lambda rows: with_first(rows, cluster_id=[1])),
+            (rundir.unclustered_file(80), lambda rows: rows[1:]),
+            (rundir.ARTIFICIALS_FILE, lambda rows: rows[1:]),
+        ],
+        ids=[
+            "forest-child-swapped",
+            "level80-member-ghost",
+            "level80-mean-below-threshold",
+            "level60-member-a-list",
+            "artificial-id-a-list",
+            "forest-cluster-id-a-list",
+            "unclustered-id-dropped",
+            "artificial-record-dropped",
+        ],
+    )
+    def test_damaged_run_is_error_exit(self, full_run, tmp_path, capsys, name, edit):
+        # All but the dropped unclustered id once passed stats with exit 0 or
+        # ended in a traceback.  sample-eval reads the run the same way, before
+        # it opens --out.
+        run_dir = tmp_path / "run"
+        shutil.copytree(full_run, run_dir)
+        path = run_dir / name
+        ndjson = path.suffix == ".ndjson"
+        rows = [json.loads(line) if ndjson else line for line in path.read_text(encoding="utf-8").splitlines()]
+        rows = edit(rows)
+        dump = (lambda row: json.dumps(row, ensure_ascii=False, sort_keys=True)) if ndjson else str
+        path.write_text("".join(dump(row) + "\n" for row in rows), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["stats", "--run", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        out_file = tmp_path / "sample.ndjson"
+        out_file.write_bytes(b"kept\n")
+        assert main(["sample-eval", "--run", str(run_dir), "--out", str(out_file)]) == 1
+        assert capsys.readouterr().err == err
+        assert out_file.read_bytes() == b"kept\n"
+
     def test_run_file_cut_inside_a_character_is_error_exit(self, full_run, tmp_path, capsys):
         run_dir = tmp_path / "run"
         shutil.copytree(full_run, run_dir)
@@ -534,31 +589,22 @@ class TestStats:
         corpus = write_corpus(tmp_path / "c.ndjson", records)
         out = tmp_path / "run"
         assert main(["cluster", "--input", str(corpus), "--out", str(out)]) == 0
-        for level in rundir.load_manifest(out)["levels"]:
-            assert rundir.load_unclustered(out, level) == sorted(ids)
+        for result in rundir.load_run(out).results.values():
+            assert result.unclustered == tuple(sorted(ids))
         assert main(["stats", "--run", str(out)]) == 0
         assert "error" not in capsys.readouterr().err
 
     def test_outputs_reparseable_by_loaders(self, corpus_path, full_run):
-        manifest = rundir.load_manifest(full_run)
-        for level in manifest["levels"]:
-            clusters = rundir.load_clusters(full_run, level)
-            unclustered = rundir.load_unclustered(full_run, level)
-            assert all(c.level == level for c in clusters)
-            placed = set(unclustered)
-            for cluster in clusters:
-                placed.update(cluster.record_ids())
-            assert placed  # partition re-checked in acceptance suite
-        forest = rundir.load_forest(full_run)
-        artificials = rundir.load_artificials(full_run)
-        # Every chain cluster but the last level's has an artificial record.
-        last = {c.id for c in rundir.load_clusters(full_run, 20)}
-        assert set(artificials) == set(forest) - last
-        # Only ids and fields come back; kind and provenance live in the forest.
+        # Each level partitions its input, verify_run holds and the mirror files agree.
+        loaded = rundir.load_run(full_run)
         masks = rundir.load_masks(full_run / rundir.MASKS_FILE)
         run = run_hierarchy(ingest_path(corpus_path).records, masks, EngineConfig(seed=33))
+        assert {level: set(r.clusters) for level, r in loaded.results.items()} == {
+            level: set(r.clusters) for level, r in run.results.items()
+        }
+        # Only ids and fields come back; kind and provenance live in the forest.
         assert run.artificials
-        assert {rid: r.fields for rid, r in artificials.items()} == {
+        assert {rid: r.fields for rid, r in loaded.artificials.items()} == {
             rid: r.fields for rid, r in run.artificials.items()
         }
 
@@ -584,11 +630,12 @@ class TestRunDirRoundTrip:
         rundir.write_run(out, run)
         assert any(result.iterations_used > 0 for result in run.results.values())
         summary = rundir.load_summary(out)
+        loaded = rundir.load_run(out)
         for level, result in run.results.items():
             assert summary["levels"][str(level)]["iterations_used"] == result.iterations_used
-            loaded = rundir.load_clusters(out, level)
-            assert sorted(loaded, key=lambda c: c.id) == sorted(result.clusters, key=lambda c: c.id)
-            assert tuple(rundir.load_unclustered(out, level)) == result.unclustered
+            assert loaded.results[level].iterations_used == result.iterations_used
+            assert loaded.results[level].clusters == tuple(sorted(result.clusters, key=lambda c: c.id))
+            assert loaded.results[level].unclustered == result.unclustered
         assert main(["stats", "--run", str(out)]) == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines()]
         assert rows[0][:8] == ["level", "records", "clusters", "unclustered", "min", "max", "mean", "iters"]
