@@ -9,9 +9,14 @@ The loop per level:
 3. accept a candidate cluster iff the mean similarity between head and
    members reaches level/100, otherwise push the whole candidate set back on
    the stack to be divided further;
-4. when the stack drains, absorbed members leave the population and the
-   remaining records (cluster heads included) go through another iteration,
-   until an iteration clusters nothing or the iteration cap is reached.
+4. when the stack drains, absorbed members leave and the rest of the
+   iteration's groups (cluster heads included) is regrouped for another
+   iteration, until an iteration clusters nothing or the cap is reached.
+
+Regrouping only those records is exact: groups are the components of the
+band-key graph on the population (in ``all`` mode, its classes of equal key
+tuples), an edge does not depend on who else is in it, so a later, smaller
+population's components refine an earlier one's and a singleton stays one.
 
 Heads that rejoin later iterations keep the clusters they accrued; when such
 a head is itself absorbed as a member of a new cluster, its cluster dissolves
@@ -49,6 +54,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -107,25 +113,26 @@ class LevelResult:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class LevelBanding:
-    """Band keys for one population at one level, regroupable per iteration."""
+    """Band keys for one population at one level, one row per id in strictly
+    increasing id order, so a sorted row tuple maps to a sorted id tuple."""
 
     ids: list[str]
     keys: np.ndarray
     empty: np.ndarray
 
-    def groups(self, subset: set[str], mode: str = "any") -> list[tuple[str, ...]]:
-        rows = [i for i, rid in enumerate(self.ids) if rid in subset]
-        if not rows:
-            return []
-        sel = np.array(rows, dtype=np.intp)
-        return group_ids([self.ids[i] for i in rows], self.keys[sel], self.empty[sel], mode=mode)
+    def groups(self, rows: list[int], mode: str = "any") -> list[tuple[int, ...]]:
+        """The candidate groups of two or more among ``rows``, as sorted row tuples."""
+        return [g for g in group_ids(rows, self.keys[rows], self.empty[rows], mode=mode) if len(g) >= 2]
 
 
 def band_signatures(
     level: int, ids: list[str], blocks: Iterable[np.ndarray], config: EngineConfig
 ) -> LevelBanding:
-    """Band keys of signature blocks given in id order, for one level pass
-    (hierarchy and GA alike); the blocks are dropped once banded."""
+    """Band keys of signature blocks given in strictly increasing id order, for
+    one level pass (hierarchy and GA alike); the blocks are dropped once banded."""
+    for prev, rid in pairwise(ids):
+        if rid <= prev:
+            raise ValueError(f"ids must be strictly increasing: {rid!r} follows {prev!r}")
     keys = np.empty((len(ids), BAND_COUNT), dtype=np.uint64)
     empty = np.empty(len(ids), dtype=bool)
     start = 0
@@ -174,7 +181,7 @@ class FieldRows:
 
 def level_inputs(
     records: Mapping[str, Record],
-    ids: Iterable[str],
+    ids: list[str],
     level: int,
     config: EngineConfig,
     computer: SignatureComputer | None = None,
@@ -184,11 +191,10 @@ def level_inputs(
     """Banding plus a compatible similarity context for one level pass.  Each
     record is signed from the values its mask selects; values new to
     ``computer``'s store are tokenized once, and kept only when ``keep``."""
-    id_list = list(ids)
     computer = computer or SignatureComputer(count=config.minhash_count, seed=config.seed)
-    population = (records[rid] for rid in id_list)
+    population = map(records.__getitem__, ids)
     streams = (selected_values(r, mask_for(r) if mask_for is not None else None) for r in population)
-    banding = band_signatures(level, id_list, computer.signatures(streams, tokenize, keep), config)
+    banding = band_signatures(level, ids, computer.signatures(streams, tokenize, keep), config)
     compression = Compression(config.compressor, config.compression_level)
     return banding, SimilarityContext(records, compression, mask_for)
 
@@ -303,13 +309,9 @@ def _drain(
     iteration: int,
 ) -> list[_Accepted]:
     """Process one iteration's candidate groups off one stack, pushing each
-    group's restacks back on, until the stack is empty.
-
-    The groups are pairwise disjoint and a restack is a strict subset of its
-    group, so no tuple is processed twice in one drain: ``guard`` counts only
-    earlier iterations.  Each group draws from its own RNG, so the result
-    does not depend on the order of ``work``.
-    """
+    group's restacks back on, until the stack is empty.  No tuple recurs in
+    one drain, and the order of ``work`` does not matter (see the module
+    docstring), so ``guard`` counts only earlier iterations."""
     accepted: list[_Accepted] = []
     stack = list(work)
     while stack:
@@ -326,29 +328,20 @@ def _drain(
     return accepted
 
 
-def cluster_level(
-    input_ids: Iterable[str],
-    level: int,
-    sim: SimilarityFn,
-    banding: LevelBanding,
-    config: EngineConfig,
-) -> LevelResult:
-    """Run the full iterative loop at one level over one population."""
-    threshold = level / 100.0
-    population = set(input_ids)
-    input_all = sorted(population)
+def cluster_level(level: int, sim: SimilarityFn, banding: LevelBanding, config: EngineConfig) -> LevelResult:
+    """Run the full iterative loop at one level over the banding's population."""
+    ids = banding.ids
     guard: Counter = Counter()
-
     open_clusters: dict[str, _OpenCluster] = {}
-
+    rows = list(range(len(ids)))
     iterations = 0
-    while iterations < config.max_iterations:
-        groups = banding.groups(population, mode=config.band_match)
-        work = [g for g in groups if len(g) >= 2]
+    while rows and iterations < config.max_iterations:
+        work = banding.groups(rows, mode=config.band_match)
         if not work:
             break
         iterations += 1
-        accepted = _drain(work, threshold, sim, guard, config.seed, level, iterations)
+        groups = [tuple(map(ids.__getitem__, g)) for g in work]
+        accepted = _drain(groups, level / 100.0, sim, guard, config.seed, level, iterations)
         if not accepted:
             break
         for head, members, mean in accepted:
@@ -356,10 +349,11 @@ def cluster_level(
             entry.sim_sum += mean * len(members)
             entry.direct.extend(members)
             for member in members:
-                absorbed = open_clusters.pop(member, None)
-                if absorbed is not None:
-                    entry.inherited += absorbed.direct + absorbed.inherited
-            population.difference_update(members)
+                former = open_clusters.pop(member, None)
+                if former is not None:
+                    entry.inherited += former.direct + former.inherited
+        absorbed = {member for _, members, _ in accepted for member in members}
+        rows = [row for g in work for row in g if ids[row] not in absorbed]
 
     clusters = []
     for head, entry in sorted(open_clusters.items()):
@@ -367,9 +361,10 @@ def cluster_level(
         mean = entry.sim_sum / len(entry.direct)
         cid = f"L{level}-" + digest_hex("\x00".join((str(level), head) + members).encode("utf-8"))
         clusters.append(Cluster(cid, level, head, members, mean, transferred=tuple(sorted(entry.inherited))))
-    unclustered = tuple(sorted(population - open_clusters.keys()))
+    placed = {rid for cluster in clusters for rid in cluster.record_ids()}
+    unclustered = tuple(rid for rid in ids if rid not in placed)
     result = LevelResult(level, tuple(clusters), unclustered, iterations_used=iterations)
-    check_partition(result, input_all)
+    check_partition(result, ids)
     return result
 
 
@@ -382,7 +377,7 @@ def check_partition(result: LevelResult, input_ids: list[str]) -> None:
         if not cluster.members:
             raise IntegrityError(f"cluster {cluster.id} has no members")
         threshold = result.level / 100.0
-        if cluster.mean_head_similarity < threshold - 1e-9:
+        if not cluster.mean_head_similarity >= threshold - 1e-9:  # NaN fails too
             raise IntegrityError(
                 f"cluster {cluster.id} mean head similarity "
                 f"{cluster.mean_head_similarity:.4f} below {threshold}"

@@ -199,7 +199,7 @@ def evolve(
             mask = bits_mask(fields, bits)
             banding = band_signatures(FSC_LEVEL, ids, [rows.signatures(mask)], engine)
             ctx = SimilarityContext(by_id, compression, mask_for=lambda record: mask)
-            result = cluster_level(ids, FSC_LEVEL, ctx.similarity, banding, engine)
+            result = cluster_level(FSC_LEVEL, ctx.similarity, banding, engine)
             pair_seed = derive_seed(ga.seed, "ga-pairs", provider_key, "".join(map(str, bits)))
             scores[bits] = fitness(result, ctx, engine, pair_seed=pair_seed, summaries=summaries)
 

@@ -24,7 +24,7 @@ from .config import DESCRIPTION_FIELD, LEVELS, TITLE_FIELD, EngineConfig
 from .errors import ConfigurationError, IntegrityError
 from .hashing import digest_lines
 from .minhash import SignatureComputer
-from .records import ARTIFICIAL, ORIGINAL, FieldMask, Record, check_record, export_line, find_surrogate
+from .records import ARTIFICIAL, FieldMask, Record, check_record, export_line, find_surrogate
 
 CHAIN_LEVELS = (80, 60, 40, 20)
 
@@ -67,16 +67,11 @@ def make_artificial_record(cluster: Cluster, members: list[Record], value_cap: i
 
 def default_mask_for(provider_records: Iterable[Record]) -> FieldMask:
     """dc:title when the provider's schema has it, else dc:description."""
-    names: set[str] = set()
-    for record in provider_records:
-        names.update(record.fields)
-    if TITLE_FIELD in names:
-        return frozenset([TITLE_FIELD])
-    if DESCRIPTION_FIELD in names:
-        return frozenset([DESCRIPTION_FIELD])
-    raise ConfigurationError(
-        "provider has neither dc:title nor dc:description in its schema; no mask derivable"
-    )
+    names = {name for record in provider_records for name in record.fields}
+    for name in (TITLE_FIELD, DESCRIPTION_FIELD):
+        if name in names:
+            return frozenset([name])
+    raise ConfigurationError("provider has neither dc:title nor dc:description in its schema; no mask derivable")
 
 
 def corpus_digest(records: Sequence[Record]) -> str:
@@ -154,7 +149,7 @@ def run_hierarchy(
         banding, ctx = level_inputs(by_id, ids, level, config, computer, mask_for, keep=not last)
         if last:
             computer.clear()  # no later level reads the value store: free it before clustering
-        result = cluster_level(ids, level, ctx.similarity, banding, config)
+        result = cluster_level(level, ctx.similarity, banding, config)
         seconds[level] = time.perf_counter() - t0
         results[level] = result
         return result
@@ -172,7 +167,7 @@ def run_hierarchy(
     for level in chain:
         mask_for = None
         if level == 80:
-            mask_for = lambda record: masks[record.provider] if record.kind == ORIGINAL else None
+            mask_for = lambda record: masks[record.provider]
         result = run_level(population, level, mask_for)
         if level != chain[-1]:
             made = summarize(result)
@@ -285,9 +280,6 @@ def verify_run(run: HierarchyRun, original_ids: set[str]) -> None:
         raise IntegrityError(
             f"{len(missing)} records unaccounted for in the forest (e.g. {sorted(missing)[:3]})"
         )
-    extra = (covered | leftovers) - original_ids
-    if extra:
-        raise IntegrityError(f"forest covers unknown ids (e.g. {sorted(extra)[:3]})")
 
     chain = chain_results(run)
     for earlier, later in zip(chain, chain[1:]):

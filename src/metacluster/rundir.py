@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .clusterer import Cluster, LevelResult, check_partition
+from .config import LEVELS
 from .errors import ConfigurationError, IntegrityError
 from .ga import ProviderMask
 from .hierarchy import CHAIN_LEVELS, HierarchyRun, chain_results, forest_of, forest_roots, verify_run
@@ -90,16 +91,15 @@ def _read_ndjson(path: Path, build: Callable) -> list:
     return out
 
 
-def _id(value: object) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"id {value!r} is not a string")
+def _exact(value: object, kind: type = str):
+    # The writers give exact types: a str id, a list of ids, a float mean.
+    if type(value) is not kind:
+        raise TypeError(f"{value!r} is not a {kind.__name__}")
     return value
 
 
 def _id_list(value: object) -> tuple[str, ...]:
-    if not isinstance(value, list):
-        raise TypeError(f"{value!r} is not a list of ids")
-    return tuple(map(_id, value))
+    return tuple(map(_exact, _exact(value, list)))
 
 
 def _read_json(path: Path) -> dict:
@@ -269,11 +269,11 @@ def load_clusters(run_dir: Path, level: int) -> list[Cluster]:
     return _read_ndjson(
         run_dir / cluster_file(level),
         lambda doc: Cluster(
-            id=_id(doc["id"]),
+            id=_exact(doc["id"]),
             level=doc["level"],
-            head=_id(doc["head"]),
+            head=_exact(doc["head"]),
             members=_id_list(doc["members"]),
-            mean_head_similarity=doc["mean_head_similarity"],
+            mean_head_similarity=_exact(doc["mean_head_similarity"], float),
             transferred=_id_list(doc["transferred"]),
         ),
     )
@@ -283,12 +283,24 @@ def load_forest(run_dir: Path) -> dict[str, tuple[str, ...]]:
     """The forest as ``hierarchy.forest_of`` gives it: each cluster id mapped
     to its children."""
     return dict(
-        _read_ndjson(run_dir / FOREST_FILE, lambda doc: (_id(doc["cluster_id"]), _id_list(doc["children"])))
+        _read_ndjson(run_dir / FOREST_FILE, lambda doc: (_exact(doc["cluster_id"]), _id_list(doc["children"])))
     )
 
 
 def load_manifest(run_dir: Path) -> dict:
-    return _read_json(run_dir / MANIFEST_FILE)
+    """The manifest, its ``levels`` (known levels in run order, each once),
+    ``record_count``, ``masks`` and ``corpus_digest`` checked for shape."""
+    path = run_dir / MANIFEST_FILE
+    doc = _read_json(path)
+    try:
+        levels = [_exact(lv, int) for lv in _exact(doc["levels"], list)]
+        if not levels or levels != sorted(set(levels) & set(LEVELS), reverse=True):
+            raise ValueError(f"levels {levels} are not known levels in run order")
+        for key, kind in (("record_count", int), ("masks", dict), ("corpus_digest", str)):
+            _exact(doc[key], kind)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IntegrityError(f"run file {path}: unexpected shape ({type(exc).__name__}: {exc})") from None
+    return doc
 
 
 def load_summary(run_dir: Path) -> dict:
@@ -308,7 +320,7 @@ def load_artificials(run_dir: Path) -> dict[str, Record]:
 
     def build(doc: dict) -> Record:
         fields = {name: tuple(values) for name, values in doc["fields"].items()}
-        return Record(_id(doc["id"]), resolve_provider(fields), fields)
+        return Record(_exact(doc["id"]), resolve_provider(fields), fields)
 
     return {record.id: record for record in _read_ndjson(run_dir / ARTIFICIALS_FILE, build)}
 

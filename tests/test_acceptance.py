@@ -52,7 +52,7 @@ def run_level_100(records, seed):
     ids = sorted(by_id)
     config = EngineConfig(seed=seed)
     banding, ctx = level_inputs(by_id, ids, 100, config)
-    return cluster_level(ids, 100, ctx.similarity, banding, config)
+    return cluster_level(100, ctx.similarity, banding, config)
 
 
 def test_criterion_1_duplicate_recall():
@@ -100,7 +100,7 @@ def test_criterion_2_near_duplicate_behavior():
         config = EngineConfig(seed=seed)
         for level in (80, 100):
             banding, ctx = level_inputs(by_id, ids, level, config)
-            result = cluster_level(ids, level, ctx.similarity, banding, config)
+            result = cluster_level(level, ctx.similarity, banding, config)
             cluster_of = {}
             for cluster in result.clusters:
                 for rid in cluster.record_ids():
@@ -137,7 +137,7 @@ def test_criterion_3_oracle_equivalence():
             for seed in (7, 8):
                 config = EngineConfig(seed=seed)
                 banding, ctx = level_inputs(by_id, ids, level, config)
-                production = cluster_level(ids, level, ctx.similarity, banding, config)
+                production = cluster_level(level, ctx.similarity, banding, config)
 
                 keysets = reference_keysets(by_id, ids, level, config)
                 ctx2 = SimilarityContext(by_id, Compression())
@@ -214,7 +214,7 @@ def test_criterion_5_ga_correctness():
     for bits in itertools.product((0, 1), repeat=len(free)):
         mask = FieldMask(frozenset({"dc:title"} | {f for f, b in zip(free, bits) if b}))
         banding, ctx = level_inputs(by_id, ids, FSC_LEVEL, engine, mask_for=lambda r: mask)
-        result = cluster_level(ids, FSC_LEVEL, ctx.similarity, banding, engine)
+        result = cluster_level(FSC_LEVEL, ctx.similarity, banding, engine)
         value = fitness(result, ctx, engine, pair_seed=0)
         exhaustive_best = max(exhaustive_best, value)
     assert exhaustive_best > SENTINEL_FITNESS
@@ -294,7 +294,7 @@ def test_criterion_7_scaled_throughput():
 
     started = time.perf_counter()
     banding, ctx = level_inputs(by_id, ids, 100, config)
-    result = cluster_level(ids, 100, ctx.similarity, banding, config)
+    result = cluster_level(100, ctx.similarity, banding, config)
     seconds = time.perf_counter() - started
 
     assert len(result.clusters) == 5000

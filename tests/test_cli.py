@@ -54,6 +54,10 @@ def without(doc: dict, key: str) -> dict:
     return {k: v for k, v in doc.items() if k != key}
 
 
+#: What ``stats`` and ``sample-eval`` report for a manifest of the wrong shape.
+MANIFEST_SHAPE = f"{rundir.MANIFEST_FILE}: unexpected shape"
+
+
 def with_first(rows: list[dict], **changes) -> list[dict]:
     return [{**rows[0], **changes}, *rows[1:]]
 
@@ -507,8 +511,21 @@ class TestStats:
                 "stats",
                 f"{rundir.SUMMARY_FILE} does not match the cluster files at levels.60",
             ),
+            (rundir.MANIFEST_FILE, lambda doc: without(doc, "record_count"), "stats", MANIFEST_SHAPE),
+            (rundir.MANIFEST_FILE, lambda doc: {**doc, "levels": "80"}, "stats", MANIFEST_SHAPE),
+            (rundir.MANIFEST_FILE, lambda doc: {**doc, "levels": [80, 100]}, "sample-eval", MANIFEST_SHAPE),
+            (rundir.MANIFEST_FILE, lambda doc: without(doc, "corpus_digest"), "sample-eval", MANIFEST_SHAPE),
         ],
-        ids=["cluster-without-head", "forest-line-a-list", "artificial-without-fields", "summary-without-level"],
+        ids=[
+            "cluster-without-head",
+            "forest-line-a-list",
+            "artificial-without-fields",
+            "summary-without-level",
+            "manifest-without-record-count",
+            "manifest-levels-a-string",
+            "manifest-levels-out-of-order",
+            "manifest-without-corpus-digest",
+        ],
     )
     def test_run_file_of_wrong_shape_is_error_exit(self, full_run, tmp_path, capsys, name, damage, command, message):
         # Valid JSON of the wrong shape ends in an error line, not a traceback.
@@ -516,7 +533,7 @@ class TestStats:
         shutil.copytree(full_run, run_dir)
         path = run_dir / name
         text = path.read_text(encoding="utf-8")
-        if name == rundir.SUMMARY_FILE:
+        if name in (rundir.SUMMARY_FILE, rundir.MANIFEST_FILE):
             path.write_text(json.dumps(damage(json.loads(text))), encoding="utf-8")
         else:
             first, *rest = text.splitlines(keepends=True)
@@ -525,7 +542,9 @@ class TestStats:
         assert main([command, "--run", str(run_dir)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
-        if name != rundir.SUMMARY_FILE:
+        if name == rundir.MANIFEST_FILE:
+            assert f"error: run file {path}: " in err
+        elif name != rundir.SUMMARY_FILE:
             assert f"error: run file {path} line 1: " in err
 
     @pytest.mark.parametrize(
@@ -534,6 +553,7 @@ class TestStats:
             (rundir.FOREST_FILE, swap_level80_children),
             (rundir.cluster_file(80), lambda rows: with_first(rows, members=["ghost", *rows[0]["members"][1:]])),
             (rundir.cluster_file(80), lambda rows: with_first(rows, mean_head_similarity=0.1)),
+            (rundir.cluster_file(80), lambda rows: with_first(rows, mean_head_similarity="0.9")),
             (rundir.cluster_file(60), lambda rows: with_first(rows, members=[[1], *rows[0]["members"][1:]])),
             (rundir.ARTIFICIALS_FILE, lambda rows: with_first(rows, id=[1])),
             (rundir.FOREST_FILE, lambda rows: with_first(rows, cluster_id=[1])),
@@ -544,6 +564,7 @@ class TestStats:
             "forest-child-swapped",
             "level80-member-ghost",
             "level80-mean-below-threshold",
+            "level80-mean-a-string",
             "level60-member-a-list",
             "artificial-id-a-list",
             "forest-cluster-id-a-list",

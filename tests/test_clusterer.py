@@ -38,6 +38,8 @@ from metacluster.synthetic import (
 
 import numpy as np
 
+from reference_impl import reference_cluster_level
+
 
 def stub_sim(table, default=0.0):
     def sim(a, b):
@@ -52,7 +54,7 @@ def run_level(records, level, config, mask_for=None):
     by_id = {r.id: r for r in records}
     ids = sorted(by_id)
     banding, ctx = level_inputs(by_id, ids, level, config, mask_for=mask_for)
-    return cluster_level(ids, level, ctx.similarity, banding, config), ctx
+    return cluster_level(level, ctx.similarity, banding, config), ctx
 
 
 def manual_banding(groups_spec):
@@ -301,7 +303,7 @@ class TestClusterLevel:
         merged = []
         for seed in range(40):
             config = EngineConfig(seed=seed)
-            result = cluster_level(ids, 80, sim, banding, config)
+            result = cluster_level(80, sim, banding, config)
             placed = list(result.unclustered)
             for cluster in result.clusters:
                 placed.extend(cluster.record_ids())
@@ -469,6 +471,49 @@ class TestDrain:
         assert runs[0] == runs[1]
 
 
+@st.composite
+def keyed_population(draw):
+    """Sorted ids with band keys from few distinct values, so that components
+    split as their linking records are absorbed, a sentinel flag each, and a
+    symmetric similarity for every pair."""
+    n = draw(st.integers(2, 16))
+    ids = [f"r{i:02d}" for i in range(n)]
+    key = st.integers(0, draw(st.integers(1, 3)))
+    sentinel = st.sampled_from((False,) * 5 + (True,))
+    keysets = {rid: (draw(st.tuples(key, key, key, key)), draw(sentinel)) for rid in ids}
+    sims = {frozenset((a, b)): draw(st.sampled_from(SIM_VALUES)) for a in ids for b in ids if a < b}
+    return ids, keysets, lambda x, y: 1.0 if x == y else sims[frozenset((x, y))]
+
+
+@pytest.mark.parametrize(
+    "ids,message", [(["a", "c", "b"], "'b' follows 'c'"), (["a", "b", "b"], "'b' follows 'b'")]
+)
+def test_band_signatures_refuses_ids_out_of_order(ids, message):
+    # Carried row tuples map to sorted id tuples only when rows are in id order.
+    blocks = [np.zeros((len(ids), ROW_CONFIG.minhash_count), dtype=np.uint64)]
+    with pytest.raises(ValueError, match=message):
+        band_signatures(80, ids, blocks, ROW_CONFIG)
+
+
+class TestCarriedGroups:
+    @given(
+        keyed_population(),
+        st.sampled_from((20, 40, 60, 80, 100)),
+        st.integers(1, 5),
+        st.sampled_from(("any", "all")),
+        st.integers(0, 2**32),
+    )
+    def test_matches_oracle_regrouping_whole_population(self, population, level, max_iterations, mode, seed):
+        # Later iterations regroup only the rest of the previous groups; the
+        # oracle regroups every record still in the population.
+        ids, keysets, sim = population
+        keys = np.array([keysets[rid][0] for rid in ids], dtype=np.uint64)
+        empty = np.array([keysets[rid][1] for rid in ids], dtype=bool)
+        config = EngineConfig(seed=seed, max_iterations=max_iterations, band_match=mode)
+        got = cluster_level(level, sim, LevelBanding(ids, keys, empty), config)
+        assert got == reference_cluster_level(ids, level, sim, keysets, config)
+
+
 class TestProcessGroup:
     @given(group_with_sims(), THRESHOLDS, st.integers(0, 2**32))
     def test_three_steps_composed_agree(self, spec, threshold, seed):
@@ -523,7 +568,7 @@ class TestProcessGroup:
             order = sorted(group)
             random.Random(derive_seed(seed, "level", 20, 1, 0, *group)).shuffle(order)
             drew_r0 += order[0] == "r0"
-            result = cluster_level(group, 20, sim, banding, EngineConfig(seed=seed))
+            result = cluster_level(20, sim, banding, EngineConfig(seed=seed))
             [cluster] = result.clusters
             assert cluster.head == order[0]
             assert cluster.members == tuple(sorted(set(group) - {order[0]}))
@@ -579,7 +624,7 @@ class TestSimilarityMemo:
             asked[(x, y)] += 1
             return ctx.similarity(x, y)
 
-        result = cluster_level(ids, 80, sim, manual_banding([ids]), EngineConfig(seed=1))
+        result = cluster_level(80, sim, manual_banding([ids]), EngineConfig(seed=1))
         assert result.iterations_used >= 3 and max(asked.values()) > 1
         assert max(compressed.values()) == 1
         pairs = {ctx.payload(x) + CONCAT_SEP + ctx.payload(y) for x, y in asked}

@@ -51,7 +51,7 @@ def evaluate_mask(records, mask_fields, engine, pair_seed=0):
     ids = sorted(by_id)
     mask = frozenset(mask_fields)
     banding, ctx = level_inputs(by_id, ids, FSC_LEVEL, engine, mask_for=lambda r: mask)
-    result = cluster_level(ids, FSC_LEVEL, ctx.similarity, banding, engine)
+    result = cluster_level(FSC_LEVEL, ctx.similarity, banding, engine)
     return fitness(result, ctx, engine, pair_seed=pair_seed)
 
 
@@ -301,7 +301,7 @@ class TestFitnessReuse:
             return size(self, data)
 
         monkeypatch.setattr(Compression, "compressed_size", counting_size)
-        result = cluster_level(ids, FSC_LEVEL, ctx.similarity, banding, engine)
+        result = cluster_level(FSC_LEVEL, ctx.similarity, banding, engine)
         clustering = set(compressed)
         compressed.clear()
         assert fitness(result, ctx, engine) > SENTINEL_FITNESS
