@@ -369,7 +369,8 @@ def cluster_level(level: int, sim: SimilarityFn, banding: LevelBanding, config: 
 
 
 def check_partition(result: LevelResult, input_ids: list[str]) -> None:
-    """Every input id placed once, and every cluster non-empty and at its level's threshold."""
+    """Every input id placed once, and every cluster non-empty, at its level's
+    threshold and with its transferred ids among its members."""
     seen: list[str] = list(result.unclustered)
     for cluster in result.clusters:
         seen.append(cluster.head)
@@ -382,8 +383,11 @@ def check_partition(result: LevelResult, input_ids: list[str]) -> None:
                 f"cluster {cluster.id} mean head similarity "
                 f"{cluster.mean_head_similarity:.4f} below {threshold}"
             )
+        if not set(cluster.members).issuperset(cluster.transferred):
+            raise IntegrityError(f"cluster {cluster.id} transfers ids that are not its members")
     if sorted(seen) != input_ids:
+        stray = sorted({rid for rid, _ in Counter(seen).items() ^ Counter(input_ids).items()})[:3]
         raise IntegrityError(
             f"level {result.level} output is not a partition of its input "
-            f"({len(seen)} placements vs {len(input_ids)} inputs)"
+            f"({len(seen)} placements vs {len(input_ids)} inputs; miscounted ids {stray})"
         )

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__ as _package_version
-from .clusterer import Cluster, LevelResult, cluster_level, level_inputs
+from .clusterer import Cluster, LevelResult, check_partition, cluster_level, level_inputs
 from .config import DESCRIPTION_FIELD, LEVELS, TITLE_FIELD, EngineConfig
 from .errors import ConfigurationError, IntegrityError
 from .hashing import digest_lines
@@ -99,7 +99,7 @@ def run_hierarchy(
     levels: Iterable[int] = LEVELS,
     computer: SignatureComputer | None = None,
 ) -> HierarchyRun:
-    """Execute the requested levels over the corpus and verify the forest.
+    """Execute the requested levels over the corpus and check the run (``verify_run``).
 
     Every level signs through one ``SignatureComputer``: ``computer`` when
     given (a ``cluster`` run passes the one its GA signed with), else a new
@@ -194,7 +194,7 @@ def run_hierarchy(
         artificials=artificials,
         duplicate_artificials=duplicate_artificials,
     )
-    verify_run(run, set(original_ids))
+    verify_run(run, original_ids)
     return run
 
 
@@ -217,7 +217,9 @@ def expand(
     """Recursive union of the cluster's children down to original record ids.
 
     Raises IntegrityError on a dangling child id or when two children expand
-    to overlapping sets (the refinement property).
+    to overlapping sets (the refinement property).  The engine checks a run
+    by the chain rule (``verify_run``); this walk of the forest is the
+    independent check that tests apply to a run.
     """
     out: set[str] = set()
     for child in forest[cluster_id]:
@@ -247,44 +249,26 @@ def never_clustered(run: HierarchyRun, original_ids: set[str]) -> set[str]:
     return {rid for rid in chain[-1].unclustered if rid in original_ids}
 
 
-def verify_run(run: HierarchyRun, original_ids: set[str]) -> None:
-    """Refinement, conservation and partition checks over the whole forest.
-
-    Raises IntegrityError on the first violation.
-    """
-    forest = forest_of(run)
-    level100_ids = {c.id for c in run.results[100].clusters} if 100 in run.results else set()
-    for children in forest.values():
-        for child in children:
-            if child in level100_ids:
-                raise IntegrityError(f"duplicate-pass cluster {child} appears in the hierarchy chain")
-
-    covered: set[str] = set()
-    for root in forest_roots(forest):
-        expansion = expand(root, forest, original_ids)
-        clash = covered & expansion
-        if clash:
-            raise IntegrityError(
-                f"roots overlap on {len(clash)} records (e.g. {sorted(clash)[:3]})"
-            )
-        covered |= expansion
-
-    leftovers = never_clustered(run, original_ids)
-    overlap = covered & leftovers
-    if overlap:
-        raise IntegrityError(
-            f"{len(overlap)} records both clustered and left over (e.g. {sorted(overlap)[:3]})"
-        )
-    missing = original_ids - covered - leftovers
-    if missing:
-        raise IntegrityError(
-            f"{len(missing)} records unaccounted for in the forest (e.g. {sorted(missing)[:3]})"
-        )
-
+def verify_run(run: HierarchyRun, original_ids: Iterable[str]) -> None:
+    """The chain rule that built the run, as a check: level 100 and the first
+    chain level partition the originals, each later chain level the previous
+    one's cluster and unclustered ids, and no chain cluster id repeats or names
+    an original.  Artificial records summarize the clusters of level 100 and of
+    every chain level but the last.  By induction, the forest refines,
+    conserves the originals and never grows.  Raises IntegrityError."""
+    population = sorted(original_ids)
     chain = chain_results(run)
-    for earlier, later in zip(chain, chain[1:]):
-        if later.input_count > earlier.input_count:
-            raise IntegrityError(
-                f"population grew from level {earlier.level} ({earlier.input_count}) "
-                f"to level {later.level} ({later.input_count})"
-            )
+    ids = [c.id for result in chain for c in result.clusters]
+    distinct = set(ids)
+    if len(distinct) < len(ids) or not distinct.isdisjoint(population):
+        clash = sorted(distinct.intersection(population)) or sorted(i for i, n in Counter(ids).items() if n > 1)
+        raise IntegrityError(f"chain cluster ids {clash[:3]} each name two entities of the forest")
+    for level, result in run.results.items():
+        check_partition(result, population)
+        if level in CHAIN_LEVELS:
+            population = sorted([*(c.id for c in result.clusters), *result.unclustered])
+    level100 = [run.results[100]] if 100 in run.results else []
+    for records, results in ((run.artificials, chain[:-1]), (run.duplicate_artificials, level100)):
+        stray = {c.id for result in results for c in result.clusters}.symmetric_difference(records)
+        if stray:
+            raise IntegrityError(f"artificial records and the clusters they summarize differ on {sorted(stray)[:3]}")

@@ -15,13 +15,13 @@ import json
 import math
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .clusterer import Cluster, LevelResult, check_partition
+from .clusterer import Cluster, LevelResult
 from .config import LEVELS
 from .errors import ConfigurationError, IntegrityError
 from .ga import ProviderMask
-from .hierarchy import CHAIN_LEVELS, HierarchyRun, chain_results, forest_of, forest_roots, verify_run
+from .hierarchy import HierarchyRun, chain_results, forest_of, forest_roots, verify_run
 from .records import FieldMask, Record, RejectedLine, find_surrogate, resolve_provider, write_records
 
 MANIFEST_FILE = "manifest.json"
@@ -77,15 +77,15 @@ def _parse_json(path: Path, lineno: int, text: str):
 
 def _read_ndjson(path: Path, build: Callable) -> list:
     """``build`` applied to each line's document.  A document of the wrong
-    shape (a key missing, a list where an object belongs) is an
-    IntegrityError naming the file and line, like a line cut mid-JSON."""
+    shape (a key missing, a list where an object belongs, a value ``build``
+    refuses) is an IntegrityError naming the file and line."""
     out = []
     for n, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             continue
         try:
             out.append(build(_parse_json(path, n, line)))
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             problem = f"{type(exc).__name__}: {exc}"
             raise IntegrityError(f"run file {path} line {n}: unexpected shape ({problem})") from None
     return out
@@ -124,41 +124,11 @@ def write_run(out_dir: Path, run: HierarchyRun) -> None:
             "".join(rid + "\n" for rid in result.unclustered), encoding="utf-8"
         )
 
-    chain_clusters = [c for result in chain_results(run) for c in result.clusters]
-    write_ndjson(
-        out_dir / FOREST_FILE,
-        (
-            {
-                "cluster_id": c.id,
-                "level": c.level,
-                "head": c.head,
-                "children": c.record_ids(),
-                "artificial_record_id": c.id if c.id in run.artificials else None,
-                "category": "",
-            }
-            for c in sorted(chain_clusters, key=lambda c: (-c.level, c.id))
-        ),
-    )
+    write_ndjson(out_dir / FOREST_FILE, forest_docs(run))
     with open(out_dir / ARTIFICIALS_FILE, "w", encoding="utf-8") as fh:
         write_records((run.artificials[rid] for rid in sorted(run.artificials)), fh)
-
     if 100 in run.results:
-        write_ndjson(
-            out_dir / DUPLICATES_FILE,
-            (
-                {
-                    "cluster_id": cluster.id,
-                    "head": cluster.head,
-                    "members": cluster.members,
-                    "mean_head_similarity": cluster.mean_head_similarity,
-                    "artificial_record": {
-                        "id": run.duplicate_artificials[cluster.id].id,
-                        "fields": run.duplicate_artificials[cluster.id].fields,
-                    },
-                }
-                for cluster in sorted(run.results[100].clusters, key=lambda c: c.id)
-            ),
-        )
+        write_ndjson(out_dir / DUPLICATES_FILE, duplicate_docs(run))
 
     (out_dir / TIMINGS_FILE).write_text(
         "level\trecords\tclusters\ttime\n"
@@ -171,6 +141,32 @@ def write_run(out_dir: Path, run: HierarchyRun) -> None:
     )
     _write_json(out_dir / MANIFEST_FILE, run.manifest)
     _write_json(out_dir / SUMMARY_FILE, summarize_run(run))
+
+
+def forest_docs(run: HierarchyRun) -> Iterator[dict]:
+    """``forest.ndjson``'s lines: one per chain cluster, by level, then id."""
+    for c in sorted((c for result in chain_results(run) for c in result.clusters), key=lambda c: (-c.level, c.id)):
+        yield {
+            "cluster_id": c.id,
+            "level": c.level,
+            "head": c.head,
+            "children": list(c.record_ids()),
+            "artificial_record_id": c.id if c.id in run.artificials else None,
+            "category": "",
+        }
+
+
+def duplicate_docs(run: HierarchyRun) -> Iterator[dict]:
+    """``duplicate_report.ndjson``'s lines: one per level-100 cluster, by id."""
+    for cluster in sorted(run.results[100].clusters, key=lambda c: c.id):
+        artificial = run.duplicate_artificials[cluster.id]
+        yield {
+            "cluster_id": cluster.id,
+            "head": cluster.head,
+            "members": list(cluster.members),
+            "mean_head_similarity": cluster.mean_head_similarity,
+            "artificial_record": {"id": artificial.id, "fields": {k: list(v) for k, v in artificial.fields.items()}},
+        }
 
 
 def write_clusters(path: Path, clusters: Iterable[Cluster]) -> None:
@@ -266,25 +262,20 @@ def load_masks(path: Path) -> dict[str, FieldMask]:
 
 
 def load_clusters(run_dir: Path, level: int) -> list[Cluster]:
-    return _read_ndjson(
-        run_dir / cluster_file(level),
-        lambda doc: Cluster(
+    def build(doc: dict) -> Cluster:
+        cluster = Cluster(
             id=_exact(doc["id"]),
             level=doc["level"],
             head=_exact(doc["head"]),
             members=_id_list(doc["members"]),
             mean_head_similarity=_exact(doc["mean_head_similarity"], float),
             transferred=_id_list(doc["transferred"]),
-        ),
-    )
+        )
+        if _exact(doc["size"], int) != cluster.size:
+            raise ValueError(f"size {doc['size']!r} is not 1 + {len(cluster.members)} members")
+        return cluster
 
-
-def load_forest(run_dir: Path) -> dict[str, tuple[str, ...]]:
-    """The forest as ``hierarchy.forest_of`` gives it: each cluster id mapped
-    to its children."""
-    return dict(
-        _read_ndjson(run_dir / FOREST_FILE, lambda doc: (_exact(doc["cluster_id"]), _id_list(doc["children"])))
-    )
+    return _read_ndjson(run_dir / cluster_file(level), build)
 
 
 def load_manifest(run_dir: Path) -> dict:
@@ -308,21 +299,33 @@ def load_summary(run_dir: Path) -> dict:
 
 
 def load_field_report(run_dir: Path) -> dict | None:
-    """The field selection report, or None for a run given saved masks."""
+    """The field selection report, checked for the shape ``stats`` reads, or
+    None for a run given saved masks."""
     path = run_dir / FIELD_REPORT_FILE
-    return _read_json(path) if path.exists() else None
+    if not path.exists():
+        return None
+    doc = _read_json(path)
+    try:
+        _exact(doc["providers"], int)
+        for entry in _exact(doc["ga_providers"], dict).values():
+            _exact(entry["evaluations"], int)
+            history = _exact(entry["best_history"], list)
+            if not history or any(v is not None and type(v) is not float for v in history):
+                raise ValueError(f"best_history {history} is not a non-empty list of floats and nulls")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IntegrityError(f"run file {path}: unexpected shape ({type(exc).__name__}: {exc})") from None
+    return doc
+
+
+def _artificial(doc: dict) -> Record:
+    """An artificial record's id and fields, the fields taken on trust."""
+    fields = {name: tuple(values) for name, values in doc["fields"].items()}
+    return Record(_exact(doc["id"]), resolve_provider(fields), fields)
 
 
 def load_artificials(run_dir: Path) -> dict[str, Record]:
-    """Artificial records by id.  Only ids and fields come back (each as an
-    original without provenance); ``load_forest`` has what each one
-    summarizes."""
-
-    def build(doc: dict) -> Record:
-        fields = {name: tuple(values) for name, values in doc["fields"].items()}
-        return Record(_exact(doc["id"]), resolve_provider(fields), fields)
-
-    return {record.id: record for record in _read_ndjson(run_dir / ARTIFICIALS_FILE, build)}
+    """Artificial records by id; ``forest_of`` of the loaded run has what each summarizes."""
+    return {record.id: record for record in _read_ndjson(run_dir / ARTIFICIALS_FILE, _artificial)}
 
 
 def size_histogram(sizes: list[int]) -> dict[str, int]:
@@ -379,11 +382,11 @@ def summarize_run(run: HierarchyRun) -> dict:
 
 def load_run(run_dir: Path) -> HierarchyRun:
     """The run ``run_dir`` holds, checked as ``run_hierarchy`` checks it in
-    memory: level 100 and the first chain level partition the originals (the
-    ids the first level places, ``record_count`` of them), each later chain
-    level the previous one's output, and ``verify_run`` holds.  The summary,
-    the forest and the artificial record ids must be what the clusters give.
-    ``iterations_used`` comes from the summary on trust; seconds are not read."""
+    memory: the first level places ``record_count`` distinct ids, the
+    originals, and ``verify_run`` holds over them.  The summary, the forest
+    and the duplicate report must be what the clusters give.  The artificial
+    records' fields and ``iterations_used`` (read from the summary) are
+    taken on trust; seconds are not read."""
     manifest = load_manifest(run_dir)
     summary = load_summary(run_dir)
     results: dict[int, LevelResult] = {}
@@ -397,35 +400,37 @@ def load_run(run_dir: Path) -> HierarchyRun:
         except (KeyError, TypeError):
             iterations = None  # the summary check below names what is missing
         results[level] = LevelResult(level, clusters, unclustered, iterations)
+    report = []
+    if 100 in results:
+        report = _read_ndjson(run_dir / DUPLICATES_FILE, lambda doc: (doc, _artificial(doc["artificial_record"])))
     run = HierarchyRun(results, seconds={}, manifest=manifest, artificials=load_artificials(run_dir))
+    run.duplicate_artificials = {record.id: record for _, record in report}
 
     first = next(iter(results.values()))
-    population = sorted({*first.unclustered, *(rid for c in first.clusters for rid in c.record_ids())})
-    if len(population) != manifest["record_count"]:
+    originals = {*first.unclustered, *(rid for c in first.clusters for rid in c.record_ids())}
+    if len(originals) != manifest["record_count"]:
         raise IntegrityError(
-            f"level {first.level} places {len(population)} ids; the manifest counts {manifest['record_count']}"
+            f"level {first.level} places {len(originals)} ids; the manifest counts {manifest['record_count']}"
         )
-    originals = set(population)
-    for level, result in results.items():
-        check_partition(result, population)
-        if level in CHAIN_LEVELS:
-            population = sorted([*(c.id for c in result.clusters), *result.unclustered])
     verify_run(run, originals)
 
     _check_mirror(run_dir / SUMMARY_FILE, summary, summarize_run(run))
-    _check_mirror(run_dir / FOREST_FILE, load_forest(run_dir), forest_of(run))
-    # Every chain level but the last summarizes its clusters into artificial records.
-    summarized = dict.fromkeys(c.id for result in chain_results(run)[:-1] for c in result.clusters)
-    _check_mirror(run_dir / ARTIFICIALS_FILE, dict.fromkeys(run.artificials), summarized)
+    path = run_dir / FOREST_FILE
+    _check_mirror(path, _read_ndjson(path, lambda doc: _exact(doc, dict)), list(forest_docs(run)))
+    if 100 in results:
+        _check_mirror(run_dir / DUPLICATES_FILE, [doc for doc, _ in report], list(duplicate_docs(run)))
     return run
 
 
-def _check_mirror(path: Path, recorded: object, derived: dict) -> None:
-    """``recorded`` must equal ``derived``; the error names the first sorted key where they part."""
+def _check_mirror(path: Path, recorded: object, derived: object) -> None:
+    """``recorded`` must equal ``derived``; the error names the first sorted
+    key (a line number in a file of lines) where they part."""
     keys: list[str] = []
-    while isinstance(recorded, dict) and isinstance(derived, dict) and recorded != derived:
+    while recorded != derived:
+        if isinstance(recorded, list) and isinstance(derived, list):
+            recorded, derived = dict(enumerate(recorded, 1)), dict(enumerate(derived, 1))
+        if not (isinstance(recorded, dict) and isinstance(derived, dict)):
+            raise IntegrityError(f"run file {path} does not match the cluster files at {'.'.join(keys) or 'its top'}")
         key = min(k for k in recorded.keys() | derived.keys() if recorded.get(k, ...) != derived.get(k, ...))
-        keys.append(key)
+        keys.append(str(key))
         recorded, derived = recorded.get(key, ...), derived.get(key, ...)
-    if recorded != derived:
-        raise IntegrityError(f"run file {path} does not match the cluster files at {'.'.join(keys) or 'its top'}")

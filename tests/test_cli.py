@@ -56,6 +56,7 @@ def without(doc: dict, key: str) -> dict:
 
 #: What ``stats`` and ``sample-eval`` report for a manifest of the wrong shape.
 MANIFEST_SHAPE = f"{rundir.MANIFEST_FILE}: unexpected shape"
+FIELD_REPORT_SHAPE = f"{rundir.FIELD_REPORT_FILE}: unexpected shape"
 
 
 def with_first(rows: list[dict], **changes) -> list[dict]:
@@ -87,7 +88,7 @@ class TestClusterCommand:
         assert (out / rundir.DUPLICATES_FILE).exists()
         assert not (out / "clusters_level_80.ndjson").exists()
         assert not (out / rundir.MASKS_FILE).exists()  # GA skipped without level 80
-        assert rundir.load_forest(out) == {}
+        assert forest_of(rundir.load_run(out)) == {}
 
     def test_deterministic_outputs(self, corpus_path, full_run, tmp_path):
         out2 = tmp_path / "again"
@@ -515,6 +516,17 @@ class TestStats:
             (rundir.MANIFEST_FILE, lambda doc: {**doc, "levels": "80"}, "stats", MANIFEST_SHAPE),
             (rundir.MANIFEST_FILE, lambda doc: {**doc, "levels": [80, 100]}, "sample-eval", MANIFEST_SHAPE),
             (rundir.MANIFEST_FILE, lambda doc: without(doc, "corpus_digest"), "sample-eval", MANIFEST_SHAPE),
+            (rundir.FIELD_REPORT_FILE, lambda doc: without(doc, "providers"), "stats", FIELD_REPORT_SHAPE),
+            (
+                rundir.FIELD_REPORT_FILE,
+                lambda doc: {
+                    **doc,
+                    "ga_providers": {p: without(e, "best_history") for p, e in doc["ga_providers"].items()},
+                },
+                "stats",
+                FIELD_REPORT_SHAPE,
+            ),
+            (rundir.FIELD_REPORT_FILE, lambda doc: [doc], "stats", FIELD_REPORT_SHAPE),
         ],
         ids=[
             "cluster-without-head",
@@ -525,6 +537,9 @@ class TestStats:
             "manifest-levels-a-string",
             "manifest-levels-out-of-order",
             "manifest-without-corpus-digest",
+            "field-report-without-providers",
+            "field-report-ga-entry-without-history",
+            "field-report-a-list",
         ],
     )
     def test_run_file_of_wrong_shape_is_error_exit(self, full_run, tmp_path, capsys, name, damage, command, message):
@@ -533,7 +548,7 @@ class TestStats:
         shutil.copytree(full_run, run_dir)
         path = run_dir / name
         text = path.read_text(encoding="utf-8")
-        if name in (rundir.SUMMARY_FILE, rundir.MANIFEST_FILE):
+        if name in (rundir.SUMMARY_FILE, rundir.MANIFEST_FILE, rundir.FIELD_REPORT_FILE):
             path.write_text(json.dumps(damage(json.loads(text))), encoding="utf-8")
         else:
             first, *rest = text.splitlines(keepends=True)
@@ -542,7 +557,7 @@ class TestStats:
         assert main([command, "--run", str(run_dir)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
-        if name == rundir.MANIFEST_FILE:
+        if name in (rundir.MANIFEST_FILE, rundir.FIELD_REPORT_FILE):
             assert f"error: run file {path}: " in err
         elif name != rundir.SUMMARY_FILE:
             assert f"error: run file {path} line 1: " in err
@@ -559,6 +574,19 @@ class TestStats:
             (rundir.FOREST_FILE, lambda rows: with_first(rows, cluster_id=[1])),
             (rundir.unclustered_file(80), lambda rows: rows[1:]),
             (rundir.ARTIFICIALS_FILE, lambda rows: rows[1:]),
+            (rundir.FOREST_FILE, lambda rows: with_first(rows, head="ghost")),
+            (rundir.FOREST_FILE, lambda rows: with_first(rows, level=7)),
+            (rundir.FOREST_FILE, lambda rows: with_first(rows, artificial_record_id="zzz")),
+            (rundir.FOREST_FILE, lambda rows: with_first(rows, category="nonsense")),
+            (rundir.DUPLICATES_FILE, lambda rows: with_first(rows, members=["ghost"])),
+            (rundir.DUPLICATES_FILE, lambda rows: with_first(rows, mean_head_similarity=0.1)),
+            (rundir.DUPLICATES_FILE, lambda rows: rows[:-1]),
+            (
+                rundir.DUPLICATES_FILE,
+                lambda rows: with_first(rows, artificial_record={**rows[0]["artificial_record"], "id": "zzz"}),
+            ),
+            (rundir.cluster_file(80), lambda rows: with_first(rows, size=999)),
+            (rundir.cluster_file(60), lambda rows: with_first(rows, transferred=["ghost"])),
         ],
         ids=[
             "forest-child-swapped",
@@ -570,6 +598,16 @@ class TestStats:
             "forest-cluster-id-a-list",
             "unclustered-id-dropped",
             "artificial-record-dropped",
+            "forest-head-ghost",
+            "forest-level-7",
+            "forest-artificial-id-zzz",
+            "forest-category-set",
+            "duplicate-members-ghost",
+            "duplicate-mean-below-threshold",
+            "duplicate-line-dropped",
+            "duplicate-artificial-id-zzz",
+            "level80-size-999",
+            "level60-transferred-ghost",
         ],
     )
     def test_damaged_run_is_error_exit(self, full_run, tmp_path, capsys, name, edit):
@@ -593,6 +631,39 @@ class TestStats:
         assert main(["sample-eval", "--run", str(run_dir), "--out", str(out_file)]) == 1
         assert capsys.readouterr().err == err
         assert out_file.read_bytes() == b"kept\n"
+
+    def test_original_named_like_a_level100_cluster(self, tmp_path, capsys):
+        # An original may carry any id, a level-100 cluster's included; level
+        # 100 stays out of the chain, so the id is no clash.
+        title = "the oil shop at the corner of the market street in old town"
+        records = [Record(rid, "p", {"dc:title": (title,)}) for rid in ("a", "b")]
+        records += family_corpus(3, 4, seed=5)[0]
+        (cluster_id,) = [c.id for c in run_hierarchy(records, None, EngineConfig(seed=7)).results[100].clusters]
+        near = "a survey of cobalt glazes used by delft potters in the seventeenth century"
+        records += [Record(cluster_id, "p", {"dc:title": (f"{near} volume one",)})]
+        records += [Record("z", "p", {"dc:title": (f"{near} volume two",)})]
+        corpus = write_corpus(tmp_path / "c.ndjson", records)
+        out = tmp_path / "run"
+        assert main(["cluster", "--input", str(corpus), "--out", str(out), "--seed", "7"]) == 0
+        run = rundir.load_run(out)
+        assert [c.id for c in run.results[100].clusters] == [cluster_id]
+        assert any(c.record_ids() == ("z", cluster_id) for c in run.results[80].clusters)
+        assert main(["stats", "--run", str(out)]) == 0
+        assert "error" not in capsys.readouterr().err
+
+    def test_original_named_like_a_level80_cluster(self, tmp_path, capsys):
+        # The original joins another cluster at level 80 while the cluster it
+        # is named after forms beside it: one id would name two entities of
+        # the forest, and the run is refused.
+        records = family_corpus(3, 4, seed=5)[0]
+        cluster_id = run_hierarchy(records, None, EngineConfig(seed=7)).results[80].clusters[0].id
+        near = "a survey of cobalt glazes used by delft potters in the seventeenth century"
+        records += [Record(cluster_id, "p", {"dc:title": (f"{near} volume one",)})]
+        records += [Record("z", "p", {"dc:title": (f"{near} volume two",)})]
+        corpus = write_corpus(tmp_path / "c.ndjson", records)
+        capsys.readouterr()
+        assert main(["cluster", "--input", str(corpus), "--out", str(tmp_path / "run"), "--seed", "7"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: chain cluster ids ['{cluster_id}'] each name two entities")
 
     def test_run_file_cut_inside_a_character_is_error_exit(self, full_run, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -709,7 +780,7 @@ class TestRunDirRoundTrip:
         assert run.results[100].clusters
         for level, result in run.results.items():
             assert rundir.load_clusters(out, level) == sorted(result.clusters, key=lambda c: c.id)
-        assert rundir.load_forest(out) == forest_of(run)
+        assert forest_of(rundir.load_run(out)) == forest_of(run)
 
     def test_stats_prints_ga_history(self, full_run, capsys):
         report = rundir.load_field_report(full_run)

@@ -129,7 +129,7 @@ class TestRunHierarchy:
         forest = forest_of(run)
         assert forest, "no chain level clustered anything"
         assert {line["cluster_id"]: tuple(line["children"]) for line in lines} == forest
-        assert rundir.load_forest(tmp_path) == forest
+        assert forest_of(rundir.load_run(tmp_path)) == forest
         chain = [level for level in levels if level != 100]
         # Children of the first chain level's nodes are original record ids;
         # those of a lower node come from the previous chain level's output
@@ -321,6 +321,21 @@ class TestExpand:
             expand("t", forest, {"h1", "x1"})
 
 
+def absorb_level80_original(run):
+    level60 = run.results[60]
+    first, *rest = level60.clusters
+    extra = dataclasses.replace(first, members=first.members + (run.results[80].clusters[0].head,))
+    run.results[60] = dataclasses.replace(level60, clusters=(extra, *rest))
+
+
+def drop_level40_cluster(run):
+    run.results[40] = dataclasses.replace(run.results[40], clusters=run.results[40].clusters[1:])
+
+
+def drop_level60_artificial(run):
+    del run.artificials[run.results[60].clusters[0].id]
+
+
 class TestVerify:
     def test_tampered_forest_detected(self):
         records, _ = duplicate_pairs_corpus(6, 10, seed=14)
@@ -332,4 +347,21 @@ class TestVerify:
         bad = dataclasses.replace(first, members=first.members + ("ghost",))
         run.results[80] = dataclasses.replace(result, clusters=(bad, *rest))
         with pytest.raises(IntegrityError, match="ghost"):
+            verify_run(run, {r.id for r in records})
+
+    @pytest.mark.parametrize(
+        "tamper,message",
+        [
+            (absorb_level80_original, "level 60 output is not a partition"),
+            (drop_level40_cluster, "level 40 output is not a partition"),
+            (drop_level60_artificial, "artificial records"),
+        ],
+        ids=["level60-absorbs-original-twice", "level40-cluster-dropped", "level60-artificial-dropped"],
+    )
+    def test_tampered_chain_detected(self, tamper, message):
+        records = hierarchical_corpus(n_works=10, seed=5, noise_records=10)
+        run = run_hierarchy(records, None, EngineConfig(seed=5))
+        assert all(run.results[level].clusters for level in (80, 60, 40))
+        tamper(run)
+        with pytest.raises(IntegrityError, match=message):
             verify_run(run, {r.id for r in records})
