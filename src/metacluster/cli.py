@@ -311,19 +311,8 @@ def cmd_sample_eval(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     run = rundir.load_run(args.run)
-    masks = run.manifest["masks"]
-    # The GA's files must describe this run's masks, not another run's.
-    masks_path = args.run / rundir.MASKS_FILE
-    if masks_path.exists():
-        saved = {provider: sorted(mask) for provider, mask in rundir.load_masks(masks_path).items()}
-        if saved != masks:
-            raise IntegrityError(f"{masks_path} does not match the manifest's masks")
-    report = rundir.load_field_report(args.run)
-    if report is not None and report["providers"] != len(masks):
-        raise IntegrityError(
-            f"the field selection report counts {report['providers']} providers, "
-            f"the manifest's masks {len(masks)}"
-        )
+    rundir.check_rejects(args.run)
+    selection = rundir.load_selection(args.run, run.manifest["masks"]) or {}
 
     summary = rundir.summarize_run(run)
     print(f"{'level':>5} {'records':>10} {'clusters':>9} {'unclustered':>11} "
@@ -342,11 +331,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
             print(f"      size histogram: {entry['histogram']}")
     if 20 in run.results:
         print(f"reference level-20 mean cluster size: {REFERENCE_LEVEL20_MEAN_SIZE}")
-    for provider, ga_info in (report or {}).get("ga_providers", {}).items():
+    for provider, info in selection.items():
+        if info.method != "ga":
+            continue
         # null marks a degenerate clustering (fewer than two clusters).
-        history = ["-" if v is None else f"{v:.4f}" for v in ga_info["best_history"]]
+        history = ["-" if v is None else f"{v:.4f}" for v in info.best_history]
         print(
-            f"ga {provider}: {ga_info['evaluations']} evaluations, best fitness "
+            f"ga {provider}: {info.evaluations} evaluations, best fitness "
             f"{history[0]} -> {history[-1]} over {len(history) - 1} generations"
         )
     forest = summary["forest"]

@@ -209,44 +209,9 @@ def forest_of(run: HierarchyRun) -> dict[str, tuple[str, ...]]:
     return {c.id: c.record_ids() for result in chain_results(run) for c in result.clusters}
 
 
-def expand(
-    cluster_id: str,
-    forest: Mapping[str, Sequence[str]],
-    original_ids: set[str],
-) -> set[str]:
-    """Recursive union of the cluster's children down to original record ids.
-
-    Raises IntegrityError on a dangling child id or when two children expand
-    to overlapping sets (the refinement property).  The engine checks a run
-    by the chain rule (``verify_run``); this walk of the forest is the
-    independent check that tests apply to a run.
-    """
-    out: set[str] = set()
-    for child in forest[cluster_id]:
-        if child in forest:
-            part = expand(child, forest, original_ids)
-        elif child in original_ids:
-            part = {child}
-        else:
-            raise IntegrityError(f"dangling child id {child!r} under {cluster_id}")
-        dup = out & part
-        if dup:
-            raise IntegrityError(f"node {cluster_id} children overlap on {sorted(dup)[:3]}")
-        out |= part
-    return out
-
-
 def forest_roots(forest: Mapping[str, Sequence[str]]) -> list[str]:
     referenced = {child for children in forest.values() for child in children}
     return [cluster_id for cluster_id in forest if cluster_id not in referenced]
-
-
-def never_clustered(run: HierarchyRun, original_ids: set[str]) -> set[str]:
-    """Originals that stayed unclustered through every chain level."""
-    chain = chain_results(run)
-    if not chain:
-        return set(original_ids)
-    return {rid for rid in chain[-1].unclustered if rid in original_ids}
 
 
 def verify_run(run: HierarchyRun, original_ids: Iterable[str]) -> None:

@@ -1,12 +1,12 @@
 """Run directory layout: newline-delimited output files and their loaders.
 
-Every file the tool writes is re-parseable by the loaders here.  The stats
-and sample-eval subcommands read a run through ``load_run``, which rebuilds
-each level's result from its files and checks it with the engine's own
-checks.  All record-shaped outputs are NDJSON with sorted keys; manifest and
-summary are single JSON documents.  Wall-clock data lives only in
-``manifest.json`` and ``timings.tsv`` so that every other file is
-byte-stable for a fixed seed.
+Each file is defined once, as the lines a run renders to (``run_lines``):
+``write_run`` writes those lines, and ``load_run`` rebuilds the run from its
+files, checks it with the engine's own checks and requires it to render back
+to every file, line for line.  All record-shaped outputs are NDJSON with
+sorted keys; manifest and summary are single JSON documents.  Wall-clock data
+lives only in ``manifest.json`` and ``timings.tsv`` so that every other file
+is byte-stable for a fixed seed.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from dataclasses import replace
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -22,7 +24,7 @@ from .config import LEVELS
 from .errors import ConfigurationError, IntegrityError
 from .ga import ProviderMask
 from .hierarchy import HierarchyRun, chain_results, forest_of, forest_roots, verify_run
-from .records import FieldMask, Record, RejectedLine, find_surrogate, resolve_provider, write_records
+from .records import ARTIFICIAL, FieldMask, Record, RejectedLine, export_line, find_surrogate, resolve_provider
 
 MANIFEST_FILE = "manifest.json"
 SUMMARY_FILE = "summary.json"
@@ -43,24 +45,34 @@ def unclustered_file(level: int) -> str:
     return f"unclustered_level_{level}.txt"
 
 
-def write_ndjson(path: Path, docs: Iterable[dict]) -> None:
-    """One sorted-key JSON document per line, non-ASCII kept as is (run files
-    and the sample-eval worksheet)."""
+def _ndjson_line(doc: dict) -> str:
+    """One sorted-key JSON document, non-ASCII kept as is."""
+    return json.dumps(doc, ensure_ascii=False, sort_keys=True)
+
+
+def _json_lines(doc: dict) -> list[str]:
+    return json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2).split("\n")
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(json.dumps(doc, ensure_ascii=False, sort_keys=True) + "\n")
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def write_ndjson(path: Path, docs: Iterable[dict]) -> None:
+    """One document per line (run files and the sample-eval worksheet)."""
+    _write_lines(path, map(_ndjson_line, docs))
 
 
-def _read_lines(path: Path) -> list[str]:
+def _read_lines(path: Path) -> Iterator[str]:
     """A run file's lines, split only at "\\n": a record id may hold "\\r" or
     U+2028.  A missing or non-UTF-8 file is an IntegrityError."""
     try:
         with open(path, "r", encoding="utf-8", newline="\n") as fh:
-            return [line.removesuffix("\n") for line in fh]
+            for line in fh:
+                yield line.removesuffix("\n")
     except FileNotFoundError:
         raise IntegrityError(f"missing run file {path}") from None
     except UnicodeDecodeError as exc:
@@ -81,8 +93,6 @@ def _read_ndjson(path: Path, build: Callable) -> list:
     refuses) is an IntegrityError naming the file and line."""
     out = []
     for n, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
         try:
             out.append(build(_parse_json(path, n, line)))
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
@@ -118,29 +128,49 @@ def format_duration(seconds: float) -> str:
 
 def write_run(out_dir: Path, run: HierarchyRun) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    for level, result in sorted(run.results.items()):
-        write_clusters(out_dir / cluster_file(level), result.clusters)
-        (out_dir / unclustered_file(level)).write_text(
-            "".join(rid + "\n" for rid in result.unclustered), encoding="utf-8"
-        )
+    for name, lines in run_lines(run):
+        _write_lines(out_dir / name, lines)
+    durations = (format_duration(run.seconds[level]) for level in run.results)
+    _write_lines(out_dir / TIMINGS_FILE, timings_lines(run, durations))
 
-    write_ndjson(out_dir / FOREST_FILE, forest_docs(run))
-    with open(out_dir / ARTIFICIALS_FILE, "w", encoding="utf-8") as fh:
-        write_records((run.artificials[rid] for rid in sorted(run.artificials)), fh)
+
+def run_lines(run: HierarchyRun) -> Iterator[tuple[str, Iterable[str]]]:
+    """Each file ``write_run`` writes but ``timings.tsv``, by name, with the
+    lines it holds (no "\\n"); a file's lines are built as they are read."""
+    for level, result in run.results.items():
+        yield cluster_file(level), _cluster_lines(result.clusters)
+        yield unclustered_file(level), sorted(result.unclustered)
+    yield FOREST_FILE, map(_ndjson_line, forest_docs(run))
+    yield ARTIFICIALS_FILE, (export_line(run.artificials[rid]) for rid in sorted(run.artificials))
     if 100 in run.results:
-        write_ndjson(out_dir / DUPLICATES_FILE, duplicate_docs(run))
+        yield DUPLICATES_FILE, map(_ndjson_line, duplicate_docs(run))
+    yield MANIFEST_FILE, _json_lines(run.manifest)
+    yield SUMMARY_FILE, _json_lines(summarize_run(run))
 
-    (out_dir / TIMINGS_FILE).write_text(
-        "level\trecords\tclusters\ttime\n"
-        + "".join(
-            f"{level}\t{result.input_count}\t{len(result.clusters)}\t"
-            f"{format_duration(run.seconds[level])}\n"
-            for level, result in run.results.items()
-        ),
-        encoding="utf-8",
-    )
-    _write_json(out_dir / MANIFEST_FILE, run.manifest)
-    _write_json(out_dir / SUMMARY_FILE, summarize_run(run))
+
+def timings_lines(run: HierarchyRun, durations: Iterable[str]) -> Iterator[str]:
+    """``timings.tsv``'s lines, ``durations`` giving the time column in run order."""
+    durations = iter(durations)
+    yield "level\trecords\tclusters\ttime"
+    for level, result in run.results.items():
+        yield f"{level}\t{result.input_count}\t{len(result.clusters)}\t{next(durations, '')}"
+
+
+def _cluster_lines(clusters: Iterable[Cluster]) -> Iterator[str]:
+    # Explicit docs: ``dataclasses.asdict`` deep-copies every member id and
+    # made ``write_run`` 70% slower on a five-level run.
+    for c in sorted(clusters, key=lambda c: c.id):
+        yield _ndjson_line(
+            {
+                "id": c.id,
+                "level": c.level,
+                "head": c.head,
+                "members": sorted(c.members),
+                "transferred": sorted(c.transferred),
+                "mean_head_similarity": c.mean_head_similarity,
+                "size": c.size,
+            }
+        )
 
 
 def forest_docs(run: HierarchyRun) -> Iterator[dict]:
@@ -169,53 +199,38 @@ def duplicate_docs(run: HierarchyRun) -> Iterator[dict]:
         }
 
 
-def write_clusters(path: Path, clusters: Iterable[Cluster]) -> None:
-    # Explicit docs: ``dataclasses.asdict`` deep-copies every member id and
-    # made ``write_run`` 70% slower on a five-level run.
-    write_ndjson(
-        path,
-        (
-            {
-                "id": c.id,
-                "level": c.level,
-                "head": c.head,
-                "members": c.members,
-                "transferred": c.transferred,
-                "mean_head_similarity": c.mean_head_similarity,
-                "size": c.size,
-            }
-            for c in sorted(clusters, key=lambda c: c.id)
-        ),
-    )
+def _reject_lines(rejects: Iterable[RejectedLine]) -> Iterator[str]:
+    return (_ndjson_line({"line": r.line, "reason": r.reason}) for r in rejects)
 
 
 def write_rejects(path: Path, rejects: Iterable[RejectedLine]) -> None:
-    write_ndjson(path, ({"line": r.line, "reason": r.reason} for r in rejects))
+    _write_lines(path, _reject_lines(rejects))
 
 
-def write_masks(path: Path, selection: Mapping[str, ProviderMask]) -> None:
-    write_ndjson(
-        path,
-        (
+def _mask_lines(selection: Mapping[str, ProviderMask]) -> Iterator[str]:
+    for provider, info in sorted(selection.items()):
+        yield _ndjson_line(
             {
                 "provider": provider,
                 "mask": sorted(info.mask),
                 "fitness": _finite_or_none(info.fitness),
                 "method": info.method,
             }
-            for provider, info in sorted(selection.items())
-        ),
-    )
+        )
 
 
-def write_field_report(path: Path, selection: Mapping[str, ProviderMask]) -> None:
+def write_masks(path: Path, selection: Mapping[str, ProviderMask]) -> None:
+    _write_lines(path, _mask_lines(selection))
+
+
+def field_report(selection: Mapping[str, ProviderMask]) -> dict:
     """Per-field and per-combination provider counts, plus each GA provider's history."""
     field_counts: Counter = Counter()
     combination_counts: Counter = Counter()
     for info in selection.values():
         field_counts.update(info.mask)
         combination_counts["+".join(sorted(info.mask))] += 1
-    doc = {
+    return {
         "providers": len(selection),
         "field_counts": field_counts,
         "combination_counts": combination_counts,
@@ -228,7 +243,10 @@ def write_field_report(path: Path, selection: Mapping[str, ProviderMask]) -> Non
             if info.method == "ga"
         },
     }
-    _write_json(path, doc)
+
+
+def write_field_report(path: Path, selection: Mapping[str, ProviderMask]) -> None:
+    _write_lines(path, _json_lines(field_report(selection)))
 
 
 def _mask_entry(line: bytes) -> tuple[str, list[str]]:
@@ -262,25 +280,25 @@ def load_masks(path: Path) -> dict[str, FieldMask]:
 
 
 def load_clusters(run_dir: Path, level: int) -> list[Cluster]:
-    def build(doc: dict) -> Cluster:
-        cluster = Cluster(
+    """The clusters in ``level``'s file, each given that level: a line of
+    another level renders back to a different line."""
+    return _read_ndjson(
+        run_dir / cluster_file(level),
+        lambda doc: Cluster(
             id=_exact(doc["id"]),
-            level=doc["level"],
+            level=level,
             head=_exact(doc["head"]),
             members=_id_list(doc["members"]),
             mean_head_similarity=_exact(doc["mean_head_similarity"], float),
             transferred=_id_list(doc["transferred"]),
-        )
-        if _exact(doc["size"], int) != cluster.size:
-            raise ValueError(f"size {doc['size']!r} is not 1 + {len(cluster.members)} members")
-        return cluster
-
-    return _read_ndjson(run_dir / cluster_file(level), build)
+        ),
+    )
 
 
 def load_manifest(run_dir: Path) -> dict:
     """The manifest, its ``levels`` (known levels in run order, each once),
-    ``record_count``, ``masks`` and ``corpus_digest`` checked for shape."""
+    ``record_count``, ``masks`` (lists of field names) and ``corpus_digest``
+    checked for shape."""
     path = run_dir / MANIFEST_FILE
     doc = _read_json(path)
     try:
@@ -289,6 +307,8 @@ def load_manifest(run_dir: Path) -> dict:
             raise ValueError(f"levels {levels} are not known levels in run order")
         for key, kind in (("record_count", int), ("masks", dict), ("corpus_digest", str)):
             _exact(doc[key], kind)
+        for mask in doc["masks"].values():
+            _id_list(mask)
     except (KeyError, TypeError, ValueError) as exc:
         raise IntegrityError(f"run file {path}: unexpected shape ({type(exc).__name__}: {exc})") from None
     return doc
@@ -321,11 +341,6 @@ def _artificial(doc: dict) -> Record:
     """An artificial record's id and fields, the fields taken on trust."""
     fields = {name: tuple(values) for name, values in doc["fields"].items()}
     return Record(_exact(doc["id"]), resolve_provider(fields), fields)
-
-
-def load_artificials(run_dir: Path) -> dict[str, Record]:
-    """Artificial records by id; ``forest_of`` of the loaded run has what each summarizes."""
-    return {record.id: record for record in _read_ndjson(run_dir / ARTIFICIALS_FILE, _artificial)}
 
 
 def size_histogram(sizes: list[int]) -> dict[str, int]:
@@ -381,30 +396,30 @@ def summarize_run(run: HierarchyRun) -> dict:
 
 
 def load_run(run_dir: Path) -> HierarchyRun:
-    """The run ``run_dir`` holds, checked as ``run_hierarchy`` checks it in
+    """The run ``run_dir`` holds, read from its cluster, unclustered and
+    artificial record files, and checked as ``run_hierarchy`` checks it in
     memory: the first level places ``record_count`` distinct ids, the
-    originals, and ``verify_run`` holds over them.  The summary, the forest
-    and the duplicate report must be what the clusters give.  The artificial
-    records' fields and ``iterations_used`` (read from the summary) are
-    taken on trust; seconds are not read."""
+    originals, and ``verify_run`` holds over them.  Then the run must render
+    back to every file ``write_run`` wrote, line for line.  The artificial
+    records' fields, ``iterations_used`` (read from the summary) and the
+    durations in ``timings.tsv`` are taken on trust."""
     manifest = load_manifest(run_dir)
     summary = load_summary(run_dir)
     results: dict[int, LevelResult] = {}
     for level in manifest["levels"]:
-        clusters = tuple(load_clusters(run_dir, level))
-        if any(c.level != level for c in clusters):
-            raise IntegrityError(f"run file {run_dir / cluster_file(level)} holds a cluster of another level")
-        unclustered = tuple(_read_lines(run_dir / unclustered_file(level)))
         try:
             iterations = summary["levels"][str(level)]["iterations_used"]
         except (KeyError, TypeError):
-            iterations = None  # the summary check below names what is missing
-        results[level] = LevelResult(level, clusters, unclustered, iterations)
-    report = []
+            iterations = None  # the summary's rendering below names what is missing
+        unclustered = tuple(_read_lines(run_dir / unclustered_file(level)))
+        results[level] = LevelResult(level, tuple(load_clusters(run_dir, level)), unclustered, iterations)
+    run = HierarchyRun(results, seconds={}, manifest=manifest)
+    provenance = {c.id: c.record_ids() for result in chain_results(run) for c in result.clusters}
+    for record in _read_ndjson(run_dir / ARTIFICIALS_FILE, _artificial):
+        run.artificials[record.id] = replace(record, kind=ARTIFICIAL, provenance=provenance.get(record.id, ()))
     if 100 in results:
-        report = _read_ndjson(run_dir / DUPLICATES_FILE, lambda doc: (doc, _artificial(doc["artificial_record"])))
-    run = HierarchyRun(results, seconds={}, manifest=manifest, artificials=load_artificials(run_dir))
-    run.duplicate_artificials = {record.id: record for _, record in report}
+        report = _read_ndjson(run_dir / DUPLICATES_FILE, lambda doc: _artificial(doc["artificial_record"]))
+        run.duplicate_artificials = {record.id: record for record in report}
 
     first = next(iter(results.values()))
     originals = {*first.unclustered, *(rid for c in first.clusters for rid in c.record_ids())}
@@ -413,24 +428,52 @@ def load_run(run_dir: Path) -> HierarchyRun:
             f"level {first.level} places {len(originals)} ids; the manifest counts {manifest['record_count']}"
         )
     verify_run(run, originals)
-
-    _check_mirror(run_dir / SUMMARY_FILE, summary, summarize_run(run))
-    path = run_dir / FOREST_FILE
-    _check_mirror(path, _read_ndjson(path, lambda doc: _exact(doc, dict)), list(forest_docs(run)))
-    if 100 in results:
-        _check_mirror(run_dir / DUPLICATES_FILE, [doc for doc, _ in report], list(duplicate_docs(run)))
+    for name, lines in run_lines(run):
+        _compare(run_dir / name, lines)
+    path = run_dir / TIMINGS_FILE
+    _compare(path, timings_lines(run, (line.rpartition("\t")[2] for line in islice(_read_lines(path), 1, None))))
     return run
 
 
-def _check_mirror(path: Path, recorded: object, derived: object) -> None:
-    """``recorded`` must equal ``derived``; the error names the first sorted
-    key (a line number in a file of lines) where they part."""
-    keys: list[str] = []
-    while recorded != derived:
-        if isinstance(recorded, list) and isinstance(derived, list):
-            recorded, derived = dict(enumerate(recorded, 1)), dict(enumerate(derived, 1))
-        if not (isinstance(recorded, dict) and isinstance(derived, dict)):
-            raise IntegrityError(f"run file {path} does not match the cluster files at {'.'.join(keys) or 'its top'}")
-        key = min(k for k in recorded.keys() | derived.keys() if recorded.get(k, ...) != derived.get(k, ...))
-        keys.append(str(key))
-        recorded, derived = recorded.get(key, ...), derived.get(key, ...)
+def _compare(path: Path, rendered: Iterable[str], source: str = "the loaded run") -> None:
+    """The file must hold the ``rendered`` lines and no others; the first
+    difference is an IntegrityError naming its line."""
+    for n, (line, expected) in enumerate(zip_longest(_read_lines(path), rendered), start=1):
+        if line != expected:
+            raise IntegrityError(f"run file {path} line {n}: differs from the rendering of {source}")
+
+
+def check_rejects(run_dir: Path) -> None:
+    """``rejects.ndjson``, when the run has it, renders back from its own lines."""
+    path = run_dir / REJECTS_FILE
+    if path.exists():
+        rejects = _read_ndjson(path, lambda doc: RejectedLine(_exact(doc["line"], int), _exact(doc["reason"])))
+        _compare(path, _reject_lines(rejects), "its own lines")
+
+
+def load_selection(run_dir: Path, masks: Mapping[str, list[str]]) -> dict[str, ProviderMask] | None:
+    """The field selection in ``masks.ndjson`` and the field selection report,
+    or None for a run given saved masks.  Both files must render from the
+    manifest's ``masks``, with the fitness and method of each masks line (one
+    per provider, in sorted order) and the report's GA histories."""
+    report = load_field_report(run_dir)
+    path = run_dir / MASKS_FILE
+    if report is None and not path.exists():
+        return None
+    lines = _read_ndjson(
+        path, lambda doc: (None if doc["fitness"] is None else _exact(doc["fitness"], float), _exact(doc["method"]))
+    )
+    if len(lines) != len(masks):
+        raise IntegrityError(
+            f"run file {path} has {len(lines)} lines; the manifest's masks name {len(masks)} providers"
+        )
+    ga = report["ga_providers"] if report else {}
+    selection = {}
+    for (provider, mask), (fitness, method) in zip(sorted(masks.items()), lines):
+        entry = ga.get(provider, {"best_history": (), "evaluations": 0})
+        selection[provider] = ProviderMask(
+            provider, frozenset(mask), fitness, method, tuple(entry["best_history"]), entry["evaluations"]
+        )
+    _compare(path, _mask_lines(selection), "the manifest's masks")
+    _compare(run_dir / FIELD_REPORT_FILE, _json_lines(field_report(selection)), "the manifest's masks")
+    return selection

@@ -20,10 +20,8 @@ from metacluster.clusterer import cluster_level, level_inputs
 from metacluster.config import EngineConfig, GAConfig
 from metacluster.ga import SENTINEL_FITNESS, clusterability, evolve
 from metacluster.hierarchy import (
-    expand,
     forest_of,
     forest_roots,
-    never_clustered,
     run_hierarchy,
 )
 from metacluster.records import FieldMask, write_records
@@ -37,6 +35,7 @@ from metacluster.synthetic import (
     random_corpus,
 )
 
+from forest_walk import expand, never_clustered
 from reference_impl import reference_cluster_level, reference_keysets
 
 import itertools

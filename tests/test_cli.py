@@ -6,6 +6,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from metacluster import cli, rundir
 from metacluster.cli import EVAL_CATEGORIES, _configs_from, build_parser, main
@@ -57,6 +59,8 @@ def without(doc: dict, key: str) -> dict:
 #: What ``stats`` and ``sample-eval`` report for a manifest of the wrong shape.
 MANIFEST_SHAPE = f"{rundir.MANIFEST_FILE}: unexpected shape"
 FIELD_REPORT_SHAPE = f"{rundir.FIELD_REPORT_FILE}: unexpected shape"
+#: What they report for a run file that differs from what the loaded run renders to.
+RENDERING = "differs from the rendering of the loaded run"
 
 
 def with_first(rows: list[dict], **changes) -> list[dict]:
@@ -67,6 +71,38 @@ def swap_level80_children(rows: list[dict]) -> list[dict]:
     a, b = [row for row in rows if row["level"] == 80][:2]
     a["children"][-1], b["children"][-1] = b["children"][-1], a["children"][-1]
     return rows
+
+
+def line_edit(name: str, edit):
+    """The file ``name`` and an edit of a run directory that applies ``edit``
+    to that file's lines (without their "\\n")."""
+
+    def apply(run_dir: Path) -> None:
+        path = run_dir / name
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        path.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+
+    return name, apply
+
+
+def edit_first_doc(change, sort_keys: bool = True):
+    def edit(lines: list[str]) -> list[str]:
+        return [json.dumps(change(json.loads(lines[0])), ensure_ascii=False, sort_keys=sort_keys), *lines[1:]]
+
+    return edit
+
+
+def reverse_members_with_forest(run_dir: Path) -> None:
+    # The edit a hand makes to keep the two files agreeing.
+    docs = [json.loads(line) for line in (run_dir / rundir.cluster_file(80)).read_text(encoding="utf-8").splitlines()]
+    doc = next(doc for doc in docs if len(doc["members"]) >= 2)
+    doc["members"].reverse()
+    nodes = [json.loads(line) for line in (run_dir / rundir.FOREST_FILE).read_text(encoding="utf-8").splitlines()]
+    node = next(node for node in nodes if node["cluster_id"] == doc["id"])
+    node["children"] = [doc["head"], *doc["members"]]
+    for name, rows in ((rundir.cluster_file(80), docs), (rundir.FOREST_FILE, nodes)):
+        text = "".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n" for row in rows)
+        (run_dir / name).write_text(text, encoding="utf-8")
 
 
 def run_files(run_dir: Path) -> dict[str, bytes]:
@@ -417,16 +453,16 @@ class TestOutDirectory:
         out = tmp_path / "nest" / "out"
         if existing:
             out.mkdir(parents=True)
-        write_clusters = rundir.write_clusters
+        write_lines = rundir._write_lines
         calls = []
 
         def failing_after_two(*args, **kwargs):
             calls.append(args)
             if len(calls) > 2:
                 raise OSError("injected write failure")
-            write_clusters(*args, **kwargs)
+            write_lines(*args, **kwargs)
 
-        monkeypatch.setattr(rundir, "write_clusters", failing_after_two)
+        monkeypatch.setattr(rundir, "_write_lines", failing_after_two)
         argv = ["cluster", "--input", str(corpus_path), "--out", str(out), "--seed", "33", *GA_FLAGS]
         assert main(argv) == 1
         assert "error: injected write failure" in capsys.readouterr().err
@@ -434,7 +470,7 @@ class TestOutDirectory:
         assert list(out.parent.iterdir()) == ([out] if existing else [])
         assert not out.exists() or not any(out.iterdir())
 
-        monkeypatch.setattr(rundir, "write_clusters", write_clusters)
+        monkeypatch.setattr(rundir, "_write_lines", write_lines)
         assert main(argv) == 0
         assert list(out.parent.iterdir()) == [out]
         assert main(["stats", "--run", str(out)]) == 0
@@ -504,13 +540,13 @@ class TestStats:
         "name,damage,command,message",
         [
             (rundir.cluster_file(80), lambda doc: without(doc, "head"), "stats", "line 1: unexpected shape"),
-            (rundir.FOREST_FILE, lambda doc: [1, 2], "stats", "line 1: unexpected shape"),
+            (rundir.FOREST_FILE, lambda doc: [1, 2], "stats", f"line 1: {RENDERING}"),
             (rundir.ARTIFICIALS_FILE, lambda doc: without(doc, "fields"), "sample-eval", "line 1: unexpected shape"),
             (
                 rundir.SUMMARY_FILE,
                 lambda doc: {**doc, "levels": without(doc["levels"], "60")},
                 "stats",
-                f"{rundir.SUMMARY_FILE} does not match the cluster files at levels.60",
+                RENDERING,
             ),
             (rundir.MANIFEST_FILE, lambda doc: without(doc, "record_count"), "stats", MANIFEST_SHAPE),
             (rundir.MANIFEST_FILE, lambda doc: {**doc, "levels": "80"}, "stats", MANIFEST_SHAPE),
@@ -632,6 +668,90 @@ class TestStats:
         assert capsys.readouterr().err == err
         assert out_file.read_bytes() == b"kept\n"
 
+    @pytest.mark.parametrize(
+        "name,edit",
+        [
+            line_edit(rundir.unclustered_file(80), lambda lines: lines[::-1]),
+            line_edit(rundir.cluster_file(80), lambda lines: [lines[1], lines[0], *lines[2:]]),
+            # Once collapsed into one record on reading, and passed.
+            line_edit(rundir.ARTIFICIALS_FILE, lambda lines: [lines[0], *lines]),
+            line_edit(rundir.MASKS_FILE, lambda lines: [lines[0], *lines]),
+            line_edit(rundir.cluster_file(80), lambda lines: [lines[0], "", *lines[1:]]),
+            line_edit(rundir.cluster_file(80), edit_first_doc(lambda doc: dict(reversed(doc.items())), False)),
+            line_edit(rundir.cluster_file(80), edit_first_doc(lambda doc: {**doc, "note": ""})),
+            line_edit(rundir.REJECTS_FILE, lambda lines: ["garbage"]),
+            line_edit(rundir.TIMINGS_FILE, lambda lines: ["garbage"]),
+            (rundir.cluster_file(80), reverse_members_with_forest),
+        ],
+        ids=[
+            "unclustered-reversed",
+            "cluster-lines-swapped",
+            "artificial-line-repeated",
+            "masks-line-repeated",
+            "blank-line-inserted",
+            "cluster-keys-unsorted",
+            "cluster-key-added",
+            "rejects-garbage",
+            "timings-garbage",
+            "members-reversed-with-forest",
+        ],
+    )
+    def test_edit_that_does_not_render_back_is_error_exit(self, full_run, tmp_path, capsys, name, edit):
+        # A run directory is valid iff it is the rendering of the run loaded
+        # from it; each of these edits once passed stats with exit 0.
+        run_dir = tmp_path / "run"
+        shutil.copytree(full_run, run_dir)
+        edit(run_dir)
+        capsys.readouterr()
+        assert main(["stats", "--run", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: run file {run_dir / name}") and "Traceback" not in err
+        if name not in (rundir.MASKS_FILE, rundir.REJECTS_FILE):  # the files load_run reads
+            assert main(["sample-eval", "--run", str(run_dir), "--out", str(tmp_path / "sample.ndjson")]) == 1
+            assert capsys.readouterr().err == err
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is read per example
+    @given(st.data())
+    def test_structural_edit_is_error_exit(self, full_run, tmp_path_factory, capsys, data):
+        # One line of a line-oriented run file dropped, repeated, swapped
+        # with another, preceded by a blank line, or with a key renamed.
+        files = [p for p in full_run.iterdir() if p.suffix in (".ndjson", ".txt", ".tsv") and p.read_bytes()]
+        names = sorted(p.name for p in files)
+        run_dir = tmp_path_factory.mktemp("edit") / "run"
+        shutil.copytree(full_run, run_dir)
+        path = run_dir / data.draw(st.sampled_from(names))
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        edits = ["drop", "repeat", "swap", "blank"] + (["rekey"] if path.suffix == ".ndjson" else [])
+        edit, i = data.draw(st.sampled_from(edits)), data.draw(st.integers(0, len(lines) - 1))
+        if edit == "drop":
+            del lines[i]
+        elif edit in ("repeat", "blank"):
+            lines.insert(i, lines[i] if edit == "repeat" else "")
+        elif edit == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            assume(lines[i] != lines[j])
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            doc = json.loads(lines[i])
+            key = data.draw(st.sampled_from(sorted(doc)))
+            doc[key + "_"] = doc.pop(key)
+            lines[i] = json.dumps(doc, ensure_ascii=False, sort_keys=True)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["stats", "--run", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_edit_of_a_trusted_mean_passes(self, full_run, tmp_path, capsys):
+        # Only a replay of the corpus could tell; the README lists the mean as trusted.
+        run_dir = tmp_path / "run"
+        shutil.copytree(full_run, run_dir)
+        raise_mean = edit_first_doc(lambda doc: {**doc, "mean_head_similarity": doc["mean_head_similarity"] + 0.01})
+        _, edit = line_edit(rundir.cluster_file(40), raise_mean)
+        edit(run_dir)
+        assert main(["stats", "--run", str(run_dir)]) == 0
+        assert "error" not in capsys.readouterr().err
+
     def test_original_named_like_a_level100_cluster(self, tmp_path, capsys):
         # An original may carry any id, a level-100 cluster's included; level
         # 100 stays out of the chain, so the id is no clash.
@@ -687,17 +807,17 @@ class TestStats:
         assert "error" not in capsys.readouterr().err
 
     def test_outputs_reparseable_by_loaders(self, corpus_path, full_run):
-        # Each level partitions its input, verify_run holds and the mirror files agree.
+        # Each level partitions its input, verify_run holds and the run renders back to its files.
         loaded = rundir.load_run(full_run)
         masks = rundir.load_masks(full_run / rundir.MASKS_FILE)
         run = run_hierarchy(ingest_path(corpus_path).records, masks, EngineConfig(seed=33))
         assert {level: set(r.clusters) for level, r in loaded.results.items()} == {
             level: set(r.clusters) for level, r in run.results.items()
         }
-        # Only ids and fields come back; kind and provenance live in the forest.
+        # All but the provider comes back, which artificial_records.ndjson does not hold.
         assert run.artificials
-        assert {rid: r.fields for rid, r in loaded.artificials.items()} == {
-            rid: r.fields for rid, r in run.artificials.items()
+        assert {rid: (r.fields, r.kind, r.provenance) for rid, r in loaded.artificials.items()} == {
+            rid: (r.fields, r.kind, r.provenance) for rid, r in run.artificials.items()
         }
 
 

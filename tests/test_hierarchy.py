@@ -10,11 +10,9 @@ from metacluster.errors import ConfigurationError, IntegrityError
 from metacluster.hierarchy import (
     corpus_digest,
     default_mask_for,
-    expand,
     forest_of,
     forest_roots,
     make_artificial_record,
-    never_clustered,
     run_hierarchy,
     verify_run,
 )
@@ -26,6 +24,8 @@ from metacluster.synthetic import (
     hierarchical_corpus,
     random_corpus,
 )
+
+from forest_walk import expand, never_clustered
 
 
 def cluster_of(ids, level=80, head=None):
