@@ -18,15 +18,16 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Callable
 
 from . import rundir
 from .config import COMPRESSORS, DEFAULT_GROUP_SIZES, DEFAULT_SEED, LEVELS, EngineConfig, GAConfig, check_seed
 from .errors import ConfigurationError, IntegrityError
-from .ga import ProviderMask, select_all_providers
+from .ga import select_all_providers
 from .hashing import derive_seed
-from .hierarchy import HierarchyRun, corpus_digest, run_hierarchy
+from .hierarchy import corpus_digest, run_hierarchy
 from .minhash import SignatureComputer
-from .records import RejectedLine, ingest_path
+from .records import ingest_path
 
 #: Magnitudes measured on a 23.6M-record cultural-heritage aggregation
 #: (dual 8-core server); printed next to local numbers for orientation.
@@ -195,13 +196,8 @@ def _check_out(out_dir: Path) -> None:
         raise ConfigurationError(f"--out {out_dir} exists and is not an empty directory")
 
 
-def _write_outputs(
-    out_dir: Path,
-    rejects: list[RejectedLine],
-    selection: dict[str, ProviderMask] | None,
-    run: HierarchyRun | None,
-) -> None:
-    """Write a command's files once all of its computation has succeeded.
+def _write_outputs(out_dir: Path, write: Callable[[Path], None], rejected: int) -> None:
+    """Write a command's files through ``write`` once all of its computation has succeeded.
 
     The files are staged in a hidden temporary sibling of ``out_dir`` and
     moved into place by one ``os.replace`` (onto an empty ``out_dir`` if there
@@ -213,17 +209,12 @@ def _write_outputs(
     try:
         stage = holder / "run"
         stage.mkdir()  # not the private holder itself: the run directory keeps the umask's mode
-        rundir.write_rejects(stage / rundir.REJECTS_FILE, rejects)
-        if selection is not None:
-            rundir.write_masks(stage / rundir.MASKS_FILE, selection)
-            rundir.write_field_report(stage / rundir.FIELD_REPORT_FILE, selection)
-        if run is not None:
-            rundir.write_run(stage, run)
+        write(stage)
         os.replace(stage, out_dir)
     finally:
         shutil.rmtree(holder, ignore_errors=True)
-    if rejects:
-        print(f"rejected {len(rejects)} input lines (see rejects.ndjson)", file=sys.stderr)
+    if rejected:
+        print(f"rejected {rejected} input lines (see rejects.ndjson)", file=sys.stderr)
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
@@ -243,7 +234,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             masks = {provider: info.mask for provider, info in selection.items()}
 
     run = run_hierarchy(result.records, masks, engine, levels=levels, computer=computer)
-    _write_outputs(args.out, result.rejects, selection, run)
+    run.rejects, run.selection = result.rejects, selection
+    _write_outputs(args.out, lambda stage: rundir.write_run(stage, run), len(run.rejects))
 
     for level, level_result in run.results.items():
         print(
@@ -258,7 +250,13 @@ def cmd_select_fields(args: argparse.Namespace) -> int:
     _check_out(args.out)
     result = ingest_path(args.input)
     selection = select_all_providers(result.records, engine, ga)
-    _write_outputs(args.out, result.rejects, selection, None)
+
+    def write(stage: Path) -> None:
+        rundir.write_rejects(stage / rundir.REJECTS_FILE, result.rejects)
+        rundir.write_masks(stage / rundir.MASKS_FILE, selection)
+        rundir.write_field_report(stage / rundir.FIELD_REPORT_FILE, selection)
+
+    _write_outputs(args.out, write, len(result.rejects))
     print(f"selected masks for {len(selection)} providers")
     return 0
 
@@ -311,9 +309,6 @@ def cmd_sample_eval(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     run = rundir.load_run(args.run)
-    rundir.check_rejects(args.run)
-    selection = rundir.load_selection(args.run, run.manifest["masks"]) or {}
-
     summary = rundir.summarize_run(run)
     print(f"{'level':>5} {'records':>10} {'clusters':>9} {'unclustered':>11} "
           f"{'min':>5} {'max':>7} {'mean':>8} {'iters':>5}   reference")
@@ -331,7 +326,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             print(f"      size histogram: {entry['histogram']}")
     if 20 in run.results:
         print(f"reference level-20 mean cluster size: {REFERENCE_LEVEL20_MEAN_SIZE}")
-    for provider, info in selection.items():
+    for provider, info in (run.selection or {}).items():
         if info.method != "ga":
             continue
         # null marks a degenerate clustering (fewer than two clusters).

@@ -369,8 +369,9 @@ def cluster_level(level: int, sim: SimilarityFn, banding: LevelBanding, config: 
 
 
 def check_partition(result: LevelResult, input_ids: list[str]) -> None:
-    """Every input id placed once, and every cluster non-empty, at its level's
-    threshold and with its transferred ids among its members."""
+    """Every input id placed once, and every cluster non-empty, with a mean
+    between its level's threshold and 1 (similarities are clamped to [0, 1])
+    and its transferred ids among its members."""
     seen: list[str] = list(result.unclustered)
     for cluster in result.clusters:
         seen.append(cluster.head)
@@ -378,10 +379,10 @@ def check_partition(result: LevelResult, input_ids: list[str]) -> None:
         if not cluster.members:
             raise IntegrityError(f"cluster {cluster.id} has no members")
         threshold = result.level / 100.0
-        if not cluster.mean_head_similarity >= threshold - 1e-9:  # NaN fails too
+        if not threshold - 1e-9 <= cluster.mean_head_similarity <= 1.0:  # NaN fails too
             raise IntegrityError(
                 f"cluster {cluster.id} mean head similarity "
-                f"{cluster.mean_head_similarity:.4f} below {threshold}"
+                f"{cluster.mean_head_similarity:.4f} outside [{threshold}, 1]"
             )
         if not set(cluster.members).issuperset(cluster.transferred):
             raise IntegrityError(f"cluster {cluster.id} transfers ids that are not its members")

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .clusterer import FieldRows, LevelResult, band_signatures, cluster_level
 from .config import EngineConfig, GAConfig
 from .hashing import derive_seed
-from .hierarchy import default_mask_for, make_artificial_record
+from .hierarchy import ProviderMask, default_mask_for, make_artificial_record
 from .minhash import SignatureComputer
 from .records import FieldMask, Record
 from .similarity import Compression, SimilarityContext
@@ -43,18 +42,6 @@ ELITISM = 1
 
 
 Bits = tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class ProviderMask:
-    provider: str
-    mask: FieldMask
-    fitness: float | None
-    method: str  # "ga" | "default"
-    #: GA only: best fitness so far after the initial population and each generation.
-    best_history: tuple[float, ...] = ()
-    #: GA only: distinct masks scored.
-    evaluations: int = 0
 
 
 def bits_mask(fields: Sequence[str], bits: Bits) -> FieldMask:

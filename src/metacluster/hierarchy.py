@@ -24,22 +24,38 @@ from .config import DESCRIPTION_FIELD, LEVELS, TITLE_FIELD, EngineConfig
 from .errors import ConfigurationError, IntegrityError
 from .hashing import digest_lines
 from .minhash import SignatureComputer
-from .records import ARTIFICIAL, FieldMask, Record, check_record, export_line, find_surrogate
+from .records import ARTIFICIAL, FieldMask, Record, RejectedLine, check_record, export_line, find_surrogate
 
 CHAIN_LEVELS = (80, 60, 40, 20)
+
+
+@dataclass(frozen=True, slots=True)
+class ProviderMask:
+    provider: str
+    mask: FieldMask
+    fitness: float | None
+    method: str  # "ga" | "default"
+    #: GA only: best fitness so far after the initial population and each generation.
+    best_history: tuple[float, ...] = ()
+    #: GA only: distinct masks scored.
+    evaluations: int = 0
 
 
 @dataclass
 class HierarchyRun:
     """Results and seconds per level, both in run order (descending level);
     ``forest_of`` derives the forest from the results.  ``manifest`` is the
-    dict ``manifest.json`` holds, enough to reproduce the run bit-exactly."""
+    dict ``manifest.json`` holds, enough to reproduce the run bit-exactly.
+    ``rejects`` are the input lines ingest refused; ``selection`` is the GA's
+    choice of masks, None when masks were given or level 80 did not run."""
 
     results: dict[int, LevelResult]
     seconds: dict[int, float]
     manifest: dict
     artificials: dict[str, Record] = field(default_factory=dict)
     duplicate_artificials: dict[str, Record] = field(default_factory=dict)
+    rejects: list[RejectedLine] = field(default_factory=list)
+    selection: dict[str, ProviderMask] | None = None
 
 
 def make_artificial_record(cluster: Cluster, members: list[Record], value_cap: int = 20) -> Record:

@@ -175,6 +175,11 @@ def ingest_path(path) -> IngestResult:
         return ingest(fh)
 
 
+#: A document as one sorted-key JSON line, non-ASCII kept as is: every NDJSON
+#: line a run writes.  One encoder serves every call; ``json.dumps`` builds one per call.
+json_line = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+
+
 def export_line(record: Record) -> str:
     """Canonical single-line JSON form.  ``ingest`` reads back only the id
     and the fields, not ``kind`` or ``provenance``; a run directory keeps
@@ -184,7 +189,7 @@ def export_line(record: Record) -> str:
         doc["kind"] = record.kind
     if record.provenance:
         doc["provenance"] = record.provenance
-    return json.dumps(doc, ensure_ascii=False, sort_keys=True)
+    return json_line(doc)
 
 
 def write_records(records: Iterable[Record], fh: IO[str]) -> None:

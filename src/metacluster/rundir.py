@@ -1,12 +1,15 @@
 """Run directory layout: newline-delimited output files and their loaders.
 
-Each file is defined once, as the lines a run renders to (``run_lines``):
-``write_run`` writes those lines, and ``load_run`` rebuilds the run from its
-files, checks it with the engine's own checks and requires it to render back
-to every file, line for line.  All record-shaped outputs are NDJSON with
-sorted keys; manifest and summary are single JSON documents.  Wall-clock data
-lives only in ``manifest.json`` and ``timings.tsv`` so that every other file
-is byte-stable for a fixed seed.
+Each file of a ``cluster`` run is defined once, as the lines the run renders
+to (``run_lines``): the level files, the forest, the artificial records, the
+duplicate report, the rejected input lines, the field selection and its
+report, the manifest and the summary.  ``write_run`` writes those lines and
+``timings.tsv``; ``load_run`` rebuilds the run from its files, checks it with
+the engine's own checks and requires it to render back to every file, line
+for line.  All record-shaped outputs are NDJSON with sorted keys; manifest,
+summary and field report are single JSON documents.  Wall-clock data lives
+only in ``manifest.json`` and ``timings.tsv`` so that every other file is
+byte-stable for a fixed seed.
 """
 
 from __future__ import annotations
@@ -22,9 +25,17 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .clusterer import Cluster, LevelResult
 from .config import LEVELS
 from .errors import ConfigurationError, IntegrityError
-from .ga import ProviderMask
-from .hierarchy import HierarchyRun, chain_results, forest_of, forest_roots, verify_run
-from .records import ARTIFICIAL, FieldMask, Record, RejectedLine, export_line, find_surrogate, resolve_provider
+from .hierarchy import HierarchyRun, ProviderMask, chain_results, forest_of, forest_roots, verify_run
+from .records import (
+    ARTIFICIAL,
+    FieldMask,
+    Record,
+    RejectedLine,
+    export_line,
+    find_surrogate,
+    json_line,
+    resolve_provider,
+)
 
 MANIFEST_FILE = "manifest.json"
 SUMMARY_FILE = "summary.json"
@@ -45,11 +56,6 @@ def unclustered_file(level: int) -> str:
     return f"unclustered_level_{level}.txt"
 
 
-def _ndjson_line(doc: dict) -> str:
-    """One sorted-key JSON document, non-ASCII kept as is."""
-    return json.dumps(doc, ensure_ascii=False, sort_keys=True)
-
-
 def _json_lines(doc: dict) -> list[str]:
     return json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2).split("\n")
 
@@ -63,7 +69,7 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
 
 def write_ndjson(path: Path, docs: Iterable[dict]) -> None:
     """One document per line (run files and the sample-eval worksheet)."""
-    _write_lines(path, map(_ndjson_line, docs))
+    _write_lines(path, map(json_line, docs))
 
 
 def _read_lines(path: Path) -> Iterator[str]:
@@ -112,8 +118,14 @@ def _id_list(value: object) -> tuple[str, ...]:
     return tuple(map(_exact, _exact(value, list)))
 
 
-def _read_json(path: Path) -> dict:
-    return _parse_json(path, 1, "\n".join(_read_lines(path)))
+def _read_json(path: Path, build: Callable = lambda doc: doc):
+    """``build`` applied to the file's one document, whose wrong shape is an
+    IntegrityError naming the file, as ``_read_ndjson`` names file and line."""
+    doc = _parse_json(path, 1, "\n".join(_read_lines(path)))
+    try:
+        return build(doc)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise IntegrityError(f"run file {path}: unexpected shape ({type(exc).__name__}: {exc})") from None
 
 
 def _finite_or_none(value: float | None) -> float | None:
@@ -137,13 +149,17 @@ def write_run(out_dir: Path, run: HierarchyRun) -> None:
 def run_lines(run: HierarchyRun) -> Iterator[tuple[str, Iterable[str]]]:
     """Each file ``write_run`` writes but ``timings.tsv``, by name, with the
     lines it holds (no "\\n"); a file's lines are built as they are read."""
+    yield REJECTS_FILE, _reject_lines(run.rejects)
+    if run.selection is not None:
+        yield MASKS_FILE, _mask_lines(run.selection)
+        yield FIELD_REPORT_FILE, _json_lines(field_report(run.selection))
     for level, result in run.results.items():
         yield cluster_file(level), _cluster_lines(result.clusters)
         yield unclustered_file(level), sorted(result.unclustered)
-    yield FOREST_FILE, map(_ndjson_line, forest_docs(run))
+    yield FOREST_FILE, map(json_line, forest_docs(run))
     yield ARTIFICIALS_FILE, (export_line(run.artificials[rid]) for rid in sorted(run.artificials))
     if 100 in run.results:
-        yield DUPLICATES_FILE, map(_ndjson_line, duplicate_docs(run))
+        yield DUPLICATES_FILE, map(json_line, duplicate_docs(run))
     yield MANIFEST_FILE, _json_lines(run.manifest)
     yield SUMMARY_FILE, _json_lines(summarize_run(run))
 
@@ -160,7 +176,7 @@ def _cluster_lines(clusters: Iterable[Cluster]) -> Iterator[str]:
     # Explicit docs: ``dataclasses.asdict`` deep-copies every member id and
     # made ``write_run`` 70% slower on a five-level run.
     for c in sorted(clusters, key=lambda c: c.id):
-        yield _ndjson_line(
+        yield json_line(
             {
                 "id": c.id,
                 "level": c.level,
@@ -200,7 +216,7 @@ def duplicate_docs(run: HierarchyRun) -> Iterator[dict]:
 
 
 def _reject_lines(rejects: Iterable[RejectedLine]) -> Iterator[str]:
-    return (_ndjson_line({"line": r.line, "reason": r.reason}) for r in rejects)
+    return (json_line({"line": r.line, "reason": r.reason}) for r in rejects)
 
 
 def write_rejects(path: Path, rejects: Iterable[RejectedLine]) -> None:
@@ -209,7 +225,7 @@ def write_rejects(path: Path, rejects: Iterable[RejectedLine]) -> None:
 
 def _mask_lines(selection: Mapping[str, ProviderMask]) -> Iterator[str]:
     for provider, info in sorted(selection.items()):
-        yield _ndjson_line(
+        yield json_line(
             {
                 "provider": provider,
                 "mask": sorted(info.mask),
@@ -299,9 +315,8 @@ def load_manifest(run_dir: Path) -> dict:
     """The manifest, its ``levels`` (known levels in run order, each once),
     ``record_count``, ``masks`` (lists of field names) and ``corpus_digest``
     checked for shape."""
-    path = run_dir / MANIFEST_FILE
-    doc = _read_json(path)
-    try:
+
+    def check(doc: dict) -> dict:
         levels = [_exact(lv, int) for lv in _exact(doc["levels"], list)]
         if not levels or levels != sorted(set(levels) & set(LEVELS), reverse=True):
             raise ValueError(f"levels {levels} are not known levels in run order")
@@ -309,32 +324,48 @@ def load_manifest(run_dir: Path) -> dict:
             _exact(doc[key], kind)
         for mask in doc["masks"].values():
             _id_list(mask)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IntegrityError(f"run file {path}: unexpected shape ({type(exc).__name__}: {exc})") from None
-    return doc
+        return doc
+
+    return _read_json(run_dir / MANIFEST_FILE, check)
 
 
 def load_summary(run_dir: Path) -> dict:
     return _read_json(run_dir / SUMMARY_FILE)
 
 
-def load_field_report(run_dir: Path) -> dict | None:
-    """The field selection report, checked for the shape ``stats`` reads, or
-    None for a run given saved masks."""
-    path = run_dir / FIELD_REPORT_FILE
-    if not path.exists():
+def _ga_histories(report: dict) -> dict[str, tuple[tuple, int]]:
+    """Each GA provider's best-fitness history and evaluations in the field
+    report, checked for the shape ``stats`` prints."""
+    histories = {}
+    for provider, entry in _exact(report["ga_providers"], dict).items():
+        history = _exact(entry["best_history"], list)
+        if not history or any(v is not None and type(v) is not float for v in history):
+            raise ValueError(f"best_history {history} is not a non-empty list of floats and nulls")
+        histories[provider] = (tuple(history), _exact(entry["evaluations"], int))
+    return histories
+
+
+def _load_selection(run_dir: Path, masks: Mapping[str, list[str]]) -> dict[str, ProviderMask] | None:
+    """The field selection: the manifest's ``masks``, each with the fitness
+    and method of its provider's ``masks.ndjson`` line and the report's GA
+    history; None for a run that holds neither file."""
+    path, report = run_dir / MASKS_FILE, run_dir / FIELD_REPORT_FILE
+    if not (path.exists() or report.exists()):
         return None
-    doc = _read_json(path)
-    try:
-        _exact(doc["providers"], int)
-        for entry in _exact(doc["ga_providers"], dict).values():
-            _exact(entry["evaluations"], int)
-            history = _exact(entry["best_history"], list)
-            if not history or any(v is not None and type(v) is not float for v in history):
-                raise ValueError(f"best_history {history} is not a non-empty list of floats and nulls")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IntegrityError(f"run file {path}: unexpected shape ({type(exc).__name__}: {exc})") from None
-    return doc
+
+    def outcome(doc: dict) -> tuple[str, tuple[float | None, str]]:
+        fitness = doc["fitness"]
+        return _exact(doc["provider"]), (None if fitness is None else _exact(fitness, float), _exact(doc["method"]))
+
+    outcomes = dict(_read_ndjson(path, outcome))
+    histories = _read_json(report, _ga_histories)
+    selection = {}
+    for provider, mask in sorted(masks.items()):
+        # A provider without a masks line renders one the file lacks.
+        fitness, method = outcomes.get(provider, (None, ""))
+        history, evaluations = histories.get(provider, ((), 0))
+        selection[provider] = ProviderMask(provider, frozenset(mask), fitness, method, history, evaluations)
+    return selection
 
 
 def _artificial(doc: dict) -> Record:
@@ -396,13 +427,14 @@ def summarize_run(run: HierarchyRun) -> dict:
 
 
 def load_run(run_dir: Path) -> HierarchyRun:
-    """The run ``run_dir`` holds, read from its cluster, unclustered and
-    artificial record files, and checked as ``run_hierarchy`` checks it in
-    memory: the first level places ``record_count`` distinct ids, the
-    originals, and ``verify_run`` holds over them.  Then the run must render
-    back to every file ``write_run`` wrote, line for line.  The artificial
-    records' fields, ``iterations_used`` (read from the summary) and the
-    durations in ``timings.tsv`` are taken on trust."""
+    """The run ``run_dir`` holds, read from its cluster, unclustered,
+    artificial record, rejects and field selection files, and checked as
+    ``run_hierarchy`` checks it in memory: the first level places
+    ``record_count`` distinct ids, the originals, and ``verify_run`` holds
+    over them.  Then the run must render back to every file ``write_run``
+    wrote, line for line.  The artificial records' fields, ``iterations_used``
+    (read from the summary), the GA fitness and histories and the durations
+    in ``timings.tsv`` are taken on trust."""
     manifest = load_manifest(run_dir)
     summary = load_summary(run_dir)
     results: dict[int, LevelResult] = {}
@@ -413,7 +445,11 @@ def load_run(run_dir: Path) -> HierarchyRun:
             iterations = None  # the summary's rendering below names what is missing
         unclustered = tuple(_read_lines(run_dir / unclustered_file(level)))
         results[level] = LevelResult(level, tuple(load_clusters(run_dir, level)), unclustered, iterations)
-    run = HierarchyRun(results, seconds={}, manifest=manifest)
+    rejects = _read_ndjson(
+        run_dir / REJECTS_FILE, lambda doc: RejectedLine(_exact(doc["line"], int), _exact(doc["reason"]))
+    )
+    selection = _load_selection(run_dir, manifest["masks"])
+    run = HierarchyRun(results, seconds={}, manifest=manifest, rejects=rejects, selection=selection)
     provenance = {c.id: c.record_ids() for result in chain_results(run) for c in result.clusters}
     for record in _read_ndjson(run_dir / ARTIFICIALS_FILE, _artificial):
         run.artificials[record.id] = replace(record, kind=ARTIFICIAL, provenance=provenance.get(record.id, ()))
@@ -435,45 +471,9 @@ def load_run(run_dir: Path) -> HierarchyRun:
     return run
 
 
-def _compare(path: Path, rendered: Iterable[str], source: str = "the loaded run") -> None:
+def _compare(path: Path, rendered: Iterable[str]) -> None:
     """The file must hold the ``rendered`` lines and no others; the first
     difference is an IntegrityError naming its line."""
     for n, (line, expected) in enumerate(zip_longest(_read_lines(path), rendered), start=1):
         if line != expected:
-            raise IntegrityError(f"run file {path} line {n}: differs from the rendering of {source}")
-
-
-def check_rejects(run_dir: Path) -> None:
-    """``rejects.ndjson``, when the run has it, renders back from its own lines."""
-    path = run_dir / REJECTS_FILE
-    if path.exists():
-        rejects = _read_ndjson(path, lambda doc: RejectedLine(_exact(doc["line"], int), _exact(doc["reason"])))
-        _compare(path, _reject_lines(rejects), "its own lines")
-
-
-def load_selection(run_dir: Path, masks: Mapping[str, list[str]]) -> dict[str, ProviderMask] | None:
-    """The field selection in ``masks.ndjson`` and the field selection report,
-    or None for a run given saved masks.  Both files must render from the
-    manifest's ``masks``, with the fitness and method of each masks line (one
-    per provider, in sorted order) and the report's GA histories."""
-    report = load_field_report(run_dir)
-    path = run_dir / MASKS_FILE
-    if report is None and not path.exists():
-        return None
-    lines = _read_ndjson(
-        path, lambda doc: (None if doc["fitness"] is None else _exact(doc["fitness"], float), _exact(doc["method"]))
-    )
-    if len(lines) != len(masks):
-        raise IntegrityError(
-            f"run file {path} has {len(lines)} lines; the manifest's masks name {len(masks)} providers"
-        )
-    ga = report["ga_providers"] if report else {}
-    selection = {}
-    for (provider, mask), (fitness, method) in zip(sorted(masks.items()), lines):
-        entry = ga.get(provider, {"best_history": (), "evaluations": 0})
-        selection[provider] = ProviderMask(
-            provider, frozenset(mask), fitness, method, tuple(entry["best_history"]), entry["evaluations"]
-        )
-    _compare(path, _mask_lines(selection), "the manifest's masks")
-    _compare(run_dir / FIELD_REPORT_FILE, _json_lines(field_report(selection)), "the manifest's masks")
-    return selection
+            raise IntegrityError(f"run file {path} line {n}: differs from the rendering of the loaded run")

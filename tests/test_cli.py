@@ -85,6 +85,18 @@ def line_edit(name: str, edit):
     return name, apply
 
 
+def json_edit(name: str, change):
+    """The JSON document ``name`` and an edit that applies ``change`` to it,
+    written back in the run's own indented form."""
+
+    def apply(run_dir: Path) -> None:
+        path = run_dir / name
+        doc = change(json.loads(path.read_text(encoding="utf-8")))
+        path.write_text(json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+    return name, apply
+
+
 def edit_first_doc(change, sort_keys: bool = True):
     def edit(lines: list[str]) -> list[str]:
         return [json.dumps(change(json.loads(lines[0])), ensure_ascii=False, sort_keys=sort_keys), *lines[1:]]
@@ -312,7 +324,7 @@ class TestClusterCommand:
         monkeypatch.setattr(clusterer, "tokenize", counting)
         out = tmp_path / "out"
         assert main(["cluster", "--input", str(corpus_path), "--out", str(out), "--seed", "33", *GA_FLAGS]) == 0
-        assert rundir.load_field_report(out)["ga_providers"]
+        assert any(info.method == "ga" for info in rundir.load_run(out).selection.values())
         records = ingest_path(corpus_path).records
         assert calls == Counter({value: 1 for r in records for vs in r.fields.values() for value in vs})
 
@@ -519,7 +531,7 @@ class TestStats:
         capsys.readouterr()
         assert main(["stats", "--run", str(run_dir)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "manifest's masks" in err
+        assert err.startswith(f"error: run file {run_dir / name} line ") and RENDERING in err
 
     @pytest.mark.parametrize("name", [rundir.cluster_file(60), rundir.SUMMARY_FILE])
     def test_run_file_cut_mid_line_is_error_exit(self, full_run, tmp_path, capsys, name):
@@ -552,7 +564,7 @@ class TestStats:
             (rundir.MANIFEST_FILE, lambda doc: {**doc, "levels": "80"}, "stats", MANIFEST_SHAPE),
             (rundir.MANIFEST_FILE, lambda doc: {**doc, "levels": [80, 100]}, "sample-eval", MANIFEST_SHAPE),
             (rundir.MANIFEST_FILE, lambda doc: without(doc, "corpus_digest"), "sample-eval", MANIFEST_SHAPE),
-            (rundir.FIELD_REPORT_FILE, lambda doc: without(doc, "providers"), "stats", FIELD_REPORT_SHAPE),
+            (rundir.FIELD_REPORT_FILE, lambda doc: without(doc, "providers"), "stats", RENDERING),
             (
                 rundir.FIELD_REPORT_FILE,
                 lambda doc: {
@@ -593,7 +605,7 @@ class TestStats:
         assert main([command, "--run", str(run_dir)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
-        if name in (rundir.MANIFEST_FILE, rundir.FIELD_REPORT_FILE):
+        if message in (MANIFEST_SHAPE, FIELD_REPORT_SHAPE):
             assert f"error: run file {path}: " in err
         elif name != rundir.SUMMARY_FILE:
             assert f"error: run file {path} line 1: " in err
@@ -623,6 +635,11 @@ class TestStats:
             ),
             (rundir.cluster_file(80), lambda rows: with_first(rows, size=999)),
             (rundir.cluster_file(60), lambda rows: with_first(rows, transferred=["ghost"])),
+            # The same cluster's mean in both files that hold it.
+            (
+                (rundir.cluster_file(100), rundir.DUPLICATES_FILE),
+                lambda rows: with_first(rows, mean_head_similarity=1.5),
+            ),
         ],
         ids=[
             "forest-child-swapped",
@@ -644,6 +661,7 @@ class TestStats:
             "duplicate-artificial-id-zzz",
             "level80-size-999",
             "level60-transferred-ghost",
+            "level100-mean-above-1",
         ],
     )
     def test_damaged_run_is_error_exit(self, full_run, tmp_path, capsys, name, edit):
@@ -652,12 +670,12 @@ class TestStats:
         # it opens --out.
         run_dir = tmp_path / "run"
         shutil.copytree(full_run, run_dir)
-        path = run_dir / name
-        ndjson = path.suffix == ".ndjson"
-        rows = [json.loads(line) if ndjson else line for line in path.read_text(encoding="utf-8").splitlines()]
-        rows = edit(rows)
-        dump = (lambda row: json.dumps(row, ensure_ascii=False, sort_keys=True)) if ndjson else str
-        path.write_text("".join(dump(row) + "\n" for row in rows), encoding="utf-8")
+        for path in [run_dir / n for n in (name if isinstance(name, tuple) else [name])]:
+            ndjson = path.suffix == ".ndjson"
+            rows = [json.loads(line) if ndjson else line for line in path.read_text(encoding="utf-8").splitlines()]
+            rows = edit(rows)
+            dump = (lambda row: json.dumps(row, ensure_ascii=False, sort_keys=True)) if ndjson else str
+            path.write_text("".join(dump(row) + "\n" for row in rows), encoding="utf-8")
         capsys.readouterr()
         assert main(["stats", "--run", str(run_dir)]) == 1
         err = capsys.readouterr().err
@@ -682,6 +700,7 @@ class TestStats:
             line_edit(rundir.REJECTS_FILE, lambda lines: ["garbage"]),
             line_edit(rundir.TIMINGS_FILE, lambda lines: ["garbage"]),
             (rundir.cluster_file(80), reverse_members_with_forest),
+            json_edit(rundir.FIELD_REPORT_FILE, lambda doc: {**doc, "providers": doc["providers"] + 1}),
         ],
         ids=[
             "unclustered-reversed",
@@ -694,11 +713,13 @@ class TestStats:
             "rejects-garbage",
             "timings-garbage",
             "members-reversed-with-forest",
+            "field-report-providers-changed",
         ],
     )
     def test_edit_that_does_not_render_back_is_error_exit(self, full_run, tmp_path, capsys, name, edit):
         # A run directory is valid iff it is the rendering of the run loaded
-        # from it; each of these edits once passed stats with exit 0.
+        # from it; each of these edits once passed stats or sample-eval with
+        # exit 0.  Both read the run through load_run, so both refuse it.
         run_dir = tmp_path / "run"
         shutil.copytree(full_run, run_dir)
         edit(run_dir)
@@ -706,9 +727,8 @@ class TestStats:
         assert main(["stats", "--run", str(run_dir)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: run file {run_dir / name}") and "Traceback" not in err
-        if name not in (rundir.MASKS_FILE, rundir.REJECTS_FILE):  # the files load_run reads
-            assert main(["sample-eval", "--run", str(run_dir), "--out", str(tmp_path / "sample.ndjson")]) == 1
-            assert capsys.readouterr().err == err
+        assert main(["sample-eval", "--run", str(run_dir), "--out", str(tmp_path / "sample.ndjson")]) == 1
+        assert capsys.readouterr().err == err
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is read per example
     @given(st.data())
@@ -855,15 +875,37 @@ class TestRunDirRoundTrip:
         assert printed == {level: r.iterations_used for level, r in run.results.items()}
 
     def test_ga_history_round_trip(self, tmp_path):
-        selection = {
+        records = [Record(f"{p}{i}", p, {"dc:title": (f"harbour view {i}",)}) for p in ("big", "small") for i in (1, 2)]
+        run = run_hierarchy(records, None, EngineConfig(seed=3), levels=[80])
+        run.selection = {
             "big": ProviderMask("big", frozenset({"dc:title"}), 2.5, "ga", (SENTINEL_FITNESS, 1.5, 2.5), 7),
             "small": ProviderMask("small", frozenset({"dc:title"}), None, "default"),
         }
-        rundir.write_field_report(tmp_path / rundir.FIELD_REPORT_FILE, selection)
-        report = rundir.load_field_report(tmp_path)
+        out = tmp_path / "run"
+        rundir.write_run(out, run)
         # JSON has no infinities: the degenerate fitness comes back as null.
-        assert report["ga_providers"] == {"big": {"best_history": [None, 1.5, 2.5], "evaluations": 7}}
-        assert rundir.load_field_report(tmp_path / "missing") is None
+        big = dataclasses.replace(run.selection["big"], best_history=(None, 1.5, 2.5))
+        assert rundir.load_run(out).selection == {**run.selection, "big": big}
+
+    def test_rejects_and_selection_round_trip(self, corpus_path, tmp_path, monkeypatch):
+        # A GA cluster run's rejected lines and field selection come back from its directory as written.
+        corpus = tmp_path / "c.ndjson"
+        corpus.write_bytes(b"garbage\n" + corpus_path.read_bytes() + b'{"id": 1}\n')
+        runs = []
+
+        def keep(*args, **kwargs):
+            runs.append(run_hierarchy(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_hierarchy", keep)
+        out = tmp_path / "run"
+        assert main(["cluster", "--input", str(corpus), "--out", str(out), "--seed", "33", *GA_FLAGS]) == 0
+        (written,) = runs
+        loaded = rundir.load_run(out)
+        assert [r.line for r in loaded.rejects] == [1, len(corpus.read_bytes().splitlines())]
+        assert loaded.rejects == written.rejects
+        assert any(info.method == "ga" for info in written.selection.values())
+        assert loaded.selection == written.selection
 
     def test_run_files_byte_format(self, tmp_path):
         # Non-ASCII ids, providers and values; pairs of equal titles cluster at 100.
@@ -872,14 +914,13 @@ class TestRunDirRoundTrip:
             Record(f"ü{i}", "prov-é", {"dc:title": (f"Café Zürich 東京 {i // 2}",)}) for i in range(6)
         ]
         run = run_hierarchy(records, None, EngineConfig(seed=3))
+        run.rejects = [RejectedLine(1, "bad line — «x»")]
+        # A selection covers every provider the manifest's masks name.
+        masks = run.manifest["masks"]
+        run.selection = {p: ProviderMask(p, frozenset(mask), None, "default") for p, mask in masks.items()}
+        run.selection["prov-é"] = ProviderMask("prov-é", frozenset(masks["prov-é"]), 1.5, "ga", (SENTINEL_FITNESS, 1.5), 3)
         out = tmp_path / "run"
         rundir.write_run(out, run)
-        rundir.write_rejects(out / rundir.REJECTS_FILE, [RejectedLine(1, "bad line — «x»")])
-        selection = {
-            "prov-é": ProviderMask("prov-é", frozenset({"dc:title"}), 1.5, "ga", (SENTINEL_FITNESS, 1.5), 3)
-        }
-        rundir.write_masks(out / rundir.MASKS_FILE, selection)
-        rundir.write_field_report(out / rundir.FIELD_REPORT_FILE, selection)
 
         ndjson = sorted(out.glob("*.ndjson"))
         assert len(ndjson) == 10  # five cluster levels, forest, artificials, duplicates, rejects, masks
@@ -903,11 +944,10 @@ class TestRunDirRoundTrip:
         assert forest_of(rundir.load_run(out)) == forest_of(run)
 
     def test_stats_prints_ga_history(self, full_run, capsys):
-        report = rundir.load_field_report(full_run)
-        assert list(report["ga_providers"]) == ["gaprov"]
+        selection = rundir.load_run(full_run).selection
+        assert [p for p, info in selection.items() if info.method == "ga"] == ["gaprov"]
         assert main(["stats", "--run", str(full_run)]) == 0
-        evaluations = report["ga_providers"]["gaprov"]["evaluations"]
-        assert f"ga gaprov: {evaluations} evaluations" in capsys.readouterr().out
+        assert f"ga gaprov: {selection['gaprov'].evaluations} evaluations" in capsys.readouterr().out
 
 
 def load_compare_runs():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -275,7 +276,7 @@ class TestSelectAllProviders:
         ):
             selection[provider] = ProviderMask(provider, frozenset(names), None, "default")
         rundir.write_field_report(tmp_path / rundir.FIELD_REPORT_FILE, selection)
-        report = rundir.load_field_report(tmp_path)
+        report = json.loads((tmp_path / rundir.FIELD_REPORT_FILE).read_text(encoding="utf-8"))
         assert report["providers"] == 3
         assert report["field_counts"] == {"dc:title": 3, "dc:type": 1}
         assert report["combination_counts"] == {
