@@ -4,18 +4,21 @@
 Examples:
     python scripts/bench_memory.py --scenario dedup --label change
     python scripts/bench_memory.py --scenario level100_1m --label parent
+    python scripts/bench_memory.py --scenario chain100k --label change
 
 Each invocation makes one run and appends one entry; alternate parent and
-change invocations to compare two trees.  The run writes the scenario's seeded
-corpus with ``generate_corpus.py``, then starts a fresh interpreter that runs
-the CLI in-process, so the memory figures cover interpreter start, imports and
-the run alone.  Stage hooks wrap the names the CLI and ``run_hierarchy`` call:
-ingest, digest, sign and band (``level_inputs``), cluster, verify and write.
-After each stage the child reads ``VmHWM`` (the process's peak resident set)
-and ``VmRSS`` from ``/proc/self/status``.  The entry goes to
-``BENCH_<scenario>.json`` at the repository root, with its stages, records/s,
-core count, git SHA, source digest and seed.  Run it from a source checkout;
-it imports ``src/metacluster``.
+change invocations to compare two trees.  A scenario names a generator of
+``metacluster.synthetic`` with its arguments, and the CLI arguments of the run.
+A first fresh interpreter writes the seeded corpus (and a dc:title masks file
+for every provider); a second one runs the CLI in-process, so the memory
+figures cover interpreter start, imports and the run alone.  Stage hooks wrap
+the names the CLI and ``run_hierarchy`` call: ingest, digest, sign and band
+(``level_inputs``), cluster, verify and write.  After each stage the child
+reads ``VmHWM`` (the process's peak resident set) and ``VmRSS`` from
+``/proc/self/status``.  The entry goes to ``BENCH_<scenario>.json`` at the
+repository root, with its stages, records/s, core count, git SHA, source
+digest and seed.  Run it from a source checkout; it imports
+``src/metacluster``.
 """
 
 import argparse
@@ -33,11 +36,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-#: Scenario -> (pairs, decoys, seed, extra CLI arguments) of a
-#: ``duplicate_pairs_corpus`` run.
+#: Stands for the scenario's masks file among its CLI arguments.
+MASKS = "masks.ndjson"
+
+#: Scenario -> (generator in ``metacluster.synthetic``, its keyword arguments,
+#: CLI arguments after ``cluster --input CORPUS --out RUN``).
 SCENARIOS = {
-    "dedup": (200, 39_600, 71, ["--levels", "100"]),
-    "level100_1m": (5_000, 990_000, 71, ["--levels", "100"]),
+    "dedup": ("duplicate_pairs_corpus", {"n_pairs": 200, "n_decoys": 39_600, "seed": 71}, ["--levels", "100"]),
+    "level100_1m": ("duplicate_pairs_corpus", {"n_pairs": 5_000, "n_decoys": 990_000, "seed": 71}, ["--levels", "100"]),
+    # The corpus of acceptance criterion 4, all five levels, saved masks.
+    "chain100k": (
+        "hierarchical_corpus",
+        {
+            "n_works": 11_800, "editions_per_work": 2, "volumes_per_edition": 4, "seed": 41,
+            "duplicate_share": 0.04, "noise_records": 4_000,
+        },
+        ["--seed", "41", "--masks", MASKS],
+    ),
 }
 
 #: Stage name -> (module, attribute) wrapped in the namespace it is called from.
@@ -131,19 +146,33 @@ def source_digest() -> str:
     return h.hexdigest()[:16]
 
 
+def write_inputs(scenario: str, work: Path) -> None:
+    """Write the scenario's corpus to ``work``, and a masks file that selects
+    dc:title for each of its providers."""
+    sys.path.insert(0, str(SRC))
+    from metacluster import synthetic
+    from metacluster.config import TITLE_FIELD
+    from metacluster.records import json_line, write_records
+
+    generator, kwargs, _ = SCENARIOS[scenario]
+    records = getattr(synthetic, generator)(**kwargs)
+    if isinstance(records, tuple):  # duplicate_pairs_corpus returns its planted pairs too
+        records = records[0]
+    with open(work / "corpus.ndjson", "w", encoding="utf-8") as fh:
+        write_records(records, fh)
+    with open(work / MASKS, "w", encoding="utf-8") as fh:
+        for provider in sorted({record.provider for record in records}):
+            fh.write(json_line({"provider": provider, "mask": [TITLE_FIELD]}) + "\n")
+
+
 def run_once(scenario: str, work: Path) -> dict:
-    pairs, decoys, seed, extra = SCENARIOS[scenario]
-    corpus = work / "corpus.ndjson"
+    generator, kwargs, extra = SCENARIOS[scenario]
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    subprocess.run(
-        [
-            sys.executable, str(ROOT / "scripts" / "generate_corpus.py"), "--kind", "duplicates",
-            "--pairs", str(pairs), "--decoys", str(decoys), "--seed", str(seed), "--out", str(corpus),
-        ],
-        env=env, check=True, stdout=subprocess.DEVNULL,
-    )
+    subprocess.run([sys.executable, __file__, "--inputs", scenario, str(work)], env=env, check=True)
+    corpus = work / "corpus.ndjson"
     result = work / "result.json"
-    cli_args = ["cluster", "--input", str(corpus), "--out", str(work / "run"), *extra]
+    cli_args = ["cluster", "--input", str(corpus), "--out", str(work / "run")]
+    cli_args += [str(work / MASKS) if arg == MASKS else arg for arg in extra]
     subprocess.run(
         [sys.executable, __file__, "--measure", str(result), "--", *cli_args],
         env=env, check=True, stdout=subprocess.DEVNULL,
@@ -161,8 +190,8 @@ def run_once(scenario: str, work: Path) -> dict:
         for name, stage in doc["stages"].items()
     }
     return {
-        "seed": seed,
-        "corpus": f"duplicate_pairs_corpus({pairs}, {decoys}, seed={seed})",
+        "seed": kwargs["seed"],
+        "corpus": f"{generator}({', '.join(f'{key}={value}' for key, value in kwargs.items())})",
         "command": " ".join(["cluster", *extra]),
         "records": doc["records"],
         "wall_s": round(doc["wall_s"], 3),
@@ -178,6 +207,9 @@ def main() -> int:
             print("usage: bench_memory.py --measure <result.json> -- <cli arguments>", file=sys.stderr)
             return 2
         return measure(sys.argv[4:], Path(sys.argv[2]))
+    if len(sys.argv) == 4 and sys.argv[1] == "--inputs":
+        write_inputs(sys.argv[2], Path(sys.argv[3]))
+        return 0
 
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--scenario", choices=sorted(SCENARIOS), required=True)

@@ -55,14 +55,14 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import pairwise
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .config import BAND_COUNT, EngineConfig
 from .errors import IntegrityError
 from .hashing import derive_seed, digest_hex
-from .minhash import SignatureComputer, band_key_matrix, group_ids, segment_min
+from .minhash import COLUMN_BLOCK, Block, SignatureComputer, band_key_matrix, group_ids, segment_min
 from .records import FieldMask, Record, selected_values, tokenize
 from .similarity import Compression, SimilarityContext
 
@@ -125,21 +125,23 @@ class LevelBanding:
         return [g for g in group_ids(rows, self.keys[rows], self.empty[rows], mode=mode) if len(g) >= 2]
 
 
-def band_signatures(
-    level: int, ids: list[str], blocks: Iterable[np.ndarray], config: EngineConfig
-) -> LevelBanding:
-    """Band keys of signature blocks given in strictly increasing id order, for
-    one level pass (hierarchy and GA alike); the blocks are dropped once banded."""
+def band_signatures(level: int, ids: list[str], blocks: Iterable[Block], config: EngineConfig) -> LevelBanding:
+    """Band keys of signature blocks over ids in strictly increasing order,
+    for one level pass (hierarchy and GA alike).  Keys start at zero and each
+    block XORs in its band positions, so a block is dropped once banded and
+    no row need be whole at once."""
     for prev, rid in pairwise(ids):
         if rid <= prev:
             raise ValueError(f"ids must be strictly increasing: {rid!r} follows {prev!r}")
-    keys = np.empty((len(ids), BAND_COUNT), dtype=np.uint64)
-    empty = np.empty(len(ids), dtype=bool)
-    start = 0
-    for block in blocks:
-        stop = start + len(block)
-        keys[start:stop], empty[start:stop] = band_key_matrix(block, level, config.seed, config.group_sizes)
-        start = stop
+    keys = np.zeros((len(ids), BAND_COUNT), dtype=np.uint64)
+    empty = np.ones(len(ids), dtype=bool)
+    for start, column, block in blocks:
+        rows = slice(start, start + len(block))
+        part, sentinel = band_key_matrix(
+            block, level, config.seed, config.group_sizes, column=column, count=config.minhash_count
+        )
+        keys[rows] ^= part
+        empty[rows] &= sentinel
     return LevelBanding(ids, keys, empty)
 
 
@@ -153,7 +155,8 @@ class FieldRows:
     store, which tokenizes each distinct value once: the given computer's,
     which keeps the value rows for later signing, or else a new one dropped
     when the build returns.  Memory: pairs x ``minhash_count`` x 8 bytes;
-    a mask's signatures gather the selected rows a block at a time.
+    a mask's signatures gather the selected rows a block at a time into
+    records x ``COLUMN_BLOCK`` x 8 bytes.
     """
 
     def __init__(
@@ -169,14 +172,17 @@ class FieldRows:
         computer = computer or SignatureComputer(count=config.minhash_count, seed=config.seed)
         self.rows = computer.signature_matrix([records[i].fields[name] for i, name in pairs], tokenize)
 
-    def signatures(self, mask: FieldMask) -> np.ndarray:
-        """Minhash matrix of the population under ``mask``, in record order."""
+    def signatures(self, mask: FieldMask) -> Iterator[Block]:
+        """Minhash rows of the population under ``mask``, in record order, a
+        block of ``COLUMN_BLOCK`` positions of every record at a time."""
         selected = np.array([name in mask for name in self.fields], dtype=bool)
         chosen = np.flatnonzero(selected[self.field_index])
-        out = np.empty((self.size, self.count), dtype=np.uint64)
         lengths = np.bincount(self.record_index[chosen], minlength=self.size)
-        segment_min(lengths, lambda a, b: self.rows[chosen[a:b]], out)
-        return out
+        for column in range(0, self.count, COLUMN_BLOCK):
+            out = np.empty((self.size, min(COLUMN_BLOCK, self.count - column)), dtype=np.uint64)
+            columns = slice(column, column + out.shape[1])
+            segment_min(lengths, lambda a, b: self.rows[chosen[a:b], columns], out)
+            yield 0, column, out
 
 
 def level_inputs(

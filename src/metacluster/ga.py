@@ -184,7 +184,7 @@ def evolve(
             if bits in scores:
                 continue
             mask = bits_mask(fields, bits)
-            banding = band_signatures(FSC_LEVEL, ids, [rows.signatures(mask)], engine)
+            banding = band_signatures(FSC_LEVEL, ids, rows.signatures(mask), engine)
             ctx = SimilarityContext(by_id, compression, mask_for=lambda record: mask)
             result = cluster_level(FSC_LEVEL, ctx.similarity, banding, engine)
             pair_seed = derive_seed(ga.seed, "ga-pairs", provider_key, "".join(map(str, bits)))

@@ -160,7 +160,9 @@ def run_lines(run: HierarchyRun) -> Iterator[tuple[str, Iterable[str]]]:
     yield ARTIFICIALS_FILE, (export_line(run.artificials[rid]) for rid in sorted(run.artificials))
     if 100 in run.results:
         yield DUPLICATES_FILE, map(json_line, duplicate_docs(run))
-    yield MANIFEST_FILE, _json_lines(run.manifest)
+    # Read off the selection, so a run that lost its selection files, or
+    # gained a GA's, no longer renders to its manifest.
+    yield MANIFEST_FILE, _json_lines({**run.manifest, "masks_from_ga": run.selection is not None})
     yield SUMMARY_FILE, _json_lines(summarize_run(run))
 
 

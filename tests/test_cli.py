@@ -34,12 +34,14 @@ def write_corpus(path: Path, records) -> Path:
     return path
 
 
+def corpus_records() -> list:
+    records = hierarchical_corpus(n_works=8, seed=20, noise_records=15)
+    return records + ga_provider_corpus(n_records=120, n_families=8, seed=21, extra_fields=1)
+
+
 @pytest.fixture(scope="module")
 def corpus_path(tmp_path_factory) -> Path:
-    base = tmp_path_factory.mktemp("corpus")
-    records = hierarchical_corpus(n_works=8, seed=20, noise_records=15)
-    records += ga_provider_corpus(n_records=120, n_families=8, seed=21, extra_fields=1)
-    return write_corpus(base / "corpus.ndjson", records)
+    return write_corpus(tmp_path_factory.mktemp("corpus") / "corpus.ndjson", corpus_records())
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +104,24 @@ def edit_first_doc(change, sort_keys: bool = True):
         return [json.dumps(change(json.loads(lines[0])), ensure_ascii=False, sort_keys=sort_keys), *lines[1:]]
 
     return edit
+
+
+def delete_selection_files(run_dir: Path) -> None:
+    for name in (rundir.MASKS_FILE, rundir.FIELD_REPORT_FILE):
+        (run_dir / name).unlink()
+
+
+def selection_files_into_masks_run(run_dir: Path) -> None:
+    # Replace the GA run by a `--masks` run of its own masks over the same
+    # corpus, then copy the GA's two selection files into it.
+    masks_run = run_dir.parent / "masks-run"
+    corpus = write_corpus(run_dir.parent / "corpus.ndjson", corpus_records())
+    masks = ["--masks", str(run_dir / rundir.MASKS_FILE)]
+    assert main(["cluster", "--input", str(corpus), "--out", str(masks_run), "--seed", "33", *masks]) == 0
+    for name in (rundir.MASKS_FILE, rundir.FIELD_REPORT_FILE):
+        shutil.copyfile(run_dir / name, masks_run / name)
+    shutil.rmtree(run_dir)
+    masks_run.rename(run_dir)
 
 
 def reverse_members_with_forest(run_dir: Path) -> None:
@@ -701,6 +721,8 @@ class TestStats:
             line_edit(rundir.TIMINGS_FILE, lambda lines: ["garbage"]),
             (rundir.cluster_file(80), reverse_members_with_forest),
             json_edit(rundir.FIELD_REPORT_FILE, lambda doc: {**doc, "providers": doc["providers"] + 1}),
+            (rundir.MANIFEST_FILE, delete_selection_files),
+            (rundir.MANIFEST_FILE, selection_files_into_masks_run),
         ],
         ids=[
             "unclustered-reversed",
@@ -714,6 +736,8 @@ class TestStats:
             "timings-garbage",
             "members-reversed-with-forest",
             "field-report-providers-changed",
+            "selection-files-deleted",
+            "selection-files-into-masks-run",
         ],
     )
     def test_edit_that_does_not_render_back_is_error_exit(self, full_run, tmp_path, capsys, name, edit):

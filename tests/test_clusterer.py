@@ -26,7 +26,7 @@ from metacluster.clusterer import (
 from metacluster.config import EngineConfig
 from metacluster.errors import ConfigurationError
 from metacluster.hashing import derive_seed
-from metacluster.minhash import SENTINEL, SignatureComputer
+from metacluster.minhash import SENTINEL, SignatureComputer, assemble
 from metacluster.records import Record, selected_values, tokenize
 from metacluster.similarity import CONCAT_SEP, Compression, SimilarityContext
 from metacluster.synthetic import (
@@ -351,6 +351,11 @@ def row_store() -> FieldRows:
     return FieldRows(ROW_RECORDS, ROW_CONFIG)
 
 
+def mask_matrix(rows: FieldRows, mask: frozenset) -> np.ndarray:
+    """The population's signature matrix under ``mask``, from its blocks."""
+    return assemble(rows.signatures(mask), rows.size, rows.count)
+
+
 class TestFieldRows:
     @given(st.sets(st.sampled_from(ROW_FIELDS)))
     def test_store_matches_tokenizing_path(self, row_store, names):
@@ -359,20 +364,21 @@ class TestFieldRows:
         ids = [r.id for r in ROW_RECORDS]
         computer = SignatureComputer(count=ROW_CONFIG.minhash_count, seed=ROW_CONFIG.seed)
         streams = (selected_values(by_id[rid], mask) for rid in ids)
-        expected = np.concatenate(list(computer.signatures(streams, tokenize)))
-        got = row_store.signatures(mask)
-        assert got.dtype == np.uint64
+        expected = assemble(computer.signatures(streams, tokenize), len(ids), ROW_CONFIG.minhash_count)
+        blocks = list(row_store.signatures(mask))
+        assert all(b.dtype == np.uint64 for _, _, b in blocks)
+        got = mask_matrix(row_store, mask)
         assert np.array_equal(got, expected)
-        banding = band_signatures(80, ids, [got], ROW_CONFIG)
+        banding = band_signatures(80, ids, blocks, ROW_CONFIG)
         reference, _ = level_inputs(by_id, ids, 80, ROW_CONFIG, mask_for=lambda record: mask)
         assert np.array_equal(banding.keys, reference.keys)
         assert np.array_equal(banding.empty, reference.empty)
 
     def test_numeric_only_and_missing_fields_give_sentinel(self, row_store):
-        assert (row_store.signatures(frozenset({"dc:date"})) == np.uint64(SENTINEL)).all()
-        assert (row_store.signatures(frozenset()) == np.uint64(SENTINEL)).all()
+        assert (mask_matrix(row_store, frozenset({"dc:date"})) == np.uint64(SENTINEL)).all()
+        assert (mask_matrix(row_store, frozenset()) == np.uint64(SENTINEL)).all()
         lacking = [i for i, r in enumerate(ROW_RECORDS) if "dc:description" not in r.fields]
-        sig = row_store.signatures(frozenset({"dc:description"}))
+        sig = mask_matrix(row_store, frozenset({"dc:description"}))
         assert (sig[lacking] == np.uint64(SENTINEL)).all()
         assert not (np.delete(sig, lacking, axis=0) == np.uint64(SENTINEL)).any()
 
@@ -391,7 +397,7 @@ def test_field_rows_mask_gathers_rows_a_block_at_a_time():
     mask = frozenset(rows.fields)
     tracemalloc.start()
     try:
-        rows.signatures(mask)
+        mask_matrix(rows, mask)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -490,7 +496,7 @@ def keyed_population(draw):
 )
 def test_band_signatures_refuses_ids_out_of_order(ids, message):
     # Carried row tuples map to sorted id tuples only when rows are in id order.
-    blocks = [np.zeros((len(ids), ROW_CONFIG.minhash_count), dtype=np.uint64)]
+    blocks = [(0, 0, np.zeros((len(ids), ROW_CONFIG.minhash_count), dtype=np.uint64))]
     with pytest.raises(ValueError, match=message):
         band_signatures(80, ids, blocks, ROW_CONFIG)
 

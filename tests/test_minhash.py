@@ -12,6 +12,7 @@ from metacluster.config import DEFAULT_GROUP_SIZES, EngineConfig
 from metacluster.minhash import (
     SENTINEL,
     SignatureComputer,
+    assemble,
     band_key_matrix,
     band_positions,
     group_ids,
@@ -104,6 +105,25 @@ def test_unkept_signing_builds_no_value_rows():
     assert peak < value_rows / 2
 
 
+@pytest.mark.parametrize("keep", [True, False])
+def test_signing_holds_token_rows_a_column_block_at_a_time(keep):
+    # 500 values of 40 tokens each, 20,000 distinct tokens: their rows for
+    # all 64 positions would take 10.24 MB; the kept value rows take 0.26 MB.
+    # numpy reports its allocations to tracemalloc.
+    words = [f"w{k:05d}" for k in range(20_000)]
+    records = [[" ".join(words[k : k + 40])] for k in range(0, len(words), 40)]
+    computer = SignatureComputer(count=64, seed=3)
+    token_rows = len(words) * computer.count * 8
+    tracemalloc.start()
+    try:
+        for _ in computer.signatures(records, tokenize, keep=keep):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < token_rows / 2
+
+
 class TestBandKeys:
     def test_group_sizes_at_endpoints(self):
         for level, expected in ((100, 16), (20, 2)):
@@ -139,6 +159,18 @@ class TestBandKeys:
         for level in (100, 80, 60, 40, 20):
             keys, empty = band_key_matrix(matrix, level, band_seed=3)
             positions = band_positions(level, band_seed=3, count=64)
+            for i in range(len(streams)):
+                scalar_keys, scalar_empty = reference_band_keys([int(v) for v in matrix[i]], positions)
+                assert tuple(int(k) for k in keys[i]) == scalar_keys
+                assert bool(empty[i]) == scalar_empty
+            # Keys XOR-accumulated from blocks of 5 positions, the last one
+            # partial, as band_signatures accumulates them.
+            keys = np.zeros_like(keys)
+            empty = np.ones_like(empty)
+            for column in range(0, 64, 5):
+                part, sentinel = band_key_matrix(matrix[:, column : column + 5], level, 3, column=column, count=64)
+                keys ^= part
+                empty &= sentinel
             for i in range(len(streams)):
                 scalar_keys, scalar_empty = reference_band_keys([int(v) for v in matrix[i]], positions)
                 assert tuple(int(k) for k in keys[i]) == scalar_keys
@@ -254,8 +286,9 @@ def record_batches(draw):
     st.sampled_from((1, 10, minhash.BLOCK_VALUES)),
     st.sampled_from((1, 2, minhash.BLOCK_RECORDS)),
     st.sampled_from((3, minhash.STORE_LIMIT)),
+    st.sampled_from((1, 5, minhash.COLUMN_BLOCK)),
 )
-def test_batch_signatures_match_reference_rows(batches, mask, count, seed, block, per_block, limit):
+def test_batch_signatures_match_reference_rows(batches, mask, count, seed, block, per_block, limit, width):
     keys = reference_keys(count, seed)
     computer = SignatureComputer(count=count, seed=seed)
     # The store starts over before it would pass the limit, so only a single
@@ -265,16 +298,29 @@ def test_batch_signatures_match_reference_rows(batches, mask, count, seed, block
         patch.object(minhash, "BLOCK_VALUES", block),
         patch.object(minhash, "BLOCK_RECORDS", per_block),
         patch.object(minhash, "STORE_LIMIT", limit),
+        patch.object(minhash, "COLUMN_BLOCK", width),
     ):
         for batch in batches:  # later batches sign on the earlier ones' store
             values = [selected_values(r, mask) for r in batch]
             blocks = list(computer.signatures(iter(values), tokenize))
-            assert all(0 < len(b) <= per_block and b.dtype == np.uint64 for b in blocks)
-            rows = np.concatenate(blocks) if blocks else np.empty((0, count), dtype=np.uint64)
+            assert_block_shapes(blocks, len(values), count, per_block, width)
+            rows = assemble(blocks, len(values), count)
             expected = [reference_row(tokenize(*selected_values(r, mask)), keys, seed) for r in batch]
             assert [[int(v) for v in row] for row in rows] == expected
             assert len(computer._store) == len(computer._rows) <= bound
         assert np.array_equal(SignatureComputer(count=count, seed=seed).signature_matrix(values, tokenize), rows)
+
+
+def assert_block_shapes(blocks, size, count, per_block, width):
+    """Each block is uint64, holds at most ``width`` positions of at most
+    ``per_block`` records per ``width``-position part of a row, and together
+    the blocks cover every (record, position) of ``size`` records once."""
+    covered = np.zeros((size, count), dtype=int)
+    for start, column, b in blocks:
+        assert 0 < len(b) <= per_block * -(-count // width) and 0 < b.shape[1] <= width
+        assert b.dtype == np.uint64
+        covered[start : start + len(b), column : column + b.shape[1]] += 1
+    assert (covered == 1).all()
 
 
 # Values without tokens (empty, numeric-only) beside ones that have some.
@@ -299,13 +345,15 @@ def stored_then_last(draw):
     st.integers(0, 2**64 - 1),
     st.sampled_from((1, 3, minhash.BLOCK_RECORDS)),
     st.sampled_from((3, minhash.STORE_LIMIT)),
+    st.sampled_from((1, 5, minhash.COLUMN_BLOCK)),
 )
-def test_unkept_signatures_match_kept_and_reference_rows(streams, count, seed, per_block, limit):
+def test_unkept_signatures_match_kept_and_reference_rows(streams, count, seed, per_block, limit, width):
     stored, last = streams
     keys = reference_keys(count, seed)
     with (
         patch.object(minhash, "BLOCK_RECORDS", per_block),
         patch.object(minhash, "STORE_LIMIT", limit),
+        patch.object(minhash, "COLUMN_BLOCK", width),
     ):
         computer = SignatureComputer(count=count, seed=seed)
         kept = SignatureComputer(count=count, seed=seed)
@@ -313,10 +361,10 @@ def test_unkept_signatures_match_kept_and_reference_rows(streams, count, seed, p
             list(c.signatures(iter(stored), tokenize))
         store, rows = dict(computer._store), computer._rows.copy()
         blocks = list(computer.signatures(iter(last), tokenize, keep=False))
-        assert all(0 < len(b) <= per_block and b.dtype == np.uint64 for b in blocks)
+        assert_block_shapes(blocks, len(last), count, per_block, width)
         assert computer._store == store and np.array_equal(computer._rows, rows)
         expected = kept.signature_matrix(last, tokenize)
-    got = np.concatenate(blocks)
+    got = assemble(blocks, len(last), count)
     assert np.array_equal(got, expected)
     assert [[int(v) for v in row] for row in got] == [reference_row(tokenize(*values), keys, seed) for values in last]
 
