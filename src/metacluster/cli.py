@@ -221,17 +221,18 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     engine, ga = _configs_from(args)
     levels = sorted(set(args.levels), reverse=True)
     _check_out(args.out)
+    # A bad masks file fails the run whatever its levels; only level 80 reads the masks.
+    masks = rundir.load_masks(args.masks) if args.masks is not None else None
     result = ingest_path(args.input)
 
     # One value store for the GA and every level: each value is tokenized once.
     computer = SignatureComputer(count=engine.minhash_count, seed=engine.seed)
-    masks = selection = None
-    if 80 in levels:
-        if args.masks is not None:
-            masks = rundir.load_masks(args.masks)
-        else:
-            selection = select_all_providers(result.records, engine, ga, computer)
-            masks = {provider: info.mask for provider, info in selection.items()}
+    selection = None
+    if 80 not in levels:
+        masks = None
+    elif masks is None:
+        selection = select_all_providers(result.records, engine, ga, computer)
+        masks = {provider: info.mask for provider, info in selection.items()}
 
     run = run_hierarchy(result.records, masks, engine, levels=levels, computer=computer)
     run.rejects, run.selection = result.rejects, selection
@@ -267,6 +268,12 @@ def cmd_sample_eval(args: argparse.Namespace) -> int:
     check_seed(args.seed)
     # The run is read and checked before --out is opened: a damaged run leaves it as it was.
     run = rundir.load_run(args.run)
+    out_path = args.out or (args.run / "eval_sample.ndjson")
+    # load_run reads the selection files whenever either exists, even in a run without them.
+    checked = [name for name, _ in rundir.run_lines(run)]
+    checked += [rundir.TIMINGS_FILE, rundir.MASKS_FILE, rundir.FIELD_REPORT_FILE]
+    if out_path.resolve() in {(args.run / name).resolve() for name in checked}:
+        raise ConfigurationError(f"--out {out_path} is a file of the run {args.run}; the worksheet would overwrite it")
     by_id = {}
     if args.input is not None:
         corpus = ingest_path(args.input)
@@ -301,7 +308,6 @@ def cmd_sample_eval(args: argparse.Namespace) -> int:
                     "category_choices": EVAL_CATEGORIES,
                 }
             )
-    out_path = args.out or (args.run / "eval_sample.ndjson")
     rundir.write_ndjson(out_path, rows)
     print(f"wrote {len(rows)} worksheet rows to {out_path}")
     return 0

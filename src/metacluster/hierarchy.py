@@ -24,7 +24,7 @@ from .config import DESCRIPTION_FIELD, LEVELS, TITLE_FIELD, EngineConfig
 from .errors import ConfigurationError, IntegrityError
 from .hashing import digest_lines
 from .minhash import SignatureComputer
-from .records import ARTIFICIAL, FieldMask, Record, RejectedLine, check_record, export_line, find_surrogate
+from .records import FieldMask, Record, RejectedLine, check_record, export_line, find_surrogate
 
 CHAIN_LEVELS = (80, 60, 40, 20)
 
@@ -72,13 +72,7 @@ def make_artificial_record(cluster: Cluster, members: list[Record], value_cap: i
         ranked = sorted(counts[name].items(), key=lambda item: (-item[1], item[0]))
         fields[name] = tuple(value for value, _ in ranked[:value_cap])
     head_provider = next((r.provider for r in members if r.id == cluster.head), members[0].provider)
-    return Record(
-        id=cluster.id,
-        provider=head_provider,
-        fields=fields,
-        kind=ARTIFICIAL,
-        provenance=cluster.record_ids(),
-    )
+    return Record(id=cluster.id, provider=head_provider, fields=fields, provenance=cluster.record_ids())
 
 
 def default_mask_for(provider_records: Iterable[Record]) -> FieldMask:
@@ -119,9 +113,9 @@ def run_hierarchy(
 
     Every level signs through one ``SignatureComputer``: ``computer`` when
     given (a ``cluster`` run passes the one its GA signed with), else a new
-    one.  The last level signs without storing the values new to it, since no
-    later level reads them, and the store is emptied once that level is
-    signed."""
+    one.  The last level signs with ``keep=False``, since no later level
+    reads the store: it learns no row for a value new to it, and the store
+    is empty once that level is signed."""
     requested = sorted(set(levels), reverse=True)
     unknown = [lv for lv in requested if lv not in LEVELS]
     if unknown:
@@ -161,10 +155,7 @@ def run_hierarchy(
 
     def run_level(ids: list[str], level: int, mask_for) -> LevelResult:
         t0 = time.perf_counter()
-        last = level == requested[-1]
-        banding, ctx = level_inputs(by_id, ids, level, config, computer, mask_for, keep=not last)
-        if last:
-            computer.clear()  # no later level reads the value store: free it before clustering
+        banding, ctx = level_inputs(by_id, ids, level, config, computer, mask_for, keep=level != requested[-1])
         result = cluster_level(level, ctx.similarity, banding, config)
         seconds[level] = time.perf_counter() - t0
         results[level] = result

@@ -11,7 +11,7 @@ records and of positions at a time.  Each position is a minhash of its own
 (Broder 1997), so token rows are mixed ``COLUMN_BLOCK`` positions at a time.
 A call whose rows no later call reads (``keep=False``) builds no value rows:
 each record's row is the minimum of its new values' token rows and its known
-values' stored rows.
+values' stored rows, and the store is emptied when the call ends.
 
 Per similarity level, a seeded permutation picks 4 disjoint groups of
 signature positions; XOR-ing each group yields the 4 band keys that route
@@ -123,21 +123,22 @@ class SignatureComputer:
     row is the elementwise minimum of their rows: the sentinel row when it has
     none, or when no value has a token.  ``signatures`` tokenizes once each
     value the store has not seen, hashes its tokens' shingles in a vocabulary
-    that lives only while that batch is learned, and keeps the value rows.
-    The store persists across calls, so the levels of one hierarchy sign a
-    value once per run.  Pass the same tokenizer on every call: stored rows
+    that lives only while that batch is signed, and keeps the value rows.
+    The store persists across kept calls, so the levels of one hierarchy sign
+    a value once per run.  Pass the same tokenizer on every call: stored rows
     are reused whatever tokenizer a later call passes.
 
-    When a record's values would grow the store past ``STORE_LIMIT``, the
-    records before it are finished and the store starts over.  Memory: stored
-    values x ``count`` x 8 bytes; while a batch is learned, 8 bytes per shingle
-    of its new values' tokens, and those tokens' rows for one block of
-    ``COLUMN_BLOCK`` positions at a time, tokens x ``COLUMN_BLOCK`` x 8 bytes;
-    a 4-byte id per value occurrence in the batch; and one block of about
-    ``BLOCK_RECORDS`` x ``count`` record positions at a time.  A call with
-    ``keep=False`` adds no value rows: its new values take their tokens' rows,
-    a column block at a time, a 4-byte id per token occurrence and a dict
-    entry each, and at most ``STORE_LIMIT`` of them are pending at once.
+    One dict numbers every value the store holds, the batch's pending new
+    values included, and holds at most ``STORE_LIMIT`` of them: when a
+    record's values would take it past, the records before it are finished
+    and the store starts over.  Memory: a dict entry per value and
+    ``count`` x 8 bytes per value row; while a batch is signed, 8 bytes per
+    shingle of its new values' tokens, and those tokens' rows for one block
+    of ``COLUMN_BLOCK`` positions at a time, tokens x ``COLUMN_BLOCK`` x 8
+    bytes; a 4-byte id per value occurrence in the batch and per token
+    occurrence of its new values; and one block of about ``BLOCK_RECORDS`` x
+    ``count`` record positions at a time.  A call with ``keep=False`` learns
+    no value rows, and empties the store when it ends.
     """
 
     def __init__(self, count: int = 64, seed: int = 0):
@@ -158,36 +159,28 @@ class SignatureComputer:
         once; a record's positions come in different blocks.
 
         ``keep=False`` is for a caller that signs for the last time: the rows
-        the store holds are used, but a value it lacks gets no row and is not
-        stored; its tokens' rows go straight into its records' rows."""
+        the store holds are used, but a value it lacks gets no row; its
+        tokens' rows go straight into its records' rows.  Nothing of such a
+        call outlives it: the store is empty once its last block is yielded."""
         store = self._store
-        get = store.get
-        # Values new to the store are numbered on from it: into the store when
-        # kept, else into ``unkept``, whose values ``_finish`` signs from
-        # their token rows.
-        unkept: dict[str, int] = {}
-        new = store if keep else unkept
-        base = 0 if keep else len(store)
+        get, setdefault = store.get, store.setdefault
         ids, lengths = array("i"), array("q")
         done = 0
         for values in records:
             found = list(map(get, values))
             if None in found:
-                if len(new) + len(values) > STORE_LIMIT:
-                    yield from self._finish(ids, lengths, tokenize, unkept, done)
+                if len(store) + len(values) > STORE_LIMIT:
+                    yield from self._finish(ids, lengths, tokenize, keep, done)
                     done += len(lengths)
-                    unkept.clear()
-                    if keep:
-                        self.clear()
-                        found = [None] * len(values)
+                    self.clear()
+                    found = [None] * len(values)
                     ids, lengths = array("i"), array("q")
-                setdefault = new.setdefault
-                found = [
-                    setdefault(value, base + len(new)) if row is None else row for value, row in zip(values, found)
-                ]
+                found = [setdefault(value, len(store)) if row is None else row for value, row in zip(values, found)]
             ids.extend(found)
             lengths.append(len(found))
-        yield from self._finish(ids, lengths, tokenize, unkept, done)
+        yield from self._finish(ids, lengths, tokenize, keep, done)
+        if not keep:
+            self.clear()
 
     def clear(self) -> None:
         """Empty the value store; later calls tokenize every value anew."""
@@ -202,20 +195,18 @@ class SignatureComputer:
         """One record's row: ``signature_matrix([values], tokenize)[0]``."""
         return self.signature_matrix([values], tokenize)[0]
 
-    def _finish(
-        self, ids: array, lengths: array, tokenize: Tokenizer, unkept: dict[str, int], start: int
-    ) -> Iterator[Block]:
-        """Learn the rows of new stored values, then yield the pending
+    def _finish(self, ids: array, lengths: array, tokenize: Tokenizer, keep: bool, start: int) -> Iterator[Block]:
+        """Learn the rows of new values when ``keep``, then yield the pending
         records' rows, numbered from ``start``, a column block after another.
-        A record's row is the minimum over its stored values' rows and over
-        the token rows of its values in ``unkept``, which get no row of their
-        own."""
-        self._learn(tokenize)
-        token_ids, token_counts, shingle_counts, hashes = self._tokens(unkept, tokenize)
+        A record's row is the minimum over its values' stored rows and over
+        the token rows of its values that have no row."""
+        if keep:
+            self._learn(tokenize)
+        base = len(self._rows)
+        token_ids, token_counts, shingle_counts, hashes = self._tokens(islice(self._store, base, None), tokenize)
         token_starts = np.cumsum(token_counts) - token_counts
         value_ids = np.frombuffer(ids, dtype=np.intc)
         lengths = np.frombuffer(lengths, dtype=np.int64)
-        base = len(self._store)
         new = value_ids >= base
         new_before = np.concatenate(([0], np.cumsum(new)))
         ends = np.cumsum(lengths)
@@ -223,7 +214,7 @@ class SignatureComputer:
         known_counts = lengths - new_counts
         known_ids = value_ids[~new]
         new_ids = value_ids[new] - base
-        # Tokens of each record's unkept values, as a count per record.
+        # Tokens of each record's values without a row, as a count per record.
         tokens_before = np.concatenate(([0], np.cumsum(token_counts[new_ids])))
         new_ends = np.cumsum(new_counts)
         record_tokens = tokens_before[new_ends] - tokens_before[new_ends - new_counts]

@@ -44,16 +44,20 @@ class Record:
     """One metadata record; immutable after ingest.
 
     ``fields`` maps field names to ordered value tuples.  Artificial records
-    (cluster summaries) carry ``kind="artificial"`` and the ids of the records
-    they summarize in ``provenance``; they behave like ordinary records
-    everywhere else.
+    (cluster summaries) carry the ids of the two or more records they
+    summarize in ``provenance``; they behave like ordinary records everywhere
+    else.
     """
 
     id: str
     provider: str
     fields: dict[str, tuple[str, ...]]
-    kind: str = ORIGINAL
     provenance: tuple[str, ...] = ()
+
+    @property
+    def kind(self) -> str:
+        """``ARTIFICIAL`` for a record with provenance, else ``ORIGINAL``."""
+        return ARTIFICIAL if self.provenance else ORIGINAL
 
 
 @dataclass(frozen=True, slots=True)

@@ -27,7 +27,6 @@ from .config import LEVELS
 from .errors import ConfigurationError, IntegrityError
 from .hierarchy import HierarchyRun, ProviderMask, chain_results, forest_of, forest_roots, verify_run
 from .records import (
-    ARTIFICIAL,
     FieldMask,
     Record,
     RejectedLine,
@@ -454,7 +453,7 @@ def load_run(run_dir: Path) -> HierarchyRun:
     run = HierarchyRun(results, seconds={}, manifest=manifest, rejects=rejects, selection=selection)
     provenance = {c.id: c.record_ids() for result in chain_results(run) for c in result.clusters}
     for record in _read_ndjson(run_dir / ARTIFICIALS_FILE, _artificial):
-        run.artificials[record.id] = replace(record, kind=ARTIFICIAL, provenance=provenance.get(record.id, ()))
+        run.artificials[record.id] = replace(record, provenance=provenance.get(record.id, ()))
     if 100 in results:
         report = _read_ndjson(run_dir / DUPLICATES_FILE, lambda doc: _artificial(doc["artificial_record"]))
         run.duplicate_artificials = {record.id: record for record in report}

@@ -225,6 +225,25 @@ class TestClusterCommand:
         assert err.startswith("error: ") and f"{masks} line 2" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("masks", ["missing", "malformed", "valid"])
+    def test_masks_file_is_read_when_level_80_does_not_run(self, corpus_path, tmp_path, capsys, masks):
+        # A run without level 80 once left --masks unread, so a missing or
+        # malformed file passed; a good one still does not reach the run.
+        path = tmp_path / "masks.ndjson"
+        if masks != "missing":
+            path.write_bytes(b'{"provider": "p", "mask": ["dc:title"]}\n' if masks == "valid" else b"{not json\n")
+        out = tmp_path / "out"
+        argv = ["cluster", "--input", str(corpus_path), "--out", str(out), "--levels", "100", "--masks", str(path)]
+        code = main(argv)
+        if masks == "valid":
+            assert code == 0
+            assert json.loads((out / rundir.MANIFEST_FILE).read_text(encoding="utf-8"))["masks"] == {}
+            return
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert not out.exists()
+
     def test_masks_file_with_cr_line_endings(self, tmp_path):
         masks = tmp_path / "masks.ndjson"
         masks.write_bytes(
@@ -416,6 +435,26 @@ class TestSampleEval:
         level80 = [r for r in rows if r["level"] == 80]
         assert any(m["fields"] is None for row in level80 for m in row["members"])
 
+
+    @pytest.mark.parametrize(
+        "name", [rundir.SUMMARY_FILE, rundir.TIMINGS_FILE, rundir.cluster_file(80), rundir.MASKS_FILE]
+    )
+    def test_out_naming_a_run_file_is_refused(self, corpus_path, tmp_path, capsys, name):
+        # A worksheet once overwrote summary.json, and stats then refused the
+        # run; one written as masks.ndjson into a --masks run, which has no
+        # selection files, was read as the run's selection.
+        run_dir = tmp_path / "run"
+        masks_run = ["--levels", "100,80", "--masks", "/dev/null"]
+        assert main(["cluster", "--input", str(corpus_path), "--out", str(run_dir), *masks_run]) == 0
+        files = run_files(run_dir)
+        assert main(["sample-eval", "--run", str(run_dir), "--out", str(run_dir / name)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"--out {run_dir / name}" in err
+        assert run_files(run_dir) == files
+        # The default worksheet lies in the run directory too, and is no run file.
+        assert main(["sample-eval", "--run", str(run_dir)]) == 0
+        assert (run_dir / "eval_sample.ndjson").exists()
+        assert main(["stats", "--run", str(run_dir)]) == 0
 
     @pytest.mark.parametrize("damage", ["cut", "missing"])
     def test_damaged_artificial_records_is_error_exit(self, full_run, tmp_path, capsys, damage):

@@ -17,7 +17,7 @@ from metacluster.hierarchy import (
     verify_run,
 )
 from metacluster.minhash import SignatureComputer
-from metacluster.records import ARTIFICIAL, Record, tokenize
+from metacluster.records import Record, tokenize
 from metacluster.synthetic import (
     duplicate_pairs_corpus,
     family_corpus,
@@ -252,16 +252,18 @@ class TestRunHierarchy:
         config = EngineConfig(seed=1)
         computer = SignatureComputer(count=config.minhash_count, seed=config.seed)
         computer.signature_matrix([("title 0",)], tokenize)
-        stored_at_clear = []
-        clear = computer.clear
+        rows_learned = []
+        learn = computer._learn
 
-        def recording_clear():
-            stored_at_clear.append(sorted(computer._store))
-            clear()
+        def recording_learn(tokenize):
+            learn(tokenize)
+            rows_learned.append(len(computer._rows))
 
-        computer.clear = recording_clear
+        computer._learn = recording_learn
         run_hierarchy(records, None, config, levels=(100,), computer=computer)
-        assert stored_at_clear == [["title 0"]]
+        # Only "title 0", stored before the run, ever has a row.
+        assert max(rows_learned, default=1) == 1
+        assert computer._store == {} and len(computer._rows) == 0
 
     def test_duplicate_ids_rejected(self):
         record = Record("r", "p", {"dc:title": ("t",)})
@@ -287,7 +289,7 @@ class TestCorpusDigest:
         Record("b2", "prov", {"dc:title": ("Zweite Ausgabe",), "dc:subject": ("maps", "atlas")}),
         Record("a1", "prov", {"dc:title": ("Café été 日本",)}),
         Record("c3", "other", {"dc:description": ('a "quoted"\nline',), "dc:date": ("1901",)}),
-        Record("L80-x", "prov", {"dc:title": ("Zweite Ausgabe",)}, kind=ARTIFICIAL, provenance=("a1", "b2")),
+        Record("L80-x", "prov", {"dc:title": ("Zweite Ausgabe",)}, provenance=("a1", "b2")),
     ]
 
     def test_pinned_value(self):

@@ -105,6 +105,17 @@ def test_unkept_signing_builds_no_value_rows():
     assert peak < value_rows / 2
 
 
+def test_unkept_call_leaves_the_store_empty():
+    # The first two records' values are stored; the unkept call meets them
+    # beside a value new to it.
+    records = [["alpha beta"], ["alpha beta", "gamma"], ["delta", "alpha beta"]]
+    computer = SignatureComputer(count=64, seed=4)
+    computer.signature_matrix(records[:2], tokenize)
+    rows = assemble(computer.signatures(records, tokenize, keep=False), len(records), 64)
+    assert computer._store == {} and computer._rows.shape == (0, 64)
+    assert np.array_equal(rows, sign(records, seed=4))
+
+
 @pytest.mark.parametrize("keep", [True, False])
 def test_signing_holds_token_rows_a_column_block_at_a_time(keep):
     # 500 values of 40 tokens each, 20,000 distinct tokens: their rows for
@@ -359,10 +370,9 @@ def test_unkept_signatures_match_kept_and_reference_rows(streams, count, seed, p
         kept = SignatureComputer(count=count, seed=seed)
         for c in (computer, kept):
             list(c.signatures(iter(stored), tokenize))
-        store, rows = dict(computer._store), computer._rows.copy()
         blocks = list(computer.signatures(iter(last), tokenize, keep=False))
         assert_block_shapes(blocks, len(last), count, per_block, width)
-        assert computer._store == store and np.array_equal(computer._rows, rows)
+        assert not computer._store and computer._rows.shape == (0, count)
         expected = kept.signature_matrix(last, tokenize)
     got = assemble(blocks, len(last), count)
     assert np.array_equal(got, expected)

@@ -291,3 +291,10 @@ def test_export_line_is_single_json_line():
     line = export_line(record)
     assert "\n" not in line
     assert json.loads(line)["fields"]["dc:title"] == ["with\nnewline"]
+
+
+def test_kind_is_read_off_provenance():
+    artificial = Record("c", "p", {"dc:title": ("t",)}, provenance=("a", "b"))
+    assert artificial.kind == "artificial"
+    assert Record("a", "p", {"dc:title": ("t",)}).kind == "original"
+    assert json.loads(export_line(artificial))["kind"] == "artificial"
