@@ -28,7 +28,8 @@ suite): every processed group gets its own ``random.Random`` seeded with
 ``derive_seed(seed, "level", level, iteration, visit, *group)``, where
 ``iteration`` counts from 1 within the level, ``group`` is the sorted id
 tuple and ``visit`` is how often that exact tuple was processed before at
-this level (0 or 1; a tuple seen twice is dissolved to unclustered).  The
+this level (0 or 1; a third visit of a tuple is skipped, and its ids keep
+what the earlier visits gave them: a head keeps its cluster).  The
 group consumes exactly one ``rng.shuffle(sorted(group))`` call and nothing
 else.  An iteration drains its groups off one stack: they are pairwise
 disjoint, each draws from its own RNG and no tuple recurs within the drain
@@ -324,7 +325,7 @@ def _drain(
         group = stack.pop()
         visit = guard[group]
         if visit >= 2:
-            continue  # livelocked set: dissolve to unclustered
+            continue  # livelocked set: skipped, its ids keep what earlier visits gave them
         guard[group] += 1
         rng = random.Random(derive_seed(seed, "level", level, iteration, visit, *group))
         got, restack = _process_group(group, threshold, rng, sim)

@@ -193,7 +193,7 @@ def evolve(
     if length == 1:
         score([(1,)])
         value = scores[(1,)]
-        return ProviderMask(provider_key, bits_mask(fields, (1,)), value, "ga", (value,), len(scores))
+        return ProviderMask(bits_mask(fields, (1,)), value, "ga", (value,), len(scores))
 
     rng = random.Random(derive_seed(ga.seed, "ga", provider_key))
     mutation_rate = 1.0 / length
@@ -227,7 +227,7 @@ def evolve(
         history.append(scores[best])
 
     mask = bits_mask(fields, best)
-    return ProviderMask(provider_key, mask, scores[best], "ga", tuple(history), len(scores))
+    return ProviderMask(mask, scores[best], "ga", tuple(history), len(scores))
 
 
 def select_all_providers(
@@ -249,5 +249,5 @@ def select_all_providers(
         if len(records) > ga.min_provider_records:
             selection[provider] = evolve(records, engine, ga, provider_key=provider, computer=computer)
         else:
-            selection[provider] = ProviderMask(provider, default_mask_for(records), None, "default")
+            selection[provider] = ProviderMask(default_mask_for(records), None, "default")
     return selection

@@ -31,7 +31,8 @@ CHAIN_LEVELS = (80, 60, 40, 20)
 
 @dataclass(frozen=True, slots=True)
 class ProviderMask:
-    provider: str
+    """One provider's level-80 mask; every holder keys it by that provider."""
+
     mask: FieldMask
     fitness: float | None
     method: str  # "ga" | "default"
@@ -71,8 +72,7 @@ def make_artificial_record(cluster: Cluster, members: list[Record], value_cap: i
     for name in sorted(counts):
         ranked = sorted(counts[name].items(), key=lambda item: (-item[1], item[0]))
         fields[name] = tuple(value for value, _ in ranked[:value_cap])
-    head_provider = next((r.provider for r in members if r.id == cluster.head), members[0].provider)
-    return Record(id=cluster.id, provider=head_provider, fields=fields, provenance=cluster.record_ids())
+    return Record(id=cluster.id, fields=fields, provenance=cluster.record_ids())
 
 
 def default_mask_for(provider_records: Iterable[Record]) -> FieldMask:
@@ -132,12 +132,6 @@ def run_hierarchy(
         by_id[record.id] = record
     original_ids = sorted(by_id)
     digest = corpus_digest(corpus)
-    # The digest omits providers, yet the run directory writes them.
-    providers = list(dict.fromkeys(record.provider for record in corpus))
-    bad = find_surrogate(providers)
-    if bad is not None:
-        rid = next(r.id for r in corpus if r.provider == providers[bad])
-        raise ConfigurationError(f"record {rid!r}: provider holds an unpaired surrogate")
 
     masks = dict(masks) if masks else {}
     if 80 in requested:

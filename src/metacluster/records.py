@@ -4,8 +4,9 @@ The input format is newline-delimited JSON, one record per line:
 
     {"id": "r1", "fields": {"dc:title": ["The Oil Shop part 01"], ...}}
 
-Field values are always lists of strings.  The provider key is taken from
-``europeana:dataProvider``, falling back to ``europeana:provider``.
+Field values are always lists of strings.  A record's provider is read off
+its fields: the first ``europeana:dataProvider`` value, else the first
+``europeana:provider`` value, else the empty string.
 """
 
 from __future__ import annotations
@@ -46,18 +47,23 @@ class Record:
     ``fields`` maps field names to ordered value tuples.  Artificial records
     (cluster summaries) carry the ids of the two or more records they
     summarize in ``provenance``; they behave like ordinary records everywhere
-    else.
+    else.  The provider is read off ``europeana:dataProvider``, then
+    ``europeana:provider``, and can be set no other way.
     """
 
     id: str
-    provider: str
     fields: dict[str, tuple[str, ...]]
-    provenance: tuple[str, ...] = ()
+    provenance: tuple[str, ...] = field(default=(), kw_only=True)
 
     @property
     def kind(self) -> str:
         """``ARTIFICIAL`` for a record with provenance, else ``ORIGINAL``."""
         return ARTIFICIAL if self.provenance else ORIGINAL
+
+    @property
+    def provider(self) -> str:
+        """The provider key ``resolve_provider`` reads off the fields."""
+        return resolve_provider(self.fields)
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,7 +133,7 @@ def _parse_line(line: str) -> Record:
         if values:
             # One key object per distinct field name, not one per line.
             fields[sys.intern(name)] = tuple(values)
-    record = Record(id=rec_id, provider=resolve_provider(fields), fields=fields)
+    record = Record(id=rec_id, fields=fields)
     check_record(record)
     # The line was decoded as strict UTF-8, so only a \uD800-\uDFFF escape
     # can give an unpaired surrogate; lines without such an escape skip the

@@ -33,7 +33,6 @@ from .records import (
     export_line,
     find_surrogate,
     json_line,
-    resolve_provider,
 )
 
 MANIFEST_FILE = "manifest.json"
@@ -365,14 +364,14 @@ def _load_selection(run_dir: Path, masks: Mapping[str, list[str]]) -> dict[str, 
         # A provider without a masks line renders one the file lacks.
         fitness, method = outcomes.get(provider, (None, ""))
         history, evaluations = histories.get(provider, ((), 0))
-        selection[provider] = ProviderMask(provider, frozenset(mask), fitness, method, history, evaluations)
+        selection[provider] = ProviderMask(frozenset(mask), fitness, method, history, evaluations)
     return selection
 
 
 def _artificial(doc: dict) -> Record:
     """An artificial record's id and fields, the fields taken on trust."""
     fields = {name: tuple(values) for name, values in doc["fields"].items()}
-    return Record(_exact(doc["id"]), resolve_provider(fields), fields)
+    return Record(_exact(doc["id"]), fields)
 
 
 def size_histogram(sizes: list[int]) -> dict[str, int]:

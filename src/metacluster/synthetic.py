@@ -34,7 +34,7 @@ def _make_record(
     }
     for name, values in (extra or {}).items():
         fields[name] = tuple(values)
-    return Record(id=rid, provider=provider, fields=fields)
+    return Record(id=rid, fields=fields)
 
 
 def random_corpus(
@@ -211,14 +211,7 @@ def hierarchical_corpus(
                     )
                 )
                 if rng.random() < duplicate_share:
-                    dup = records[-1]
-                    records.append(
-                        Record(
-                            id=rid + "dup",
-                            provider=dup.provider,
-                            fields=dict(dup.fields),
-                        )
-                    )
+                    records.append(Record(id=rid + "dup", fields=dict(records[-1].fields)))
     for k in range(noise_records):
         records.append(
             _make_record(f"noise{k:06d}", "noisy", " ".join(_word(rng) for _ in range(10)))

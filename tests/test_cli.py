@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from metacluster import cli, rundir
 from metacluster.cli import EVAL_CATEGORIES, _configs_from, build_parser, main
-from metacluster.config import EngineConfig, GAConfig
+from metacluster.config import DATA_PROVIDER_FIELD, EngineConfig, GAConfig
 from metacluster.errors import IntegrityError
 from metacluster.ga import SENTINEL_FITNESS, ProviderMask
 from metacluster.hashing import MAX_U64
@@ -839,12 +839,12 @@ class TestStats:
         # An original may carry any id, a level-100 cluster's included; level
         # 100 stays out of the chain, so the id is no clash.
         title = "the oil shop at the corner of the market street in old town"
-        records = [Record(rid, "p", {"dc:title": (title,)}) for rid in ("a", "b")]
+        records = [Record(rid, {"dc:title": (title,)}) for rid in ("a", "b")]
         records += family_corpus(3, 4, seed=5)[0]
         (cluster_id,) = [c.id for c in run_hierarchy(records, None, EngineConfig(seed=7)).results[100].clusters]
         near = "a survey of cobalt glazes used by delft potters in the seventeenth century"
-        records += [Record(cluster_id, "p", {"dc:title": (f"{near} volume one",)})]
-        records += [Record("z", "p", {"dc:title": (f"{near} volume two",)})]
+        records += [Record(cluster_id, {"dc:title": (f"{near} volume one",)})]
+        records += [Record("z", {"dc:title": (f"{near} volume two",)})]
         corpus = write_corpus(tmp_path / "c.ndjson", records)
         out = tmp_path / "run"
         assert main(["cluster", "--input", str(corpus), "--out", str(out), "--seed", "7"]) == 0
@@ -861,8 +861,8 @@ class TestStats:
         records = family_corpus(3, 4, seed=5)[0]
         cluster_id = run_hierarchy(records, None, EngineConfig(seed=7)).results[80].clusters[0].id
         near = "a survey of cobalt glazes used by delft potters in the seventeenth century"
-        records += [Record(cluster_id, "p", {"dc:title": (f"{near} volume one",)})]
-        records += [Record("z", "p", {"dc:title": (f"{near} volume two",)})]
+        records += [Record(cluster_id, {"dc:title": (f"{near} volume one",)})]
+        records += [Record("z", {"dc:title": (f"{near} volume two",)})]
         corpus = write_corpus(tmp_path / "c.ndjson", records)
         capsys.readouterr()
         assert main(["cluster", "--input", str(corpus), "--out", str(tmp_path / "run"), "--seed", "7"]) == 1
@@ -880,7 +880,7 @@ class TestStats:
         # Run files end lines at "\n" only; "\r" and U+2028 may sit in an id.
         ids = ["a\u2028b", "c\rd", "e"]
         titles = ["alpha canal", "brick furnace", "cobalt glaze"]
-        records = [Record(rid, "p", {"dc:title": (title,)}) for rid, title in zip(ids, titles)]
+        records = [Record(rid, {"dc:title": (title,)}) for rid, title in zip(ids, titles)]
         corpus = write_corpus(tmp_path / "c.ndjson", records)
         out = tmp_path / "run"
         assert main(["cluster", "--input", str(corpus), "--out", str(out)]) == 0
@@ -938,11 +938,15 @@ class TestRunDirRoundTrip:
         assert printed == {level: r.iterations_used for level, r in run.results.items()}
 
     def test_ga_history_round_trip(self, tmp_path):
-        records = [Record(f"{p}{i}", p, {"dc:title": (f"harbour view {i}",)}) for p in ("big", "small") for i in (1, 2)]
+        records = [
+            Record(f"{p}{i}", {"dc:title": (f"harbour view {i}",), DATA_PROVIDER_FIELD: (p,)})
+            for p in ("big", "small")
+            for i in (1, 2)
+        ]
         run = run_hierarchy(records, None, EngineConfig(seed=3), levels=[80])
         run.selection = {
-            "big": ProviderMask("big", frozenset({"dc:title"}), 2.5, "ga", (SENTINEL_FITNESS, 1.5, 2.5), 7),
-            "small": ProviderMask("small", frozenset({"dc:title"}), None, "default"),
+            "big": ProviderMask(frozenset({"dc:title"}), 2.5, "ga", (SENTINEL_FITNESS, 1.5, 2.5), 7),
+            "small": ProviderMask(frozenset({"dc:title"}), None, "default"),
         }
         out = tmp_path / "run"
         rundir.write_run(out, run)
@@ -974,14 +978,15 @@ class TestRunDirRoundTrip:
         # Non-ASCII ids, providers and values; pairs of equal titles cluster at 100.
         records = hierarchical_corpus(n_works=4, seed=12, noise_records=5)
         records += [
-            Record(f"ü{i}", "prov-é", {"dc:title": (f"Café Zürich 東京 {i // 2}",)}) for i in range(6)
+            Record(f"ü{i}", {"dc:title": (f"Café Zürich 東京 {i // 2}",), DATA_PROVIDER_FIELD: ("prov-é",)})
+            for i in range(6)
         ]
         run = run_hierarchy(records, None, EngineConfig(seed=3))
         run.rejects = [RejectedLine(1, "bad line — «x»")]
         # A selection covers every provider the manifest's masks name.
         masks = run.manifest["masks"]
-        run.selection = {p: ProviderMask(p, frozenset(mask), None, "default") for p, mask in masks.items()}
-        run.selection["prov-é"] = ProviderMask("prov-é", frozenset(masks["prov-é"]), 1.5, "ga", (SENTINEL_FITNESS, 1.5), 3)
+        run.selection = {p: ProviderMask(frozenset(mask), None, "default") for p, mask in masks.items()}
+        run.selection["prov-é"] = ProviderMask(frozenset(masks["prov-é"]), 1.5, "ga", (SENTINEL_FITNESS, 1.5), 3)
         out = tmp_path / "run"
         rundir.write_run(out, run)
 

@@ -337,7 +337,7 @@ def row_store_corpus() -> list[Record]:
             del fields["dc:extra0"]
         if i % 2 == 0:
             fields["dc:date"] = ("1871", "2024")
-        records.append(Record(record.id, record.provider, fields))
+        records.append(Record(record.id, fields))
     return records
 
 
@@ -425,7 +425,7 @@ def test_second_level_over_seen_values_tokenizes_nothing(monkeypatch):
     calls.clear()
     title = frozenset({"dc:title"})
     level_inputs(by_id, ids, 80, config, computer, mask_for=lambda record: title)
-    copies = {f"c{i}": Record(f"c{i}", r.provider, dict(r.fields)) for i, r in enumerate(records)}
+    copies = {f"c{i}": Record(f"c{i}", dict(r.fields)) for i, r in enumerate(records)}
     level_inputs(copies, sorted(copies), 60, config, computer)
     assert calls == Counter()
 

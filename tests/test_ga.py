@@ -84,7 +84,7 @@ class TestFitness:
 
     def test_identical_members_zero_within_is_sentinel(self):
         fields = {"dc:title": ("same exact title text",)}
-        records = [Record(f"r{i}", "p", dict(fields)) for i in range(8)]
+        records = [Record(f"r{i}", dict(fields)) for i in range(8)]
         by_id = {r.id: r for r in records}
         result = result_from_partition([["r0", "r1", "r2", "r3"], ["r4", "r5", "r6", "r7"]])
         assert fitness(result, SimilarityContext(by_id), EngineConfig(seed=1)) == SENTINEL_FITNESS
@@ -151,7 +151,7 @@ class TestOperators:
 class TestEvolve:
     def test_single_field_provider_short_circuits(self):
         records = [
-            Record(f"r{i}", "p", {"dc:title": (f"title words here {i}",)}) for i in range(20)
+            Record(f"r{i}", {"dc:title": (f"title words here {i}",)}) for i in range(20)
         ]
         outcome = evolve(records, EngineConfig(seed=1), GAConfig(seed=1, population_size=4, generations=1))
         assert outcome.mask == {"dc:title"}
@@ -161,7 +161,7 @@ class TestEvolve:
             evolve([], EngineConfig(seed=1), GAConfig(seed=1))
 
     def test_no_title_or_description_is_error(self):
-        records = [Record("r", "p", {"dc:subject": ("s",)})]
+        records = [Record("r", {"dc:subject": ("s",)})]
         with pytest.raises(ConfigurationError):
             evolve(records, EngineConfig(seed=1), GAConfig(seed=1))
 
@@ -182,7 +182,7 @@ class TestEvolve:
         from metacluster import clusterer
 
         records = ga_provider_corpus(n_records=40, n_families=4, seed=12, extra_fields=1)
-        records[0] = Record(records[0].id, records[0].provider, {"dc:title": ("only a title",)})
+        records[0] = Record(records[0].id, {"dc:title": ("only a title",)})
         calls: Counter = Counter()
         tokenize = clusterer.tokenize
 
@@ -274,7 +274,7 @@ class TestSelectAllProviders:
             ("p2", {"dc:title"}),
             ("p3", {"dc:title", "dc:type"}),
         ):
-            selection[provider] = ProviderMask(provider, frozenset(names), None, "default")
+            selection[provider] = ProviderMask(frozenset(names), None, "default")
         rundir.write_field_report(tmp_path / rundir.FIELD_REPORT_FILE, selection)
         report = json.loads((tmp_path / rundir.FIELD_REPORT_FILE).read_text(encoding="utf-8"))
         assert report["providers"] == 3

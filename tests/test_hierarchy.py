@@ -1,11 +1,12 @@
 import dataclasses
+import io
 import json
 
 import pytest
 
 from metacluster import hierarchy, rundir
 from metacluster.clusterer import Cluster
-from metacluster.config import EngineConfig
+from metacluster.config import DATA_PROVIDER_FIELD, EngineConfig
 from metacluster.errors import ConfigurationError, IntegrityError
 from metacluster.hierarchy import (
     corpus_digest,
@@ -17,7 +18,7 @@ from metacluster.hierarchy import (
     verify_run,
 )
 from metacluster.minhash import SignatureComputer
-from metacluster.records import Record, tokenize
+from metacluster.records import Record, ingest, tokenize, write_records
 from metacluster.synthetic import (
     duplicate_pairs_corpus,
     family_corpus,
@@ -43,7 +44,7 @@ def cluster_of(ids, level=80, head=None):
 class TestArtificialRecord:
     def test_identical_records_keep_fields(self):
         fields = {"dc:title": ("A", "B"), "dc:type": ("image",)}
-        records = [Record(f"r{i}", "p", dict(fields)) for i in range(4)]
+        records = [Record(f"r{i}", dict(fields)) for i in range(4)]
         cluster = cluster_of([r.id for r in records])
         artificial = make_artificial_record(cluster, records)
         assert artificial.fields == fields
@@ -57,7 +58,6 @@ class TestArtificialRecord:
         records = [
             Record(
                 f"part{i}",
-                "BL",
                 {
                     "dc:title": (f"The Oil Shop part {i:02d}",),
                     "dcterms:spatial": ("City of London",),
@@ -77,7 +77,6 @@ class TestArtificialRecord:
             records.append(
                 Record(
                     f"r{i}",
-                    "p",
                     {"dc:title": ("common", f"filler{i:03d}")},
                 )
             )
@@ -92,15 +91,15 @@ class TestArtificialRecord:
 
 class TestDefaultMask:
     def test_title_preferred(self):
-        records = [Record("r", "p", {"dc:title": ("t",), "dc:description": ("d",)})]
+        records = [Record("r", {"dc:title": ("t",), "dc:description": ("d",)})]
         assert default_mask_for(records) == frozenset({"dc:title"})
 
     def test_description_fallback(self):
-        records = [Record("r", "p", {"dc:description": ("d",)})]
+        records = [Record("r", {"dc:description": ("d",)})]
         assert default_mask_for(records) == frozenset({"dc:description"})
 
     def test_neither_is_configuration_error(self):
-        records = [Record("r", "p", {"dc:subject": ("s",)})]
+        records = [Record("r", {"dc:subject": ("s",)})]
         with pytest.raises(ConfigurationError):
             default_mask_for(records)
 
@@ -202,24 +201,55 @@ class TestRunHierarchy:
             records.append(
                 Record(
                     f"a{i}",
-                    "p",
-                    {"dc:title": ("shared family title words here",), "dc:description": (noise_a,)},
+                    {
+                        "dc:title": ("shared family title words here",),
+                        "dc:description": (noise_a,),
+                        DATA_PROVIDER_FIELD: ("p",),
+                    },
                 )
             )
             records.append(
                 Record(
                     f"b{i}",
-                    "p",
-                    {"dc:title": ("shared family title words here",), "dc:description": (noise_b,)},
+                    {
+                        "dc:title": ("shared family title words here",),
+                        "dc:description": (noise_b,),
+                        DATA_PROVIDER_FIELD: ("p",),
+                    },
                 )
             )
         masks = {"p": frozenset({"dc:title"})}
         run = run_hierarchy(records, masks, EngineConfig(seed=12), levels=(80,))
+        # Every record's provider is the "p" its field names: no default mask is added.
+        assert run.manifest["masks"] == {"p": ["dc:title"]}
         assert len(run.results[80].clusters) == 1
         assert run.results[80].clusters[0].size == 12
 
+    def test_written_corpus_reproduces_its_run(self):
+        # Each record's provider split in two by index parity, one mask per
+        # half: the run files and the digest must survive write and ingest.
+        records = [
+            Record(r.id, {**r.fields, DATA_PROVIDER_FIELD: (f"{r.provider}-{i % 2}",)})
+            for i, r in enumerate(hierarchical_corpus(300, seed=3, noise_records=100))
+        ]
+        masks = {
+            p: frozenset({"dc:title"} if p.endswith("-0") else {"dc:title", "dcterms:spatial"})
+            for p in {r.provider for r in records}
+        }
+        text = io.StringIO()
+        write_records(records, text)
+        ingested = ingest(io.BytesIO(text.getvalue().encode("utf-8")))
+        assert not ingested.rejects
+        runs = [run_hierarchy(rs, masks, EngineConfig(seed=5), levels=[80]) for rs in (records, ingested.records)]
+
+        def files(run):
+            return {name: list(lines) for name, lines in rundir.run_lines(run) if name != rundir.MANIFEST_FILE}
+
+        assert files(runs[0]) == files(runs[1])
+        assert runs[0].manifest["corpus_digest"] == runs[1].manifest["corpus_digest"]
+
     def test_original_without_title_or_description_rejected(self):
-        records = [Record("r", "p", {"dc:subject": ("s",)})]
+        records = [Record("r", {"dc:subject": ("s",)})]
         with pytest.raises(ConfigurationError):
             run_hierarchy(records, None, EngineConfig(seed=1))
 
@@ -229,8 +259,8 @@ class TestRunHierarchy:
 
         monkeypatch.setattr(hierarchy, "cluster_level", no_level)
         records = [
-            Record("ok", "p", {"dc:title": ("fine",)}),
-            Record("a", "p", {"dc:title": ("x\ud800y",)}),
+            Record("ok", {"dc:title": ("fine",)}),
+            Record("a", {"dc:title": ("x\ud800y",)}),
         ]
         with pytest.raises(ConfigurationError, match="record 'a'"):
             run_hierarchy(records, None, EngineConfig(seed=1))
@@ -241,14 +271,14 @@ class TestRunHierarchy:
 
         monkeypatch.setattr(hierarchy, "cluster_level", no_level)
         records = [
-            Record("ok", "p", {"dc:title": ("fine",)}),
-            Record("a", "p\ud800", {"dc:title": ("x y z",)}),
+            Record("ok", {"dc:title": ("fine",)}),
+            Record("a", {"dc:title": ("x y z",), DATA_PROVIDER_FIELD: ("p\ud800",)}),
         ]
         with pytest.raises(ConfigurationError, match="record 'a'"):
             run_hierarchy(records, None, EngineConfig(seed=1))
 
     def test_last_level_stores_no_value_it_meets_first(self):
-        records = [Record(f"r{i}", "p", {"dc:title": (f"title {i}",)}) for i in range(6)]
+        records = [Record(f"r{i}", {"dc:title": (f"title {i}",)}) for i in range(6)]
         config = EngineConfig(seed=1)
         computer = SignatureComputer(count=config.minhash_count, seed=config.seed)
         computer.signature_matrix([("title 0",)], tokenize)
@@ -266,7 +296,7 @@ class TestRunHierarchy:
         assert computer._store == {} and len(computer._rows) == 0
 
     def test_duplicate_ids_rejected(self):
-        record = Record("r", "p", {"dc:title": ("t",)})
+        record = Record("r", {"dc:title": ("t",)})
         with pytest.raises(ConfigurationError):
             run_hierarchy([record, record], None, EngineConfig(seed=1))
 
@@ -286,10 +316,10 @@ class TestRunHierarchy:
 
 class TestCorpusDigest:
     RECORDS = [
-        Record("b2", "prov", {"dc:title": ("Zweite Ausgabe",), "dc:subject": ("maps", "atlas")}),
-        Record("a1", "prov", {"dc:title": ("Café été 日本",)}),
-        Record("c3", "other", {"dc:description": ('a "quoted"\nline',), "dc:date": ("1901",)}),
-        Record("L80-x", "prov", {"dc:title": ("Zweite Ausgabe",)}, provenance=("a1", "b2")),
+        Record("b2", {"dc:title": ("Zweite Ausgabe",), "dc:subject": ("maps", "atlas")}),
+        Record("a1", {"dc:title": ("Café été 日本",)}),
+        Record("c3", {"dc:description": ('a "quoted"\nline',), "dc:date": ("1901",)}),
+        Record("L80-x", {"dc:title": ("Zweite Ausgabe",)}, provenance=("a1", "b2")),
     ]
 
     def test_pinned_value(self):

@@ -285,7 +285,7 @@ def record_batches(draw):
     value = st.sampled_from(pool) | VALUES
     fields = st.dictionaries(st.sampled_from(FIELDS), st.lists(value, min_size=1, max_size=4), max_size=3)
     batches = draw(st.lists(st.lists(fields, max_size=6), min_size=1, max_size=3))
-    return [[Record(f"r{i}", "p", {n: tuple(v) for n, v in f.items()}) for i, f in enumerate(b)] for b in batches]
+    return [[Record(f"r{i}", {n: tuple(v) for n, v in f.items()}) for i, f in enumerate(b)] for b in batches]
 
 
 @settings(deadline=None)

@@ -3,6 +3,7 @@ import json
 import re
 import unicodedata
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -148,55 +149,55 @@ class TestIngest:
 
 class TestTokenize:
     def test_numbers_dropped(self):
-        record = Record("r", "p", {"dc:title": ("Map 1873 of London",)})
+        record = Record("r", {"dc:title": ("Map 1873 of London",)})
         assert tokenize(*selected_values(record, frozenset({"dc:title"}))) == ["map", "of", "london"]
 
     def test_mask_with_absent_field(self):
-        record = Record("r", "p", {"dc:title": ("One Map",), "dc:type": ("image",)})
+        record = Record("r", {"dc:title": ("One Map",), "dc:type": ("image",)})
         mask = frozenset({"dc:title", "dc:subject"})
         assert tokenize(*selected_values(record, mask)) == ["one", "map"]
 
     def test_case_folding_keeps_duplicates(self):
-        record = Record("r", "p", {"dc:title": ("Lithograph; LITHOGRAPH",)})
+        record = Record("r", {"dc:title": ("Lithograph; LITHOGRAPH",)})
         assert tokenize(*selected_values(record)) == ["lithograph", "lithograph"]
 
     def test_mixed_alphanumeric_tokens_kept(self):
-        record = Record("r", "p", {"dc:title": ("no5 part 07",)})
+        record = Record("r", {"dc:title": ("no5 part 07",)})
         assert tokenize(*selected_values(record)) == ["no5", "part"]
 
     def test_sorted_field_order_and_punctuation(self):
         record = Record(
-            "r", "p", {"dc:title": ("b-title",), "dc:creator": ("A.Creator",)}
+            "r", {"dc:title": ("b-title",), "dc:creator": ("A.Creator",)}
         )
         assert tokenize(*selected_values(record)) == ["a", "creator", "b", "title"]
 
     def test_idempotent_under_renormalization(self):
-        record = Record("r", "p", {"dc:title": ("Déjà Vu; 42 no5 MAPS",)})
+        record = Record("r", {"dc:title": ("Déjà Vu; 42 no5 MAPS",)})
         tokens = tokenize(*selected_values(record))
-        rebuilt = Record("r2", "p", {"dc:title": (" ".join(tokens),)})
+        rebuilt = Record("r2", {"dc:title": (" ".join(tokens),)})
         assert tokenize(*selected_values(rebuilt)) == tokens
 
 
 class TestSerialize:
     def test_deterministic(self):
-        record = Record("r", "p", {"dc:title": ("a", "b"), "dc:type": ("t",)})
+        record = Record("r", {"dc:title": ("a", "b"), "dc:type": ("t",)})
         assert serialize_for_compression(record) == serialize_for_compression(record)
 
     def test_content_addressing(self):
-        a = Record("r1", "p", {"dc:title": ("a",), "dc:type": ("t",)})
-        b = Record("r2", "q", {"dc:type": ("t",), "dc:title": ("a",)})
+        a = Record("r1", {"dc:title": ("a",), "dc:type": ("t",)})
+        b = Record("r2", {"dc:type": ("t",), "dc:title": ("a",)})
         assert serialize_for_compression(a) == serialize_for_compression(b)
 
     def test_unselected_fields_ignored(self):
         mask = frozenset({"dc:title"})
-        a = Record("r1", "p", {"dc:title": ("a",), "dc:type": ("x",)})
-        b = Record("r2", "p", {"dc:title": ("a",), "dc:type": ("y",)})
+        a = Record("r1", {"dc:title": ("a",), "dc:type": ("x",)})
+        b = Record("r2", {"dc:title": ("a",), "dc:type": ("y",)})
         assert serialize_for_compression(a, mask) == serialize_for_compression(b, mask)
         assert serialize_for_compression(a, mask) != serialize_for_compression(a)
 
     def test_value_order_matters_but_field_order_does_not(self):
-        a = Record("r1", "p", {"dc:title": ("a", "b")})
-        b = Record("r2", "p", {"dc:title": ("b", "a")})
+        a = Record("r1", {"dc:title": ("a", "b")})
+        b = Record("r2", {"dc:title": ("b", "a")})
         assert serialize_for_compression(a) != serialize_for_compression(b)
 
 
@@ -220,8 +221,8 @@ def test_serialization_ignores_input_field_order(doc, rnd):
     rid, fields = doc
     names = list(fields)
     rnd.shuffle(names)
-    a = Record(rid, "p", {n: tuple(fields[n]) for n in fields})
-    b = Record(rid, "p", {n: tuple(fields[n]) for n in names})
+    a = Record(rid, {n: tuple(fields[n]) for n in fields})
+    b = Record(rid, {n: tuple(fields[n]) for n in names})
     assert serialize_for_compression(a) == serialize_for_compression(b)
     assert tokenize(*selected_values(a)) == tokenize(*selected_values(b))
 
@@ -259,14 +260,14 @@ tricky_text = st.text(
     st.booleans(),
 )
 def test_tokenize_matches_per_value_definition(fields, selected, masked):
-    record = Record("r", "p", {n: tuple(v) for n, v in fields.items()})
+    record = Record("r", {n: tuple(v) for n, v in fields.items()})
     mask = frozenset(selected) if masked else None
     assert tokenize(*selected_values(record, mask)) == tokenize_per_value(record, mask)
 
 
 @given(st.lists(record_documents(), max_size=8, unique_by=lambda d: d[0]))
 def test_export_ingest_round_trip(docs):
-    records = [Record(rid, "", {n: tuple(v) for n, v in fields.items()}) for rid, fields in docs]
+    records = [Record(rid, {n: tuple(v) for n, v in fields.items()}) for rid, fields in docs]
     buffer = io.StringIO()
     write_records(records, buffer)
     result = ingest(io.BytesIO(buffer.getvalue().encode("utf-8")))
@@ -287,14 +288,24 @@ def test_id_with_line_feed_is_rejected():
 
 
 def test_export_line_is_single_json_line():
-    record = Record("r", "p", {"dc:title": ("with\nnewline",)})
+    record = Record("r", {"dc:title": ("with\nnewline",)})
     line = export_line(record)
     assert "\n" not in line
     assert json.loads(line)["fields"]["dc:title"] == ["with\nnewline"]
 
 
 def test_kind_is_read_off_provenance():
-    artificial = Record("c", "p", {"dc:title": ("t",)}, provenance=("a", "b"))
+    artificial = Record("c", {"dc:title": ("t",)}, provenance=("a", "b"))
     assert artificial.kind == "artificial"
-    assert Record("a", "p", {"dc:title": ("t",)}).kind == "original"
+    assert Record("a", {"dc:title": ("t",)}).kind == "original"
     assert json.loads(export_line(artificial))["kind"] == "artificial"
+
+
+def test_provider_is_read_off_the_fields():
+    record = Record("r", {"europeana:dataProvider": ("BL",), "dc:title": ("t",)})
+    assert record.provider == "BL"
+    assert Record("r", {"europeana:provider": ("Agg",), "dc:title": ("t",)}).provider == "Agg"
+    assert Record("r", {"dc:title": ("t",)}).provider == ""
+    # A provider string in the old second position is refused at construction.
+    with pytest.raises(TypeError):
+        Record("r", "p", {"dc:title": ("t",)})

@@ -84,8 +84,8 @@ class _FixedSizes(Compression):
 
 class TestSimilarityFormula:
     def test_identical_payloads_are_exactly_one(self):
-        record = Record("r", "p", {"dc:title": ("some redundant title text here",) * 4})
-        twin = Record("s", "p", dict(record.fields))
+        record = Record("r", {"dc:title": ("some redundant title text here",) * 4})
+        twin = Record("s", dict(record.fields))
         ctx = make_ctx([record, twin])
         assert ctx.similarity("r", "s") == 1.0
         assert ctx.similarity("r", "r") == 1.0
@@ -145,7 +145,7 @@ class TestCache:
         assert ctx.compression is compression
 
     def test_mask_changes_payload(self):
-        record = Record("r", "p", {"dc:title": ("a",), "dc:type": ("t",)})
+        record = Record("r", {"dc:title": ("a",), "dc:type": ("t",)})
         full = SimilarityContext({"r": record})
         masked = SimilarityContext({"r": record}, mask_for=lambda r: frozenset({"dc:title"}))
         assert full.payload("r") != masked.payload("r")
