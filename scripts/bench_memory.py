@@ -15,10 +15,11 @@ figures cover interpreter start, imports and the run alone.  Stage hooks wrap
 the names the CLI and ``run_hierarchy`` call: ingest, digest, sign and band
 (``level_inputs``), cluster, verify and write.  After each stage the child
 reads ``VmHWM`` (the process's peak resident set) and ``VmRSS`` from
-``/proc/self/status``.  The entry goes to ``BENCH_<scenario>.json`` at the
-repository root, with its stages, records/s, core count, git SHA, source
-digest and seed.  Run it from a source checkout; it imports
-``src/metacluster``.
+``/proc/self/status``; ``import_mb`` is ``VmRSS`` right after the imports,
+the interpreter and numpy floor below the run's own growth.  The entry goes
+to ``BENCH_<scenario>.json`` at the repository root, with its stages,
+records/s, core count, git SHA, source digest and seed.  Run it from a
+source checkout; it imports ``src/metacluster``.
 """
 
 import argparse
@@ -104,12 +105,14 @@ def measure(cli_args: list[str], result_path: Path) -> int:
     from metacluster.cli import main
 
     imported = time.perf_counter()
+    import_mb = memory_mb()["VmRSS"]
     code = main(cli_args)
     wall = time.perf_counter() - started
     doc = {
         "exit_code": code,
         "wall_s": wall,
         "import_s": imported - started,
+        "import_mb": import_mb,
         "records": counts.get("records"),
         "stages": stages,
         "end": memory_mb(),
@@ -197,6 +200,7 @@ def run_once(scenario: str, work: Path) -> dict:
         "wall_s": round(doc["wall_s"], 3),
         "records_per_s": round(doc["records"] / doc["wall_s"], 1),
         "peak_rss_mb": round(doc["end"]["VmHWM"], 1),
+        "import_mb": round(doc["import_mb"], 1),
         "stages": stages,
     }
 

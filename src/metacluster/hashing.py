@@ -8,6 +8,7 @@ through keyed blake2b instead.
 from __future__ import annotations
 
 import hashlib
+from itertools import permutations, product
 from typing import Iterable
 
 _SEED_BYTES = 8
@@ -55,3 +56,47 @@ def digest_lines(lines: Iterable[bytes]) -> str:
         h.update(line)
         separator = b"\n"
     return h.hexdigest()
+
+
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value: int, const: list[int], mult: int = 0x931E8875) -> int:
+    # numpy SeedSequence's hash; ``const[0]`` is its running hash constant.
+    value ^= const[0]
+    const[0] = const[0] * mult & _M32
+    value = value * const[0] & _M32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return value ^ value >> 16
+
+
+def minhash_keys(entropy: int, count: int) -> list[int]:
+    """``count`` raw outputs of numpy's ``PCG64(SeedSequence(entropy))`` (O'Neill
+    2014), as ``default_rng(entropy).integers(0, 2**64, count, np.uint64)``
+    draws them, computed without loading ``numpy.random``."""
+    words = [entropy >> shift & _M32 for shift in range(0, max(entropy.bit_length(), 1), 32)]
+    const = [0x43B0D7E5]
+    pool = [_hashmix(words[i] if i < len(words) else 0, const) for i in range(4)]
+    for src, dst in permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], const))
+    for word, dst in product(words[4:], range(4)):
+        pool[dst] = _mix(pool[dst], _hashmix(word, const))
+    const = [0x8B51F9DD]
+    state = [_hashmix(pool[i % 4], const, 0x58F38DED) for i in range(8)]
+    # generate_state(4, uint64) pairs the words little-endian; PCG64 takes
+    # its 128-bit seed from the first two uint64s and its stream from the last two.
+    seed, inc = (state[i] << 64 | state[i + 1] << 96 | state[i + 2] | state[i + 3] << 32 for i in (0, 4))
+    inc = inc << 1 & _M128 | 1
+    state = ((inc + seed) * _PCG_MULT + inc) & _M128
+    keys = []
+    for _ in range(count):
+        state = (state * _PCG_MULT + inc) & _M128
+        word, rot = (state >> 64 ^ state) & MAX_U64, state >> 122
+        keys.append((word >> rot | word << (64 - rot)) & MAX_U64)
+    return keys

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import BAND_COUNT, DEFAULT_GROUP_SIZES
-from .hashing import MAX_U64, derive_seed, keyed_hasher
+from .hashing import MAX_U64, derive_seed, keyed_hasher, minhash_keys
 
 SHINGLE_LENGTH = 8
 
@@ -144,8 +144,7 @@ class SignatureComputer:
     def __init__(self, count: int = 64, seed: int = 0):
         self.count = count
         self.seed = seed
-        rng = np.random.default_rng(derive_seed(seed, "minhash-family"))
-        self._keys = rng.integers(0, 2**64, size=count, dtype=np.uint64)
+        self._keys = np.array(minhash_keys(derive_seed(seed, "minhash-family"), count), dtype=np.uint64)
         self._hasher = keyed_hasher(seed)
         self._store: dict[str, int] = {}
         self._rows = np.empty((0, count), dtype=np.uint64)

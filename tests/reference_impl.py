@@ -41,10 +41,15 @@ SENTINEL = MASK64
 KeySet = tuple[tuple[int, ...], bool]
 
 
+def reference_draws(entropy: int, count: int) -> list[int]:
+    """``count`` full-range uint64 draws of numpy's ``default_rng(entropy)``."""
+    rng = np.random.default_rng(entropy)
+    return [int(key) for key in rng.integers(0, 2**64, size=count, dtype=np.uint64)]
+
+
 def reference_keys(count: int, seed: int) -> list[int]:
     """The minhash key family: ``count`` draws from the seed's numpy stream."""
-    rng = np.random.default_rng(derive_seed(seed, "minhash-family"))
-    return [int(key) for key in rng.integers(0, 2**64, size=count, dtype=np.uint64)]
+    return reference_draws(derive_seed(seed, "minhash-family"), count)
 
 
 def splitmix64(z: int) -> int:

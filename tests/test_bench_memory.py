@@ -54,3 +54,8 @@ def measured(tmp_path_factory) -> dict:
 def test_stage_fires(measured, stage):
     assert measured["exit_code"] == 0
     assert measured["stages"][stage]["calls"] >= 1, f"stage {stage} never fired in a measured cluster run"
+
+
+def test_import_floor_is_recorded(measured):
+    # VmRSS after the imports, below every stage's peak.
+    assert 0 < measured["import_mb"] <= min(stage["VmHWM"] for stage in measured["stages"].values())

@@ -1,14 +1,19 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metacluster import minhash
 from metacluster.config import DEFAULT_GROUP_SIZES, EngineConfig
+from metacluster.hashing import MAX_U64, minhash_keys
 from metacluster.minhash import (
     SENTINEL,
     SignatureComputer,
@@ -18,10 +23,10 @@ from metacluster.minhash import (
     group_ids,
     shingle,
 )
-from metacluster.records import Record, selected_values, tokenize
-from metacluster.synthetic import random_corpus
+from metacluster.records import Record, selected_values, tokenize, write_records
+from metacluster.synthetic import hierarchical_corpus, random_corpus
 
-from reference_impl import bucket_groups, reference_band_keys, reference_keys, reference_row
+from reference_impl import bucket_groups, reference_band_keys, reference_draws, reference_keys, reference_row
 
 
 def sign(records, count=64, seed=0):
@@ -277,6 +282,45 @@ def test_grouping_is_a_partition(key_rows):
 # alphabet makes values and tokens repeat within and across records.
 VALUES = st.text(alphabet="abcé日ßжA1 \u0301", max_size=14)
 FIELDS = ("dc:date", "dc:subject", "dc:title")
+
+
+@settings(deadline=None)
+@given(st.integers(0, MAX_U64), st.integers(2, 32).map(lambda n: 4 * n))
+@example(0, 64)
+@example(2**32 - 1, 64)
+@example(2**32, 64)
+@example(MAX_U64, 64)
+@example(2**100 + 7, 8)  # entropy wider than 64 bits
+def test_keys_are_numpys_pcg64_draws(entropy, count):
+    assert minhash_keys(entropy, count) == reference_draws(entropy, count)
+
+
+RUN_SCRIPT = """
+import sys
+from metacluster.cli import main
+corpus, out = sys.argv[1:]
+assert main(["cluster", "--input", corpus, "--out", out + "/run", "--ga-pop", "4", "--ga-gens", "2"]) == 0
+assert main(["select-fields", "--input", corpus, "--out", out + "/sel", "--ga-pop", "4", "--ga-gens", "2"]) == 0
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_a_run_does_not_load_numpy_random(tmp_path):
+    # The keys are computed by hashing.minhash_keys; numpy.random would add
+    # about 2 MB to every run's peak.
+    corpus = tmp_path / "corpus.ndjson"
+    with open(corpus, "w", encoding="utf-8") as fh:
+        write_records(hierarchical_corpus(n_works=6, seed=20, noise_records=10), fh)
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_SCRIPT, str(corpus), str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 @st.composite

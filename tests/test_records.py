@@ -133,6 +133,30 @@ class TestIngest:
         assert first == second == ["dc:title", "dc:subject"]
         assert all(a is b for a, b in zip(first, second))
 
+    def test_equal_value_lists_are_one_tuple_per_call(self):
+        p = "europeana:dataProvider"
+        lines = [
+            '{"id":"a","fields":{"europeana:dataProvider":["BL"],"dc:title":["Map of Kent"]}}',
+            '{"id":"b","fields":{"europeana:dataProvider":["BL"],"dc:title":["Map of Essex"]}}',
+            "{not json",
+            '{"id":"c","fields":{"europeana:dataProvider":["KB"],"dc:title":["Map of Kent"]}}',
+        ]
+        raw = "".join(line + "\n" for line in lines).encode("utf-8")
+        result = ingest(io.BytesIO(raw))
+        a, b, c = result.records
+        assert a.fields[p] is b.fields[p]
+        assert a.fields["dc:title"] is c.fields["dc:title"]
+        assert a.fields[p] is not c.fields[p] and b.fields["dc:title"] is not a.fields["dc:title"]
+        assert [r.line for r in result.rejects] == [3]
+        docs = [json.loads(line) for line in lines if line != "{not json"]
+        assert result.records == [
+            Record(doc["id"], {name: tuple(values) for name, values in doc["fields"].items()}) for doc in docs
+        ]
+        again = ingest(io.BytesIO(raw)).records
+        assert again == result.records
+        first = {id(values) for record in result.records for values in record.fields.values()}
+        assert not first & {id(values) for record in again for values in record.fields.values()}
+
     def test_unpaired_surrogate_rejected(self):
         result = ingest_lines(
             '{"id":"r\\ud800","fields":{"dc:title":["a"]}}',
