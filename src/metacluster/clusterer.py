@@ -63,7 +63,7 @@ import numpy as np
 from .config import BAND_COUNT, EngineConfig
 from .errors import IntegrityError
 from .hashing import derive_seed, digest_hex
-from .minhash import COLUMN_BLOCK, Block, SignatureComputer, band_key_matrix, group_ids, segment_min
+from .minhash import COLUMN_BLOCK, Block, SignatureComputer, band_key_matrix, band_positions, group_ids, segment_min
 from .records import FieldMask, Record, selected_values, tokenize
 from .similarity import Compression, SimilarityContext
 
@@ -128,19 +128,18 @@ class LevelBanding:
 
 def band_signatures(level: int, ids: list[str], blocks: Iterable[Block], config: EngineConfig) -> LevelBanding:
     """Band keys of signature blocks over ids in strictly increasing order,
-    for one level pass (hierarchy and GA alike).  Keys start at zero and each
-    block XORs in its band positions, so a block is dropped once banded and
-    no row need be whole at once."""
+    for one level pass (hierarchy and GA alike).  The band positions are
+    drawn once; keys start at zero and each block XORs in its band positions,
+    so a block is dropped once banded and no row need be whole at once."""
     for prev, rid in pairwise(ids):
         if rid <= prev:
             raise ValueError(f"ids must be strictly increasing: {rid!r} follows {prev!r}")
     keys = np.zeros((len(ids), BAND_COUNT), dtype=np.uint64)
     empty = np.ones(len(ids), dtype=bool)
+    positions = band_positions(level, config.seed, config.minhash_count, config.group_sizes)
     for start, column, block in blocks:
         rows = slice(start, start + len(block))
-        part, sentinel = band_key_matrix(
-            block, level, config.seed, config.group_sizes, column=column, count=config.minhash_count
-        )
+        part, sentinel = band_key_matrix(block, column, positions)
         keys[rows] ^= part
         empty[rows] &= sentinel
     return LevelBanding(ids, keys, empty)

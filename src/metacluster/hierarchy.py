@@ -60,9 +60,9 @@ class HierarchyRun:
 
 
 def make_artificial_record(cluster: Cluster, members: list[Record], value_cap: int = 20) -> Record:
-    """Summarize a cluster into a synthetic record carrying, per field, the
-    most frequent distinct values (descending frequency, then lexicographic),
-    capped at ``value_cap`` values per field."""
+    """Summarize a cluster into a record under the cluster's id carrying, per
+    field, the most frequent distinct values (descending frequency, then
+    lexicographic), capped at ``value_cap`` values per field."""
     counts: dict[str, Counter] = {}
     for record in members:
         for name, values in record.fields.items():
@@ -72,7 +72,7 @@ def make_artificial_record(cluster: Cluster, members: list[Record], value_cap: i
     for name in sorted(counts):
         ranked = sorted(counts[name].items(), key=lambda item: (-item[1], item[0]))
         fields[name] = tuple(value for value, _ in ranked[:value_cap])
-    return Record(id=cluster.id, fields=fields, provenance=cluster.record_ids())
+    return Record(cluster.id, fields)
 
 
 def default_mask_for(provider_records: Iterable[Record]) -> FieldMask:

@@ -320,17 +320,9 @@ def band_positions(
     return [chosen[b * g : (b + 1) * g] for b in range(BAND_COUNT)]
 
 
-def band_key_matrix(
-    signatures: np.ndarray,
-    level: int,
-    band_seed: int,
-    group_sizes: dict[int, int] | None = None,
-    column: int = 0,
-    count: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized band keys for a signature matrix, or for the block of its
-    positions from ``column`` on when its rows have ``count`` positions (by
-    default, as many as ``signatures`` has columns).
+def band_key_matrix(signatures: np.ndarray, column: int, positions: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized band keys for the block of signature positions from
+    ``column`` on, each band reading its ``positions`` (``band_positions``).
 
     Returns ``(keys, empty)`` where keys is (N, 4) uint64, the XOR of each
     band's positions in the block (0 for a band with none there), and empty
@@ -338,7 +330,6 @@ def band_key_matrix(
     row's blocks, and AND-ing their ``empty``, gives its full keys.
     """
     width = signatures.shape[1]
-    positions = band_positions(level, band_seed, count=width if count is None else count, group_sizes=group_sizes)
     keys = np.zeros((signatures.shape[0], BAND_COUNT), dtype=np.uint64)
     for b, group in enumerate(positions):
         local = [p - column for p in group if column <= p < column + width]

@@ -4,9 +4,10 @@ The input format is newline-delimited JSON, one record per line:
 
     {"id": "r1", "fields": {"dc:title": ["The Oil Shop part 01"], ...}}
 
-Field values are always lists of strings.  A record's provider is read off
-its fields: the first ``europeana:dataProvider`` value, else the first
-``europeana:provider`` value, else the empty string.
+Field values are always lists of strings.  A record is its id and its
+fields, an artificial record (a cluster summary) included.  A record's
+provider is read off its fields: the first ``europeana:dataProvider`` value,
+else the first ``europeana:provider`` value, else the empty string.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ from itertools import chain
 from typing import IO, Iterable, Iterator
 
 from .config import DATA_PROVIDER_FIELD, DESCRIPTION_FIELD, PROVIDER_FIELD, TITLE_FIELD
-
-ORIGINAL = "original"
-ARTIFICIAL = "artificial"
 
 # Maximal runs of alphanumeric code points (underscore excluded).
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -44,21 +42,15 @@ FieldMask = frozenset[str]
 class Record:
     """One metadata record; immutable after ingest.
 
-    ``fields`` maps field names to ordered value tuples.  Artificial records
-    (cluster summaries) carry the ids of the two or more records they
-    summarize in ``provenance``; they behave like ordinary records everywhere
-    else.  The provider is read off ``europeana:dataProvider``, then
-    ``europeana:provider``, and can be set no other way.
+    ``fields`` maps field names to ordered value tuples.  An artificial
+    record (a cluster summary) is a record like any other: its id is its
+    cluster's, and the records it summarizes are that cluster's
+    ``record_ids()``.  The provider is read off ``europeana:dataProvider``,
+    then ``europeana:provider``, and can be set no other way.
     """
 
     id: str
     fields: dict[str, tuple[str, ...]]
-    provenance: tuple[str, ...] = field(default=(), kw_only=True)
-
-    @property
-    def kind(self) -> str:
-        """``ARTIFICIAL`` for a record with provenance, else ``ORIGINAL``."""
-        return ARTIFICIAL if self.provenance else ORIGINAL
 
     @property
     def provider(self) -> str:
@@ -88,9 +80,10 @@ def resolve_provider(fields: dict[str, tuple[str, ...]]) -> str:
 
 
 def check_record(record: Record) -> None:
-    """The rules every corpus record obeys, from ingest or a library caller:
-    a non-empty id without a line feed (run files list ids one per line), and
-    an original carries dc:title or dc:description.
+    """The rules every record obeys, from ingest, a library caller or a
+    cluster summary: a non-empty id without a line feed (run files list ids
+    one per line), and a dc:title or dc:description value.  A summary's
+    values are its members' values, so it carries one of the two as well.
 
     Raises ValueError naming the broken rule.
     """
@@ -98,9 +91,7 @@ def check_record(record: Record) -> None:
         raise ValueError("missing or empty id")
     if "\n" in record.id:
         raise ValueError("id holds a line feed")
-    if record.kind == ORIGINAL and not (
-        record.fields.get(TITLE_FIELD) or record.fields.get(DESCRIPTION_FIELD)
-    ):
+    if not (record.fields.get(TITLE_FIELD) or record.fields.get(DESCRIPTION_FIELD)):
         raise ValueError("record has neither dc:title nor dc:description")
 
 
@@ -196,15 +187,9 @@ json_line = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
 
 def export_line(record: Record) -> str:
-    """Canonical single-line JSON form.  ``ingest`` reads back only the id
-    and the fields, not ``kind`` or ``provenance``; a run directory keeps
-    that structure in ``forest.ndjson``."""
-    doc: dict = {"id": record.id, "fields": record.fields}
-    if record.kind != ORIGINAL:
-        doc["kind"] = record.kind
-    if record.provenance:
-        doc["provenance"] = record.provenance
-    return json_line(doc)
+    """Canonical single-line JSON form: the id and the fields, which is all
+    ``ingest`` reads back."""
+    return json_line({"id": record.id, "fields": record.fields})
 
 
 def write_records(records: Iterable[Record], fh: IO[str]) -> None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import replace
 from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -26,14 +25,7 @@ from .clusterer import Cluster, LevelResult
 from .config import LEVELS
 from .errors import ConfigurationError, IntegrityError
 from .hierarchy import HierarchyRun, ProviderMask, chain_results, forest_of, forest_roots, verify_run
-from .records import (
-    FieldMask,
-    Record,
-    RejectedLine,
-    export_line,
-    find_surrogate,
-    json_line,
-)
+from .records import FieldMask, Record, RejectedLine, find_surrogate, json_line
 
 MANIFEST_FILE = "manifest.json"
 SUMMARY_FILE = "summary.json"
@@ -155,7 +147,7 @@ def run_lines(run: HierarchyRun) -> Iterator[tuple[str, Iterable[str]]]:
         yield cluster_file(level), _cluster_lines(result.clusters)
         yield unclustered_file(level), sorted(result.unclustered)
     yield FOREST_FILE, map(json_line, forest_docs(run))
-    yield ARTIFICIALS_FILE, (export_line(run.artificials[rid]) for rid in sorted(run.artificials))
+    yield ARTIFICIALS_FILE, map(json_line, artificial_docs(run))
     if 100 in run.results:
         yield DUPLICATES_FILE, map(json_line, duplicate_docs(run))
     # Read off the selection, so a run that lost its selection files, or
@@ -200,6 +192,14 @@ def forest_docs(run: HierarchyRun) -> Iterator[dict]:
             "artificial_record_id": c.id if c.id in run.artificials else None,
             "category": "",
         }
+
+
+def artificial_docs(run: HierarchyRun) -> Iterator[dict]:
+    """``artificial_records.ndjson``'s lines: one per chain cluster that has
+    an artificial record, by id, its provenance the cluster's record ids."""
+    clusters = (c for result in chain_results(run) for c in result.clusters if c.id in run.artificials)
+    for c in sorted(clusters, key=lambda c: c.id):
+        yield {"id": c.id, "fields": run.artificials[c.id].fields, "kind": "artificial", "provenance": c.record_ids()}
 
 
 def duplicate_docs(run: HierarchyRun) -> Iterator[dict]:
@@ -281,16 +281,21 @@ def _mask_entry(line: bytes) -> tuple[str, list[str]]:
 
 
 def load_masks(path: Path) -> dict[str, FieldMask]:
-    """Read a saved masks file; a malformed line is a ConfigurationError."""
+    """Read a saved masks file; a malformed line, or a second line for one
+    provider, is a ConfigurationError."""
     masks: dict[str, FieldMask] = {}
+    lines: dict[str, int] = {}
     # splitlines() ends lines at LF, CRLF and CR alike, as text mode does.
     for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
         if not line.strip():
             continue
         try:
             provider, mask = _mask_entry(line)
+            if provider in lines:
+                raise ValueError(f"provider {provider!r} already has a mask on line {lines[provider]}")
         except ValueError as exc:  # JSONDecodeError and UnicodeError included
             raise ConfigurationError(f"masks file {path} line {lineno}: {exc}") from None
+        lines[provider] = lineno
         masks[provider] = frozenset(mask)
     return masks
 
@@ -450,9 +455,7 @@ def load_run(run_dir: Path) -> HierarchyRun:
     )
     selection = _load_selection(run_dir, manifest["masks"])
     run = HierarchyRun(results, seconds={}, manifest=manifest, rejects=rejects, selection=selection)
-    provenance = {c.id: c.record_ids() for result in chain_results(run) for c in result.clusters}
-    for record in _read_ndjson(run_dir / ARTIFICIALS_FILE, _artificial):
-        run.artificials[record.id] = replace(record, provenance=provenance.get(record.id, ()))
+    run.artificials = {record.id: record for record in _read_ndjson(run_dir / ARTIFICIALS_FILE, _artificial)}
     if 100 in results:
         report = _read_ndjson(run_dir / DUPLICATES_FILE, lambda doc: _artificial(doc["artificial_record"]))
         run.duplicate_artificials = {record.id: record for record in report}

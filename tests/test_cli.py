@@ -207,6 +207,8 @@ class TestClusterCommand:
             '["p", ["dc:title"]]',
             b'{"provider": "caf\xe9", "mask": ["dc:title"]}',
             '{"provider": "\\ud800", "mask": ["dc:title"]}',
+            # A second mask for provider p was once taken over the first.
+            '{"provider": "p", "mask": ["dc:description"]}',
         ],
     )
     def test_malformed_masks_file_is_error_exit(self, corpus_path, tmp_path, capsys, bad_line):
@@ -762,6 +764,9 @@ class TestStats:
             json_edit(rundir.FIELD_REPORT_FILE, lambda doc: {**doc, "providers": doc["providers"] + 1}),
             (rundir.MANIFEST_FILE, delete_selection_files),
             (rundir.MANIFEST_FILE, selection_files_into_masks_run),
+            # Provenance and kind are the cluster's, not the file's.
+            line_edit(rundir.ARTIFICIALS_FILE, edit_first_doc(lambda doc: {**doc, "provenance": doc["provenance"][::-1]})),
+            line_edit(rundir.ARTIFICIALS_FILE, edit_first_doc(lambda doc: {**doc, "kind": "original"})),
         ],
         ids=[
             "unclustered-reversed",
@@ -777,6 +782,8 @@ class TestStats:
             "field-report-providers-changed",
             "selection-files-deleted",
             "selection-files-into-masks-run",
+            "artificial-provenance-reversed",
+            "artificial-kind-changed",
         ],
     )
     def test_edit_that_does_not_render_back_is_error_exit(self, full_run, tmp_path, capsys, name, edit):
@@ -897,11 +904,10 @@ class TestStats:
         assert {level: set(r.clusters) for level, r in loaded.results.items()} == {
             level: set(r.clusters) for level, r in run.results.items()
         }
-        # All but the provider comes back, which artificial_records.ndjson does not hold.
-        assert run.artificials
-        assert {rid: (r.fields, r.kind, r.provenance) for rid, r in loaded.artificials.items()} == {
-            rid: (r.fields, r.kind, r.provenance) for rid, r in run.artificials.items()
-        }
+        # A record is its id and its fields, in memory and loaded alike.
+        assert run.artificials and run.duplicate_artificials
+        assert loaded.artificials == run.artificials
+        assert loaded.duplicate_artificials == run.duplicate_artificials
 
 
 class TestRunDirRoundTrip:

@@ -18,7 +18,7 @@ from metacluster.hierarchy import (
     verify_run,
 )
 from metacluster.minhash import SignatureComputer
-from metacluster.records import Record, ingest, tokenize, write_records
+from metacluster.records import Record, check_record, ingest, tokenize, write_records
 from metacluster.synthetic import (
     duplicate_pairs_corpus,
     family_corpus,
@@ -48,9 +48,9 @@ class TestArtificialRecord:
         cluster = cluster_of([r.id for r in records])
         artificial = make_artificial_record(cluster, records)
         assert artificial.fields == fields
-        assert artificial.kind == "artificial"
         assert artificial.id == cluster.id
-        assert artificial.provenance == cluster.record_ids()
+        # A summary's values are its members', so it obeys every record's rules.
+        check_record(artificial)
 
     def test_part_series_structure(self):
         # Eight parts with distinct titles sharing one spatial value collapse
@@ -306,12 +306,13 @@ class TestRunHierarchy:
 
     def test_artificial_records_exported_for_chain(self):
         records, _ = family_corpus(4, 6, seed=13)
-        run = run_hierarchy(records, None, EngineConfig(seed=13), levels=(80, 60))
+        config = EngineConfig(seed=13)
+        run = run_hierarchy(records, None, config, levels=(80, 60))
+        by_id = {record.id: record for record in records}
         assert run.results[80].clusters
         for cluster in run.results[80].clusters:
-            artificial = run.artificials[cluster.id]
-            assert artificial.kind == "artificial"
-            assert artificial.provenance == cluster.record_ids()
+            members = [by_id[rid] for rid in cluster.record_ids()]
+            assert run.artificials[cluster.id] == make_artificial_record(cluster, members, config.artificial_value_cap)
 
 
 class TestCorpusDigest:
@@ -319,12 +320,12 @@ class TestCorpusDigest:
         Record("b2", {"dc:title": ("Zweite Ausgabe",), "dc:subject": ("maps", "atlas")}),
         Record("a1", {"dc:title": ("Café été 日本",)}),
         Record("c3", {"dc:description": ('a "quoted"\nline',), "dc:date": ("1901",)}),
-        Record("L80-x", {"dc:title": ("Zweite Ausgabe",)}, provenance=("a1", "b2")),
+        Record("L80-x", {"dc:title": ("Zweite Ausgabe",)}),
     ]
 
     def test_pinned_value(self):
         # Pinned from the join-then-hash implementation it streams.
-        assert corpus_digest(self.RECORDS) == "55e58bebb5e8c5be24f16d64"
+        assert corpus_digest(self.RECORDS) == "38f2434ff8dc229413ccdff2"
         assert corpus_digest([]) == "b8e1dda3ac0aa3820ad2990b"
 
     def test_independent_of_record_order(self):

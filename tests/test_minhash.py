@@ -140,6 +140,11 @@ def test_signing_holds_token_rows_a_column_block_at_a_time(keep):
     assert peak < token_rows / 2
 
 
+def whole_keys(matrix, level, band_seed):
+    """``band_key_matrix`` over whole signature rows, one block from position 0."""
+    return band_key_matrix(matrix, 0, band_positions(level, band_seed, count=matrix.shape[1]))
+
+
 class TestBandKeys:
     def test_group_sizes_at_endpoints(self):
         for level, expected in ((100, 16), (20, 2)):
@@ -159,22 +164,22 @@ class TestBandKeys:
         first_group = positions[0]
         hashes[0, first_group[0]] = 0x3
         hashes[0, first_group[1]] = 0x5
-        keys, empty = band_key_matrix(hashes, 20, band_seed=0)
+        keys, empty = band_key_matrix(hashes, 0, positions)
         assert int(keys[0, 0]) == 0x6
         assert not empty[0]
 
     def test_deterministic_given_inputs(self):
         matrix = sign([["alpha", "beta"]], seed=1)
-        keys, _ = band_key_matrix(matrix, 80, 7)
-        assert np.array_equal(keys, band_key_matrix(matrix, 80, 7)[0])
-        assert not np.array_equal(keys, band_key_matrix(matrix, 80, 8)[0])
+        keys, _ = whole_keys(matrix, 80, 7)
+        assert np.array_equal(keys, whole_keys(matrix, 80, 7)[0])
+        assert not np.array_equal(keys, whole_keys(matrix, 80, 8)[0])
 
     def test_matrix_path_matches_scalar_path(self):
         streams = [["alpha", "beta"], ["gamma"], [], ["delta", "epsilon", "zeta"]]
         matrix = sign(streams, seed=3)
         for level in (100, 80, 60, 40, 20):
-            keys, empty = band_key_matrix(matrix, level, band_seed=3)
             positions = band_positions(level, band_seed=3, count=64)
+            keys, empty = band_key_matrix(matrix, 0, positions)
             for i in range(len(streams)):
                 scalar_keys, scalar_empty = reference_band_keys([int(v) for v in matrix[i]], positions)
                 assert tuple(int(k) for k in keys[i]) == scalar_keys
@@ -184,7 +189,7 @@ class TestBandKeys:
             keys = np.zeros_like(keys)
             empty = np.ones_like(empty)
             for column in range(0, 64, 5):
-                part, sentinel = band_key_matrix(matrix[:, column : column + 5], level, 3, column=column, count=64)
+                part, sentinel = band_key_matrix(matrix[:, column : column + 5], column, positions)
                 keys ^= part
                 empty &= sentinel
             for i in range(len(streams)):
@@ -237,7 +242,7 @@ class TestGrouping:
         records = random_corpus(1000, seed=5)
         config = EngineConfig(seed=5)
         matrix = sign([selected_values(r) for r in records], seed=5)
-        keys, empty = band_key_matrix(matrix, 100, band_seed=5)
+        keys, empty = whole_keys(matrix, 100, band_seed=5)
         groups = group_ids([r.id for r in records], keys, empty, mode=config.band_match)
         singletons = sum(1 for g in groups if len(g) == 1)
         assert singletons >= 0.99 * len(records)
@@ -247,7 +252,7 @@ class TestGrouping:
         matrix = sign([selected_values(r) for r in records], seed=11)
 
         def mean_size(level):
-            keys, empty = band_key_matrix(matrix, level, band_seed=11)
+            keys, empty = whole_keys(matrix, level, band_seed=11)
             groups = group_ids([r.id for r in records], keys, empty)
             return sum(len(g) for g in groups) / len(groups)
 
@@ -257,7 +262,7 @@ class TestGrouping:
         corpus = random_corpus(5, seed=2)
         matrix = sign([selected_values(corpus[0])] * 2, seed=9)
         for level in (100, 80, 60, 40, 20):
-            keys, empty = band_key_matrix(matrix, level, band_seed=9)
+            keys, empty = whole_keys(matrix, level, band_seed=9)
             assert (keys[0] == keys[1]).all()
             assert not empty.any()
 

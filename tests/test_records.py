@@ -34,7 +34,6 @@ class TestIngest:
         assert record.id == "r1"
         assert record.provider == "BL"
         assert record.fields["dc:title"] == ("The Oil Shop part 01",)
-        assert record.kind == "original"
 
     def test_missing_title_and_description_rejected(self):
         line = '{"id":"r1","fields":{"dc:subject":["maps"]}}'
@@ -316,13 +315,6 @@ def test_export_line_is_single_json_line():
     line = export_line(record)
     assert "\n" not in line
     assert json.loads(line)["fields"]["dc:title"] == ["with\nnewline"]
-
-
-def test_kind_is_read_off_provenance():
-    artificial = Record("c", {"dc:title": ("t",)}, provenance=("a", "b"))
-    assert artificial.kind == "artificial"
-    assert Record("a", {"dc:title": ("t",)}).kind == "original"
-    assert json.loads(export_line(artificial))["kind"] == "artificial"
 
 
 def test_provider_is_read_off_the_fields():
