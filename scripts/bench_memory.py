@@ -19,16 +19,17 @@ reads ``VmHWM`` (the process's peak resident set) and ``VmRSS`` from
 the interpreter and numpy floor below the run's own growth.  The entry goes
 to ``BENCH_<scenario>.json`` at the repository root, with its stages,
 records/s, core count, git SHA, source digest and seed.  Run it from a
-source checkout; it imports ``src/metacluster``.
+source checkout; it imports ``src/metacluster``.  The child's module-level
+imports are all modules the CLI loads itself; ``hashlib`` and ``subprocess``
+are imported only by the parent's functions, so ``import_mb`` and each
+stage's ``VmHWM`` are the CLI's own.
 """
 
 import argparse
-import hashlib
 import importlib
 import json
 import os
 import platform
-import subprocess
 import sys
 import tempfile
 import time
@@ -122,6 +123,8 @@ def measure(cli_args: list[str], result_path: Path) -> int:
 
 
 def git_sha() -> str | None:
+    import subprocess
+
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True, check=True
@@ -133,6 +136,8 @@ def git_sha() -> str | None:
 
 def source_dirty() -> bool | None:
     """Whether ``src/`` differs from the commit, or None outside git."""
+    import subprocess
+
     try:
         out = subprocess.run(
             ["git", "status", "--porcelain", "--", "src"], cwd=ROOT, capture_output=True, text=True, check=True
@@ -143,6 +148,8 @@ def source_dirty() -> bool | None:
 
 
 def source_digest() -> str:
+    import hashlib
+
     h = hashlib.sha256()
     for path in sorted((SRC / "metacluster").glob("*.py")):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
@@ -169,6 +176,8 @@ def write_inputs(scenario: str, work: Path) -> None:
 
 
 def run_once(scenario: str, work: Path) -> dict:
+    import subprocess
+
     generator, kwargs, extra = SCENARIOS[scenario]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, __file__, "--inputs", scenario, str(work)], env=env, check=True)

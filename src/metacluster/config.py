@@ -94,8 +94,10 @@ class EngineConfig:
             )
         for level in LEVELS:
             g = self.group_sizes.get(level)
-            if g is None or g < 1:
+            if g is None:
                 raise ConfigurationError(f"missing band group size for level {level}")
+            if g < 1:
+                raise ConfigurationError(f"band group size for level {level} must be >= 1, got {g}")
             if g * BAND_COUNT > self.minhash_count:
                 raise ConfigurationError(
                     f"level {level}: {BAND_COUNT} bands of {g} minhashes exceed "

@@ -2,12 +2,15 @@
 
 Python's builtin ``hash`` is salted per process, so everything that must be
 reproducible across runs (shingle hashing, seed derivation, cluster ids) goes
-through keyed blake2b instead.
+through keyed blake2b instead.  ``blake2b`` is CPython's built-in constructor,
+the very one ``hashlib.blake2b`` hands out; it is taken from ``_blake2``
+directly because importing ``hashlib`` also loads OpenSSL (``_hashlib``),
+about 3.5 MB of resident set that no run uses.
 """
 
 from __future__ import annotations
 
-import hashlib
+from _blake2 import blake2b
 from itertools import permutations, product
 from typing import Iterable
 
@@ -16,13 +19,13 @@ _SEED_BYTES = 8
 MAX_U64 = (1 << 64) - 1
 
 
-def keyed_hasher(key: int = 0) -> "hashlib._Hash":
+def keyed_hasher(key: int = 0) -> blake2b:
     """Keyed 64-bit blake2b, stable across processes and platforms.
 
     Hash each input on a ``copy()`` of the returned object: the copy starts
     after the key block, which is then not hashed again per input.
     """
-    return hashlib.blake2b(digest_size=8, key=key.to_bytes(_SEED_BYTES, "big"))
+    return blake2b(digest_size=8, key=key.to_bytes(_SEED_BYTES, "big"))
 
 
 def derive_seed(*parts: int | str) -> int:
@@ -32,7 +35,7 @@ def derive_seed(*parts: int | str) -> int:
     subsystems (minhash family, band permutations, per-level RNGs, per-provider
     GA runs) never share RNG streams by accident.
     """
-    h = hashlib.blake2b(digest_size=8)
+    h = blake2b(digest_size=8)
     for part in parts:
         if isinstance(part, int):
             h.update(b"i" + part.to_bytes(16, "big", signed=True))
@@ -44,12 +47,12 @@ def derive_seed(*parts: int | str) -> int:
 
 def digest_hex(data: bytes) -> str:
     """Short stable hex digest used for content-derived identifiers."""
-    return hashlib.blake2b(data, digest_size=12).hexdigest()
+    return blake2b(data, digest_size=12).hexdigest()
 
 
 def digest_lines(lines: Iterable[bytes]) -> str:
     """``digest_hex(b"\\n".join(lines))``, hashed a line at a time."""
-    h = hashlib.blake2b(digest_size=12)
+    h = blake2b(digest_size=12)
     separator = b""
     for line in lines:
         h.update(separator)

@@ -4,6 +4,7 @@ function was renamed or is no longer called would read 0 calls and 0 seconds
 in a BENCH entry without any error.  The script is loaded by file path and run
 in ``--measure`` mode, which writes only its result file, no BENCH file."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -59,3 +60,21 @@ def test_stage_fires(measured, stage):
 def test_import_floor_is_recorded(measured):
     # VmRSS after the imports, below every stage's peak.
     assert 0 < measured["import_mb"] <= min(stage["VmHWM"] for stage in measured["stages"].values())
+
+
+def test_measured_child_imports_only_what_the_cli_loads():
+    # A module the script imports at module level and the CLI does not load
+    # (hashlib brings in OpenSSL) would raise import_mb and every stage's VmHWM.
+    tree = ast.parse(BENCH_MEMORY_PATH.read_text(encoding="utf-8"))
+    imported = {alias.name for node in tree.body if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in tree.body if isinstance(node, ast.ImportFrom)}
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, metacluster.cli; print(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert imported - set(proc.stdout.split()) == set()

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from metacluster import cli, rundir
 from metacluster.cli import EVAL_CATEGORIES, _configs_from, build_parser, main
-from metacluster.config import DATA_PROVIDER_FIELD, EngineConfig, GAConfig
-from metacluster.errors import IntegrityError
+from metacluster.config import DATA_PROVIDER_FIELD, DEFAULT_GROUP_SIZES, EngineConfig, GAConfig
+from metacluster.errors import ConfigurationError, IntegrityError
 from metacluster.ga import SENTINEL_FITNESS, ProviderMask
 from metacluster.hashing import MAX_U64
 from metacluster.hierarchy import forest_of, run_hierarchy
@@ -298,6 +298,19 @@ class TestClusterCommand:
         assert code == 1
         assert "unknown levels [30]" in capsys.readouterr().err
         assert not (tmp_path / "x" / "manifest.json").exists()
+
+    def test_band_group_size_below_one_or_missing_is_error(self, corpus_path, tmp_path, capsys):
+        code = main(
+            [
+                "cluster", "--input", str(corpus_path), "--out", str(tmp_path / "x"),
+                "--band-group-sizes", "100:0", "--levels", "100",
+            ]
+        )
+        assert code == 1
+        assert "band group size for level 100 must be >= 1, got 0" in capsys.readouterr().err
+        sizes = {level: g for level, g in DEFAULT_GROUP_SIZES.items() if level != 80}
+        with pytest.raises(ConfigurationError, match="missing band group size for level 80"):
+            EngineConfig(group_sizes=sizes)
 
     def test_built_config_group_sizes_are_read_only(self):
         config = EngineConfig(group_sizes={100: 16, 80: 8, 60: 6, 40: 4, 20: 2})
