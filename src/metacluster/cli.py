@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import rundir
-from .config import COMPRESSORS, DEFAULT_GROUP_SIZES, DEFAULT_SEED, LEVELS, EngineConfig, GAConfig, check_seed
+from .config import COMPRESSORS, DEFAULT_SEED, LEVELS, EngineConfig, GAConfig, check_seed
 from .errors import ConfigurationError, IntegrityError
 from .ga import select_all_providers
 from .hashing import derive_seed
@@ -65,21 +65,6 @@ def _parse_levels(text: str) -> list[int]:
     return levels
 
 
-def _parse_group_sizes(text: str) -> dict[int, int]:
-    sizes = dict(DEFAULT_GROUP_SIZES)
-    try:
-        for part in text.split(","):
-            if not part.strip():
-                continue
-            level, size = part.split(":")
-            sizes[int(level)] = int(size)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"bad group size spec {text!r}; expected like 100:16,80:8"
-        ) from exc
-    return sizes
-
-
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="run seed (fixed default)")
     parser.add_argument(
@@ -87,19 +72,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         help="accepted for compatibility and must be >= 1; runs are sequential",
-    )
-    parser.add_argument("--minhash-count", type=int, help="signature length H")
-    parser.add_argument(
-        "--band-group-sizes",
-        dest="group_sizes",
-        type=_parse_group_sizes,
-        metavar="L:G,...",
-        help="minhashes XOR-ed per band key per level (default %(default)s)",
-    )
-    parser.add_argument(
-        "--band-match",
-        choices=["any", "all"],
-        help="group on any shared band key (banding) or require all 4 keys equal",
     )
     parser.add_argument("--compressor", choices=sorted(COMPRESSORS))
     parser.add_argument("--compression-level", type=int, help="0-9 (bz2: 1-9)")
@@ -226,7 +198,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     result = ingest_path(args.input)
 
     # One value store for the GA and every level: each value is tokenized once.
-    computer = SignatureComputer(count=engine.minhash_count, seed=engine.seed)
+    computer = SignatureComputer(seed=engine.seed)
     selection = None
     if 80 not in levels:
         masks = None

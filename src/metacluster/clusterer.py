@@ -14,9 +14,9 @@ The loop per level:
    iteration, until an iteration clusters nothing or the cap is reached.
 
 Regrouping only those records is exact: groups are the components of the
-band-key graph on the population (in ``all`` mode, its classes of equal key
-tuples), an edge does not depend on who else is in it, so a later, smaller
-population's components refine an earlier one's and a singleton stays one.
+band-key graph on the population, an edge does not depend on who else is in
+it, so a later, smaller population's components refine an earlier one's and
+a singleton stays one.
 
 Heads that rejoin later iterations keep the clusters they accrued; when such
 a head is itself absorbed as a member of a new cluster, its cluster dissolves
@@ -60,7 +60,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .config import BAND_COUNT, EngineConfig
+from .config import BAND_COUNT, MINHASH_COUNT, EngineConfig
 from .errors import IntegrityError
 from .hashing import derive_seed, digest_hex
 from .minhash import COLUMN_BLOCK, Block, SignatureComputer, band_key_matrix, band_positions, group_ids, segment_min
@@ -121,9 +121,9 @@ class LevelBanding:
     keys: np.ndarray
     empty: np.ndarray
 
-    def groups(self, rows: list[int], mode: str = "any") -> list[tuple[int, ...]]:
+    def groups(self, rows: list[int]) -> list[tuple[int, ...]]:
         """The candidate groups of two or more among ``rows``, as sorted row tuples."""
-        return [g for g in group_ids(rows, self.keys[rows], self.empty[rows], mode=mode) if len(g) >= 2]
+        return [g for g in group_ids(rows, self.keys[rows], self.empty[rows]) if len(g) >= 2]
 
 
 def band_signatures(level: int, ids: list[str], blocks: Iterable[Block], config: EngineConfig) -> LevelBanding:
@@ -136,7 +136,7 @@ def band_signatures(level: int, ids: list[str], blocks: Iterable[Block], config:
             raise ValueError(f"ids must be strictly increasing: {rid!r} follows {prev!r}")
     keys = np.zeros((len(ids), BAND_COUNT), dtype=np.uint64)
     empty = np.ones(len(ids), dtype=bool)
-    positions = band_positions(level, config.seed, config.minhash_count, config.group_sizes)
+    positions = band_positions(level, config.seed)
     for start, column, block in blocks:
         rows = slice(start, start + len(block))
         part, sentinel = band_key_matrix(block, column, positions)
@@ -154,7 +154,7 @@ class FieldRows:
     is the minimum over its field's value rows in a ``SignatureComputer``
     store, which tokenizes each distinct value once: the given computer's,
     which keeps the value rows for later signing, or else a new one dropped
-    when the build returns.  Memory: pairs x ``minhash_count`` x 8 bytes;
+    when the build returns.  Memory: pairs x ``MINHASH_COUNT`` x 8 bytes;
     a mask's signatures gather the selected rows a block at a time into
     records x ``COLUMN_BLOCK`` x 8 bytes.
     """
@@ -163,13 +163,12 @@ class FieldRows:
         self, records: Sequence[Record], config: EngineConfig, computer: SignatureComputer | None = None
     ):
         self.fields = sorted({name for record in records for name in record.fields})
-        self.count = config.minhash_count
         self.size = len(records)
         column = {name: f for f, name in enumerate(self.fields)}
         pairs = [(i, name) for i, record in enumerate(records) for name in sorted(record.fields)]
         self.record_index = np.fromiter((i for i, _ in pairs), dtype=np.intp, count=len(pairs))
         self.field_index = np.fromiter((column[name] for _, name in pairs), dtype=np.intp, count=len(pairs))
-        computer = computer or SignatureComputer(count=config.minhash_count, seed=config.seed)
+        computer = computer or SignatureComputer(seed=config.seed)
         self.rows = computer.signature_matrix([records[i].fields[name] for i, name in pairs], tokenize)
 
     def signatures(self, mask: FieldMask) -> Iterator[Block]:
@@ -178,8 +177,8 @@ class FieldRows:
         selected = np.array([name in mask for name in self.fields], dtype=bool)
         chosen = np.flatnonzero(selected[self.field_index])
         lengths = np.bincount(self.record_index[chosen], minlength=self.size)
-        for column in range(0, self.count, COLUMN_BLOCK):
-            out = np.empty((self.size, min(COLUMN_BLOCK, self.count - column)), dtype=np.uint64)
+        for column in range(0, MINHASH_COUNT, COLUMN_BLOCK):
+            out = np.empty((self.size, min(COLUMN_BLOCK, MINHASH_COUNT - column)), dtype=np.uint64)
             columns = slice(column, column + out.shape[1])
             segment_min(lengths, lambda a, b: self.rows[chosen[a:b], columns], out)
             yield 0, column, out
@@ -197,7 +196,7 @@ def level_inputs(
     """Banding plus a compatible similarity context for one level pass.  Each
     record is signed from the values its mask selects; values new to
     ``computer``'s store are tokenized once, and kept only when ``keep``."""
-    computer = computer or SignatureComputer(count=config.minhash_count, seed=config.seed)
+    computer = computer or SignatureComputer(seed=config.seed)
     population = map(records.__getitem__, ids)
     streams = (selected_values(r, mask_for(r) if mask_for is not None else None) for r in population)
     banding = band_signatures(level, ids, computer.signatures(streams, tokenize, keep), config)
@@ -342,7 +341,7 @@ def cluster_level(level: int, sim: SimilarityFn, banding: LevelBanding, config: 
     rows = list(range(len(ids)))
     iterations = 0
     while rows and iterations < config.max_iterations:
-        work = banding.groups(rows, mode=config.band_match)
+        work = banding.groups(rows)
         if not work:
             break
         iterations += 1

@@ -5,7 +5,7 @@ from __future__ import annotations
 import bz2
 import lzma
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConfigurationError
@@ -13,11 +13,14 @@ from .hashing import MAX_U64
 
 LEVELS = (100, 80, 60, 40, 20)
 
-#: Minhashes XOR-combined per band key, per similarity level.  The endpoints
-#: (16 at level 100, 2 at level 20) are fixed; the intermediate levels
-#: interpolate monotonically and can be overridden.
-DEFAULT_GROUP_SIZES = {100: 16, 80: 8, 60: 6, 40: 4, 20: 2}
+#: Minhashes per record signature (Broder 1997).
+MINHASH_COUNT = 64
 
+#: Minhashes XOR-combined per band key, per similarity level: 16 at level 100
+#: down to 2 at level 20, so higher levels need closer agreement.
+GROUP_SIZES = {100: 16, 80: 8, 60: 6, 40: 4, 20: 2}
+
+#: Band keys per record and level; records sharing any one are candidates.
 BAND_COUNT = 4
 
 DEFAULT_SEED = 42
@@ -38,16 +41,6 @@ COMPRESSORS: dict[str, Callable[[bytes, int], bytes]] = {
     "bz2": bz2.compress,
     "lzma": lambda data, level: lzma.compress(data, preset=level),
 }
-
-
-class GroupSizes(dict):
-    """Band group size per level, read-only once built.  A dict, so that
-    ``dataclasses.asdict`` and JSON see the sizes as they are."""
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("band group sizes are read-only")
-
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
 
 
 def check_compression(name: str, level: int) -> None:
@@ -72,9 +65,6 @@ class EngineConfig:
     """Parameters shared by banding, similarity and the level clusterer;
     an invalid combination raises ConfigurationError on construction."""
 
-    minhash_count: int = 64
-    group_sizes: dict[int, int] = field(default_factory=lambda: GroupSizes(DEFAULT_GROUP_SIZES))
-    band_match: str = "any"  # "any": union-find over shared keys; "all": exact 4-key match
     compressor: str = "zlib"
     compression_level: int = 6
     max_iterations: int = 5
@@ -82,29 +72,6 @@ class EngineConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if self.minhash_count < 8 or self.minhash_count % 4 != 0:
-            raise ConfigurationError(
-                f"minhash count must be >= 8 and divisible by 4, got {self.minhash_count}"
-            )
-        object.__setattr__(self, "group_sizes", GroupSizes(self.group_sizes))
-        unknown = sorted(set(self.group_sizes) - set(LEVELS), key=str)
-        if unknown:
-            raise ConfigurationError(
-                f"band group sizes for unknown levels {unknown}; valid: {list(LEVELS)}"
-            )
-        for level in LEVELS:
-            g = self.group_sizes.get(level)
-            if g is None:
-                raise ConfigurationError(f"missing band group size for level {level}")
-            if g < 1:
-                raise ConfigurationError(f"band group size for level {level} must be >= 1, got {g}")
-            if g * BAND_COUNT > self.minhash_count:
-                raise ConfigurationError(
-                    f"level {level}: {BAND_COUNT} bands of {g} minhashes exceed "
-                    f"signature length {self.minhash_count}"
-                )
-        if self.band_match not in ("any", "all"):
-            raise ConfigurationError(f"band match mode must be 'any' or 'all', got {self.band_match!r}")
         check_compression(self.compressor, self.compression_level)
         if self.max_iterations < 1:
             raise ConfigurationError(f"max iterations must be >= 1, got {self.max_iterations}")

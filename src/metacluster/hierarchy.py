@@ -142,7 +142,7 @@ def run_hierarchy(
         for provider, provider_records in unmasked.items():
             masks[provider] = default_mask_for(provider_records)
 
-    computer = computer or SignatureComputer(count=config.minhash_count, seed=config.seed)
+    computer = computer or SignatureComputer(seed=config.seed)
     results: dict[int, LevelResult] = {}
     seconds: dict[int, float] = {}
     artificials: dict[str, Record] = {}
@@ -178,7 +178,6 @@ def run_hierarchy(
 
     manifest = asdict(config)
     manifest["compressor"] = f"{config.compressor}:{manifest.pop('compression_level')}"
-    manifest["group_sizes"] = {str(k): v for k, v in config.group_sizes.items()}
     manifest.update(
         levels=requested,
         masks={p: sorted(m) for p, m in sorted(masks.items())},

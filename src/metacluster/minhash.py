@@ -1,23 +1,23 @@
 """Minhash signatures over 8-character word shingles and XOR band keys.
 
-Every record is reduced to ``minhash_count`` 64-bit minhashes over the union
-of all shingles of all tokens of its selected field values.  The minhash of a
-union is the elementwise minimum of the parts' minhashes, so a token's row is
-the minimum over its shingles, a value's row the minimum over its tokens' rows
-and a record's row the minimum over its values' rows, under any field mask.
-``SignatureComputer`` keeps one row per distinct value: each new value is
-tokenized once, and records are signed from their values' rows, a block of
-records and of positions at a time.  Each position is a minhash of its own
-(Broder 1997), so token rows are mixed ``COLUMN_BLOCK`` positions at a time.
-A call whose rows no later call reads (``keep=False``) builds no value rows:
-each record's row is the minimum of its new values' token rows and its known
-values' stored rows, and the store is emptied when the call ends.
+Every record is reduced to ``MINHASH_COUNT`` (64) 64-bit minhashes over the
+union of all shingles of all tokens of its selected field values.  The minhash
+of a union is the elementwise minimum of the parts' minhashes, so a token's
+row is the minimum over its shingles, a value's row the minimum over its
+tokens' rows and a record's row the minimum over its values' rows, under any
+field mask.  ``SignatureComputer`` keeps one row per distinct value: each new
+value is tokenized once, and records are signed from their values' rows, a
+block of records and of positions at a time.  Each position is a minhash of
+its own (Broder 1997), so token rows are mixed ``COLUMN_BLOCK`` positions at a
+time.  A call whose rows no later call reads (``keep=False``) builds no value
+rows: each record's row is the minimum of its new values' token rows and its
+known values' stored rows, and the store is emptied when the call ends.
 
 Per similarity level, a seeded permutation picks 4 disjoint groups of
-signature positions; XOR-ing each group yields the 4 band keys that route
-records into candidate groups.  Records sharing a band key (same band
-position, same value) become clustering candidates; candidate groups are the
-connected components of that relation.
+``GROUP_SIZES[level]`` signature positions; XOR-ing each group yields the 4
+band keys that route records into candidate groups.  Records sharing any one
+band key (same band position, same value) become clustering candidates;
+candidate groups are the connected components of that relation.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .config import BAND_COUNT, DEFAULT_GROUP_SIZES
+from .config import BAND_COUNT, GROUP_SIZES, MINHASH_COUNT
 from .hashing import MAX_U64, derive_seed, keyed_hasher, minhash_keys
 
 SHINGLE_LENGTH = 8
@@ -141,7 +141,7 @@ class SignatureComputer:
     no value rows, and empties the store when it ends.
     """
 
-    def __init__(self, count: int = 64, seed: int = 0):
+    def __init__(self, count: int = MINHASH_COUNT, seed: int = 0):
         self.count = count
         self.seed = seed
         self._keys = np.array(minhash_keys(derive_seed(seed, "minhash-family"), count), dtype=np.uint64)
@@ -306,15 +306,9 @@ class SignatureComputer:
             yield column, rows
 
 
-def band_positions(
-    level: int,
-    band_seed: int,
-    count: int = 64,
-    group_sizes: dict[int, int] | None = None,
-) -> list[list[int]]:
-    """Seeded choice of 4 disjoint position groups of g(level) each."""
-    sizes = group_sizes or DEFAULT_GROUP_SIZES
-    g = sizes[level]
+def band_positions(level: int, band_seed: int, count: int = MINHASH_COUNT) -> list[list[int]]:
+    """Seeded choice of 4 disjoint position groups of ``GROUP_SIZES[level]`` each."""
+    g = GROUP_SIZES[level]
     rng = random.Random(derive_seed(band_seed, "bands", level))
     chosen = rng.sample(range(count), g * BAND_COUNT)
     return [chosen[b * g : (b + 1) * g] for b in range(BAND_COUNT)]
@@ -353,17 +347,11 @@ def _shared_buckets(columns: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, 
     return members, sizes, np.cumsum(sizes) - sizes
 
 
-def group_ids(
-    ids: list[str],
-    keys: np.ndarray,
-    empty: np.ndarray,
-    mode: str = "any",
-) -> list[tuple[str, ...]]:
+def group_ids(ids: list[str], keys: np.ndarray, empty: np.ndarray) -> list[tuple[str, ...]]:
     """Candidate groups from a band key matrix.
 
-    ``any``: records sharing a key in any band position are connected and
-    groups are the connected components.  ``all``: records group only on the
-    exact 4-key tuple.  Sentinel (empty-signature) records are always
+    Records sharing a key in any band position are connected and groups are
+    the connected components.  Sentinel (empty-signature) records are always
     singletons.  Output is a partition of ``ids``, each group sorted, groups
     sorted by first member.
 
@@ -377,8 +365,7 @@ def group_ids(
     rank = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
     keys = keys[rank]
     live = np.flatnonzero(~empty[rank])
-    columns = [keys[live]] if mode == "all" else [keys[live, b : b + 1] for b in range(BAND_COUNT)]
-    buckets = [_shared_buckets(c, live) for c in columns]
+    buckets = [_shared_buckets(keys[live, b : b + 1], live) for b in range(BAND_COUNT)]
 
     labels = np.arange(len(ids))
     changed = True

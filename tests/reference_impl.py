@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from metacluster.clusterer import Cluster, LevelResult
-from metacluster.config import EngineConfig
+from metacluster.config import MINHASH_COUNT, EngineConfig
 from metacluster.hashing import derive_seed, digest_hex
 from metacluster.minhash import band_positions
 from metacluster.records import selected_values, tokenize
@@ -88,8 +88,8 @@ def reference_band_keys(row: list[int], positions: list[list[int]]) -> KeySet:
 
 def reference_keysets(records, ids, level: int, config: EngineConfig) -> dict[str, KeySet]:
     """Band keys of each record over all its fields at one level."""
-    keys = reference_keys(config.minhash_count, config.seed)
-    positions = band_positions(level, config.seed, config.minhash_count, config.group_sizes)
+    keys = reference_keys(MINHASH_COUNT, config.seed)
+    positions = band_positions(level, config.seed)
     return {
         rid: reference_band_keys(
             reference_row(tokenize(*selected_values(records[rid])), keys, config.seed), positions
@@ -98,23 +98,8 @@ def reference_keysets(records, ids, level: int, config: EngineConfig) -> dict[st
     }
 
 
-def bucket_groups(
-    keysets: dict[str, KeySet],
-    population: set[str],
-    mode: str,
-) -> list[tuple[str, ...]]:
+def bucket_groups(keysets: dict[str, KeySet], population: set[str]) -> list[tuple[str, ...]]:
     ids = sorted(population)
-    if mode == "all":
-        buckets: dict[tuple[int, ...], list[str]] = {}
-        singles: list[tuple[str, ...]] = []
-        for rid in ids:
-            keys, empty = keysets[rid]
-            if empty:
-                singles.append((rid,))
-            else:
-                buckets.setdefault(keys, []).append(rid)
-        return sorted(singles + [tuple(sorted(v)) for v in buckets.values()])
-
     by_key: dict[tuple[int, int], list[str]] = {}
     adjacency: dict[str, set[str]] = {rid: set() for rid in ids}
     for rid in ids:
@@ -165,7 +150,7 @@ def reference_cluster_level(
 
     iterations = 0
     while iterations < config.max_iterations:
-        work = [g for g in bucket_groups(keysets, population, config.band_match) if len(g) >= 2]
+        work = [g for g in bucket_groups(keysets, population) if len(g) >= 2]
         if not work:
             break
         iterations += 1

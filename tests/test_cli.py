@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from metacluster import cli, rundir
 from metacluster.cli import EVAL_CATEGORIES, _configs_from, build_parser, main
-from metacluster.config import DATA_PROVIDER_FIELD, DEFAULT_GROUP_SIZES, EngineConfig, GAConfig
-from metacluster.errors import ConfigurationError, IntegrityError
+from metacluster.config import DATA_PROVIDER_FIELD, EngineConfig, GAConfig
+from metacluster.errors import IntegrityError
 from metacluster.ga import SENTINEL_FITNESS, ProviderMask
 from metacluster.hashing import MAX_U64
 from metacluster.hierarchy import forest_of, run_hierarchy
@@ -288,37 +288,20 @@ class TestClusterCommand:
         )
         assert code == 1
 
-    def test_band_group_size_for_unknown_level_is_error_exit(self, corpus_path, tmp_path, capsys):
-        code = main(
-            [
-                "cluster", "--input", str(corpus_path), "--out", str(tmp_path / "x"),
-                "--band-group-sizes", "30:4", "--levels", "100",
-            ]
-        )
-        assert code == 1
-        assert "unknown levels [30]" in capsys.readouterr().err
-        assert not (tmp_path / "x" / "manifest.json").exists()
-
-    def test_band_group_size_below_one_or_missing_is_error(self, corpus_path, tmp_path, capsys):
-        code = main(
-            [
-                "cluster", "--input", str(corpus_path), "--out", str(tmp_path / "x"),
-                "--band-group-sizes", "100:0", "--levels", "100",
-            ]
-        )
-        assert code == 1
-        assert "band group size for level 100 must be >= 1, got 0" in capsys.readouterr().err
-        sizes = {level: g for level, g in DEFAULT_GROUP_SIZES.items() if level != 80}
-        with pytest.raises(ConfigurationError, match="missing band group size for level 80"):
-            EngineConfig(group_sizes=sizes)
-
-    def test_built_config_group_sizes_are_read_only(self):
-        config = EngineConfig(group_sizes={100: 16, 80: 8, 60: 6, 40: 4, 20: 2})
-        with pytest.raises(TypeError):
-            config.group_sizes[30] = 4
-        with pytest.raises(TypeError):
-            config.group_sizes.update({80: 4})
-        assert dict(config.group_sizes) == {100: 16, 80: 8, 60: 6, 40: 4, 20: 2}
+    @pytest.mark.parametrize("command", ["cluster", "select-fields"])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--minhash-count", "64"], ["--band-group-sizes", "100:16"], ["--band-match", "any"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_removed_banding_flags_are_refused(self, corpus_path, tmp_path, capsys, command, flag):
+        # The banding is fixed: 64 minhashes, GROUP_SIZES and any-key matching.
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--input", str(corpus_path), "--out", str(out), *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_workers_below_one_is_error_exit(self, corpus_path, tmp_path, capsys):
         code = main(
@@ -933,10 +916,26 @@ class TestRunDirRoundTrip:
             if name == "compression_level":
                 assert name not in manifest
                 assert manifest["compressor"] == f"{config.compressor}:{value}"
-            elif name == "group_sizes":
-                assert manifest[name] == {str(level): size for level, size in value.items()}
             elif name != "compressor":
                 assert manifest[name] == value
+
+    def test_manifest_with_former_banding_settings_still_loads(self, full_run, tmp_path, capsys):
+        # Runs made while the banding was configurable carry its three settings.
+        former = {
+            "minhash_count": 64,
+            "group_sizes": {"100": 16, "80": 8, "60": 6, "40": 4, "20": 2},
+            "band_match": "any",
+        }
+        assert rundir.load_manifest(full_run).keys().isdisjoint(former)
+        run_dir = tmp_path / "run"
+        shutil.copytree(full_run, run_dir)
+        _, apply = json_edit(rundir.MANIFEST_FILE, lambda doc: {**doc, **former})
+        apply(run_dir)
+        assert main(["stats", "--run", str(run_dir)]) == 0
+        out_file = tmp_path / "sample.ndjson"
+        assert main(["sample-eval", "--run", str(run_dir), "--out", str(out_file)]) == 0
+        assert out_file.read_text(encoding="utf-8")
+        assert "error" not in capsys.readouterr().err
 
     def test_iterations_used_round_trip(self, corpus_path, tmp_path, capsys):
         run = run_hierarchy(ingest_path(corpus_path).records, None, EngineConfig(seed=33))

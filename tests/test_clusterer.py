@@ -23,7 +23,7 @@ from metacluster.clusterer import (
     select_heads,
     validate_candidate,
 )
-from metacluster.config import EngineConfig
+from metacluster.config import MINHASH_COUNT, EngineConfig
 from metacluster.errors import ConfigurationError
 from metacluster.hashing import derive_seed
 from metacluster.minhash import SENTINEL, SignatureComputer, assemble
@@ -317,12 +317,6 @@ class TestClusterLevel:
             assert cluster.transferred == ("pm",)
             assert set(cluster.members) == {"p", "pm", "qm"}
 
-    def test_band_match_all_mode(self):
-        records, _ = duplicate_pairs_corpus(10, 20, seed=3)
-        config = EngineConfig(seed=4, band_match="all")
-        result, _ = run_level(records, 100, config)
-        assert len(result.clusters) == 10
-
 
 def row_store_corpus() -> list[Record]:
     """A GA provider sample where some records lack fields and ``dc:date``
@@ -353,7 +347,7 @@ def row_store() -> FieldRows:
 
 def mask_matrix(rows: FieldRows, mask: frozenset) -> np.ndarray:
     """The population's signature matrix under ``mask``, from its blocks."""
-    return assemble(rows.signatures(mask), rows.size, rows.count)
+    return assemble(rows.signatures(mask), rows.size, MINHASH_COUNT)
 
 
 class TestFieldRows:
@@ -362,9 +356,9 @@ class TestFieldRows:
         mask = frozenset(names)
         by_id = {r.id: r for r in ROW_RECORDS}
         ids = [r.id for r in ROW_RECORDS]
-        computer = SignatureComputer(count=ROW_CONFIG.minhash_count, seed=ROW_CONFIG.seed)
+        computer = SignatureComputer(seed=ROW_CONFIG.seed)
         streams = (selected_values(by_id[rid], mask) for rid in ids)
-        expected = assemble(computer.signatures(streams, tokenize), len(ids), ROW_CONFIG.minhash_count)
+        expected = assemble(computer.signatures(streams, tokenize), len(ids), MINHASH_COUNT)
         blocks = list(row_store.signatures(mask))
         assert all(b.dtype == np.uint64 for _, _, b in blocks)
         got = mask_matrix(row_store, mask)
@@ -383,10 +377,7 @@ class TestFieldRows:
         assert not (np.delete(sig, lacking, axis=0) == np.uint64(SENTINEL)).any()
 
     def test_one_row_per_present_pair(self, row_store):
-        assert row_store.rows.shape == (
-            sum(len(r.fields) for r in ROW_RECORDS),
-            ROW_CONFIG.minhash_count,
-        )
+        assert row_store.rows.shape == (sum(len(r.fields) for r in ROW_RECORDS), MINHASH_COUNT)
 
 
 def test_field_rows_mask_gathers_rows_a_block_at_a_time():
@@ -411,7 +402,7 @@ def test_second_level_over_seen_values_tokenizes_nothing(monkeypatch):
     by_id = {r.id: r for r in records}
     ids = sorted(by_id)
     config = EngineConfig(seed=9)
-    computer = SignatureComputer(count=config.minhash_count, seed=config.seed)
+    computer = SignatureComputer(seed=config.seed)
     calls: Counter = Counter()
     tokenize = clusterer.tokenize
 
@@ -496,7 +487,7 @@ def keyed_population(draw):
 )
 def test_band_signatures_refuses_ids_out_of_order(ids, message):
     # Carried row tuples map to sorted id tuples only when rows are in id order.
-    blocks = [(0, 0, np.zeros((len(ids), ROW_CONFIG.minhash_count), dtype=np.uint64))]
+    blocks = [(0, 0, np.zeros((len(ids), MINHASH_COUNT), dtype=np.uint64))]
     with pytest.raises(ValueError, match=message):
         band_signatures(80, ids, blocks, ROW_CONFIG)
 
@@ -506,16 +497,15 @@ class TestCarriedGroups:
         keyed_population(),
         st.sampled_from((20, 40, 60, 80, 100)),
         st.integers(1, 5),
-        st.sampled_from(("any", "all")),
         st.integers(0, 2**32),
     )
-    def test_matches_oracle_regrouping_whole_population(self, population, level, max_iterations, mode, seed):
+    def test_matches_oracle_regrouping_whole_population(self, population, level, max_iterations, seed):
         # Later iterations regroup only the rest of the previous groups; the
         # oracle regroups every record still in the population.
         ids, keysets, sim = population
         keys = np.array([keysets[rid][0] for rid in ids], dtype=np.uint64)
         empty = np.array([keysets[rid][1] for rid in ids], dtype=bool)
-        config = EngineConfig(seed=seed, max_iterations=max_iterations, band_match=mode)
+        config = EngineConfig(seed=seed, max_iterations=max_iterations)
         got = cluster_level(level, sim, LevelBanding(ids, keys, empty), config)
         assert got == reference_cluster_level(ids, level, sim, keysets, config)
 

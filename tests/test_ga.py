@@ -147,6 +147,12 @@ class TestOperators:
         wins = sum(scores[tournament(population, scores, rng, 2)] == 5.0 for _ in range(20))
         assert wins >= 15
 
+    def test_tournament_tie_goes_to_lowest_index(self):
+        # size == len(population), so every mask contends whatever the draw.
+        population = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        scores = dict.fromkeys(population, 0.5)
+        assert tournament(population, scores, random.Random(0), 3) == population[0]
+
 
 class TestEvolve:
     def test_single_field_provider_short_circuits(self):

@@ -280,7 +280,7 @@ class TestRunHierarchy:
     def test_last_level_stores_no_value_it_meets_first(self):
         records = [Record(f"r{i}", {"dc:title": (f"title {i}",)}) for i in range(6)]
         config = EngineConfig(seed=1)
-        computer = SignatureComputer(count=config.minhash_count, seed=config.seed)
+        computer = SignatureComputer(seed=config.seed)
         computer.signature_matrix([("title 0",)], tokenize)
         rows_learned = []
         learn = computer._learn

@@ -1,15 +1,20 @@
-"""Every name a module imports is used in it, and no module reaches into
-another module's private names.
+"""Every name a module imports is used in it, no module reaches into
+another module's private names, and the README's CLI synopsis names the
+flags the parser has.
 
 An AST scan, since no linter is a dependency: a name counts as used when the
 module loads it anywhere (code, annotations, decorators), and a package's
 re-exports count through its ``__all__``.
 """
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from metacluster.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = [path for part in ("src/metacluster", "tests", "scripts") for path in sorted((ROOT / part).glob("*.py"))]
@@ -118,3 +123,18 @@ def test_no_private_names_of_other_modules(path):
         if is_private(alias.name)
     ]
     assert not reached, f"{path.name} reaches into private names of metacluster modules: {', '.join(reached)}"
+
+
+def test_readme_cli_synopsis_matches_the_parser():
+    # A removed flag must not linger in the synopsis, and a new cluster flag
+    # must not go undocumented.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    synopsis = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    documented = set(re.findall(r"--[a-z][a-z-]*", synopsis))
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {flag for action in sub._actions for flag in action.option_strings if flag.startswith("--")}
+        for name, sub in commands.choices.items()
+    }
+    assert documented - set().union(*options.values()) == set()
+    assert options["cluster"] - {"--help"} - documented == set()

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metacluster import hashing, minhash
-from metacluster.config import DEFAULT_GROUP_SIZES, EngineConfig
+from metacluster.config import GROUP_SIZES
 from metacluster.hashing import MAX_U64, minhash_keys
 from metacluster.minhash import (
     SENTINEL,
@@ -156,7 +156,7 @@ class TestBandKeys:
             assert len(set(flat)) == len(flat)  # disjoint
 
     def test_intermediate_sizes_monotone(self):
-        sizes = [DEFAULT_GROUP_SIZES[lv] for lv in (100, 80, 60, 40, 20)]
+        sizes = [GROUP_SIZES[lv] for lv in (100, 80, 60, 40, 20)]
         assert sizes == sorted(sizes, reverse=True)
 
     def test_xor_identity(self):
@@ -199,12 +199,12 @@ class TestBandKeys:
                 assert bool(empty[i]) == scalar_empty
 
 
-def grouped(rows, mode="any", empty=()):
+def grouped(rows, empty=()):
     """``group_ids`` over (id, four band keys) rows; ids in ``empty`` are
     sentinel rows."""
     ids = [rid for rid, _ in rows]
     keys = np.array([k for _, k in rows], dtype=np.uint64).reshape(len(rows), 4)
-    return group_ids(ids, keys, np.array([rid in empty for rid in ids], dtype=bool), mode=mode)
+    return group_ids(ids, keys, np.array([rid in empty for rid in ids], dtype=bool))
 
 
 class TestGrouping:
@@ -230,21 +230,15 @@ class TestGrouping:
         # Same value in different band positions must not connect records.
         assert grouped([("a", (7, 1, 2, 3)), ("b", (4, 7, 5, 6))]) == [("a",), ("b",)]
 
-    def test_all_mode_requires_full_tuple(self):
-        rows = [("a", (1, 2, 3, 4)), ("b", (1, 2, 3, 4)), ("c", (1, 2, 3, 9))]
-        assert grouped(rows, mode="all") == [("a", "b"), ("c",)]
-
     def test_sentinel_records_always_singletons(self):
         rows = [("a", (1, 2, 3, 4)), ("b", (1, 2, 3, 4)), ("c", (1, 2, 3, 4))]
-        for mode in ("any", "all"):
-            assert grouped(rows, mode=mode, empty={"b", "c"}) == [("a",), ("b",), ("c",)]
+        assert grouped(rows, empty={"b", "c"}) == [("a",), ("b",), ("c",)]
 
     def test_random_corpus_mostly_singletons_at_level_100(self):
         records = random_corpus(1000, seed=5)
-        config = EngineConfig(seed=5)
         matrix = sign([selected_values(r) for r in records], seed=5)
         keys, empty = whole_keys(matrix, 100, band_seed=5)
-        groups = group_ids([r.id for r in records], keys, empty, mode=config.band_match)
+        groups = group_ids([r.id for r in records], keys, empty)
         singletons = sum(1 for g in groups if len(g) == 1)
         assert singletons >= 0.99 * len(records)
 
@@ -441,16 +435,15 @@ KEY_VALUES = st.sampled_from((0, 1, 2, 2**63, 2**64 - 1))
 
 @given(
     st.lists(st.tuples(st.tuples(*[KEY_VALUES] * 4), st.booleans()), min_size=1, max_size=30),
-    st.sampled_from(("any", "all")),
     st.randoms(use_true_random=False),
 )
-def test_group_ids_matches_reference_in_any_row_order(rows, mode, rng):
+def test_group_ids_matches_reference_in_any_row_order(rows, rng):
     # Ids r0, r1, ..., r10 sort as strings, not in row order.
     keysets = {f"r{i}": row for i, row in enumerate(rows)}
-    expected = bucket_groups(keysets, set(keysets), mode)
+    expected = bucket_groups(keysets, set(keysets))
     ids = list(keysets)
     for _ in range(2):
         keys = np.array([keysets[rid][0] for rid in ids], dtype=np.uint64)
         empty = np.array([keysets[rid][1] for rid in ids], dtype=bool)
-        assert group_ids(ids, keys, empty, mode=mode) == expected
+        assert group_ids(ids, keys, empty) == expected
         rng.shuffle(ids)

@@ -89,10 +89,10 @@ def ga(tmp: Path) -> list[str]:
     return ["--input", str(corpus), "--seed", "88", "--ga-pop", "8", "--ga-gens", "3"]
 
 
-def band_match_all(tmp: Path) -> list[str]:
+def levels_80_40(tmp: Path) -> list[str]:
     records = hierarchical_corpus(n_works=20, seed=31, noise_records=10)
     corpus = write_corpus(tmp / "c.ndjson", records + number_families(12, 3, seed=34))
-    return ["--input", str(corpus), "--levels", "80,40", "--band-match", "all", "--seed", "32"]
+    return ["--input", str(corpus), "--levels", "80,40", "--seed", "32"]
 
 
 def bz2(tmp: Path) -> list[str]:
@@ -101,7 +101,7 @@ def bz2(tmp: Path) -> list[str]:
     return ["--input", str(corpus), "--levels", "100,80,60", "--compressor", "bz2", "--seed", "42"]
 
 
-COMMANDS = {f.__name__: f for f in (dedup, hierarchy, ga, band_match_all, bz2)}
+COMMANDS = {f.__name__: f for f in (dedup, hierarchy, ga, levels_80_40, bz2)}
 
 
 def run_digests(name: str, tmp: Path) -> dict[str, str]:
@@ -116,18 +116,6 @@ def run_digests(name: str, tmp: Path) -> dict[str, str]:
 
 #: Taken on the build in ``BUILD``.
 PINS = {
-    "band_match_all": {
-        "artificial_records.ndjson": "5aaf6baff2be0779a8fc3ea9b141e54f388ae2db5cef6553242b4aeb889c43bd",
-        "clusters_level_40.ndjson": "38a77329fa26c382f2a55e51f735e84b0f78f0b33e8cffbef99492d8c9f74e0a",
-        "clusters_level_80.ndjson": "be6573547d4fac60e7f1bbd81b1624f5a023c26f75b6684a94cbaf82453f3e62",
-        "field_selection_report.json": "4b262e0f3d963ee6ed35e22b91ff500aa27c19ee71940cad3eb8495723c060af",
-        "forest.ndjson": "90c90191bb96989b12c03d25ac6e64d193ed0f175d160998e3f61652ac1b24f7",
-        "masks.ndjson": "9e73c3db7bf855ab15e8cd4fd220850736f5e860a333674e07f4d1362f305287",
-        "rejects.ndjson": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "summary.json": "c28a88c03f0e05211567a0d51ec3dc486bcb2b30c2c50f81024d612876098fdf",
-        "unclustered_level_40.txt": "864e8a4d5a96f743b621333937daecc249261842195d42996856e3bb707096b1",
-        "unclustered_level_80.txt": "807c0ea575047dccc29db2689be2f6d9f946e697c23ae57078459bad65627590",
-    },
     "bz2": {
         "artificial_records.ndjson": "7420962beec410d8691b0442ba09c4709dcc019c5af042085421e56f6aabe634",
         "clusters_level_100.ndjson": "f50879df07e3471b2f2c3b57fbab0ef466144dc8e2c97b42953f973834908227",
@@ -187,6 +175,18 @@ PINS = {
         "unclustered_level_40.txt": "6028a75220a354365a7c2e1826e802e5b4695052001b052419a3d198f3daa87d",
         "unclustered_level_60.txt": "ef683411f257eb8680a1c08d3f6482786438ebfa52363793b612b8b7a0a0de67",
         "unclustered_level_80.txt": "0d3ce6012fc1b4c9a1ee07e795904db09602c6f46c25da87c5e9a3e602f40988",
+    },
+    "levels_80_40": {
+        "artificial_records.ndjson": "f3c31ce6bb8eab34662af4479c131758ae058db6f1a1c84a87ac5078e7263d7c",
+        "clusters_level_40.ndjson": "5bfff75b421690a6617d75f301eb02368b7f09b88acb9b84d9fbfb401d1116c5",
+        "clusters_level_80.ndjson": "aebf9130ffee99b3278af8b8cfe34a5fdbf9f374dee153c1e56234b9d7ffd80b",
+        "field_selection_report.json": "4b262e0f3d963ee6ed35e22b91ff500aa27c19ee71940cad3eb8495723c060af",
+        "forest.ndjson": "cc8037bfb1bed5d493a57854a4af375f8335a6da2cd4e6f5c669d2513f1930b2",
+        "masks.ndjson": "9e73c3db7bf855ab15e8cd4fd220850736f5e860a333674e07f4d1362f305287",
+        "rejects.ndjson": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "summary.json": "203d70c15f4acfbfacafafcc55aa009d7b6cc27ef3961194c8b1cbb4246a0e0c",
+        "unclustered_level_40.txt": "f9723d353fa2225831a83d419e2f5370bd983612b7eeb50da61463865e19c1b4",
+        "unclustered_level_80.txt": "edfed2f28c1d3c03cd582cb172e5aa02d7ab481bdd2a770ea88c81fe3ccbe1ec",
     },
 }
 
