@@ -5,6 +5,7 @@ Examples:
     python scripts/bench_memory.py --scenario dedup --label change
     python scripts/bench_memory.py --scenario level100_1m --label parent
     python scripts/bench_memory.py --scenario chain100k --label change
+    python scripts/bench_memory.py --scenario hierarchy --label parent
 
 Each invocation makes one run and appends one entry; alternate parent and
 change invocations to compare two trees.  A scenario names a generator of
@@ -46,6 +47,10 @@ MASKS = "masks.ndjson"
 SCENARIOS = {
     "dedup": ("duplicate_pairs_corpus", {"n_pairs": 200, "n_decoys": 39_600, "seed": 71}, ["--levels", "100"]),
     "level100_1m": ("duplicate_pairs_corpus", {"n_pairs": 5_000, "n_decoys": 990_000, "seed": 71}, ["--levels", "100"]),
+    # perfbench's hierarchy input: all five levels, saved dc:title masks.
+    "hierarchy": (
+        "hierarchical_corpus", {"n_works": 800, "noise_records": 270, "seed": 401}, ["--masks", MASKS]
+    ),
     # The corpus of acceptance criterion 4, all five levels, saved masks.
     "chain100k": (
         "hierarchical_corpus",

@@ -48,14 +48,17 @@ _S31 = np.uint64(31)
 STORE_LIMIT = 1_000_000
 
 #: Records signed per block of ``count`` positions: ``signatures`` yields
-#: their rows together, so no caller needs the matrix of a whole population.
-#: A block of ``COLUMN_BLOCK`` positions holds proportionally more records.
-BLOCK_RECORDS = 1 << 10
+#: their rows together, and a block's index arithmetic reads only its slice of
+#: the batch, so neither a caller nor a pass holds arrays as long as the
+#: population.  A block of ``COLUMN_BLOCK`` positions holds proportionally more
+#: records.  On a 40k-record level-100 run, 256 rather than 1,024 lowered the
+#: peak from 69.7 to 64.1 MB in the same signing time.
+BLOCK_RECORDS = 1 << 8
 
 #: Minhash positions mixed and signed at once: a batch holds its tokens' rows
 #: for this many positions, never for all ``count``.  On a 40k-record level-100
-#: pass (2 vCPUs), 8 positions signed 4% slower, and 32 signed 7% faster but
-#: hold twice the token rows.
+#: run (2 vCPUs), 8 positions lowered the peak by a further 0.6 MB but signed
+#: 8% slower, and 32 signed 7% faster but hold twice the token rows.
 COLUMN_BLOCK = 16
 
 #: uint64 values (64 KiB) materialised at once when mixing shingle hashes or
@@ -136,9 +139,11 @@ class SignatureComputer:
     shingle of its new values' tokens, and those tokens' rows for one block
     of ``COLUMN_BLOCK`` positions at a time, tokens x ``COLUMN_BLOCK`` x 8
     bytes; a 4-byte id per value occurrence in the batch and per token
-    occurrence of its new values; and one block of about ``BLOCK_RECORDS`` x
-    ``count`` record positions at a time.  A call with ``keep=False`` learns
-    no value rows, and empties the store when it ends.
+    occurrence of its new values, and 8 bytes per record; and, for one block
+    of ``BLOCK_RECORDS`` x ``count`` record positions at a time, its rows and
+    its index arithmetic, a few 8-byte entries per value and token occurrence
+    of its records.  A call with ``keep=False`` learns no value rows, and
+    empties the store when it ends.
     """
 
     def __init__(self, count: int = MINHASH_COUNT, seed: int = 0):
@@ -206,38 +211,33 @@ class SignatureComputer:
         token_starts = np.cumsum(token_counts) - token_counts
         value_ids = np.frombuffer(ids, dtype=np.intc)
         lengths = np.frombuffer(lengths, dtype=np.int64)
-        new = value_ids >= base
-        new_before = np.concatenate(([0], np.cumsum(new)))
-        ends = np.cumsum(lengths)
-        new_counts = new_before[ends] - new_before[ends - lengths]
-        known_counts = lengths - new_counts
-        known_ids = value_ids[~new]
-        new_ids = value_ids[new] - base
-        # Tokens of each record's values without a row, as a count per record.
-        tokens_before = np.concatenate(([0], np.cumsum(token_counts[new_ids])))
-        new_ends = np.cumsum(new_counts)
-        record_tokens = tokens_before[new_ends] - tokens_before[new_ends - new_counts]
-        known_offsets = np.cumsum(known_counts) - known_counts
         # Each column block redoes a record block's index work, so a block
         # holds BLOCK_RECORDS records per COLUMN_BLOCK positions of a row.
         per_block = BLOCK_RECORDS * -(-self.count // COLUMN_BLOCK)
         for column, token_rows in self._token_columns(shingle_counts, hashes):
             columns = slice(column, column + token_rows.shape[1])
+            first = 0
             for k in range(0, len(lengths), per_block):
-                stop = k + per_block
-                known, tokens = known_counts[k:stop], record_tokens[k:stop]
-                out = np.empty((len(known), token_rows.shape[1]), dtype=np.uint64)
-                first = int(known_offsets[k])
+                counts = lengths[k : k + per_block]
+                block_ids = value_ids[first : first + int(counts.sum())]
+                first += len(block_ids)
+                new = block_ids >= base
+                owner = np.repeat(np.arange(len(counts)), counts)
+                known_ids = block_ids[~new]
+                known = np.bincount(owner[~new], minlength=len(counts))
+                # Tokens of each record's values without a row, as a count per record.
+                values = block_ids[new] - base
+                value_tokens = token_counts[values]
+                tokens = np.bincount(np.repeat(owner[new], value_tokens), minlength=len(counts))
+                out = np.empty((len(counts), token_rows.shape[1]), dtype=np.uint64)
 
                 def stored(a: int, b: int) -> np.ndarray:
-                    return self._rows[known_ids[first + a : first + b], columns]
+                    return self._rows[known_ids[a:b], columns]
 
                 if not tokens.any():
                     segment_min(known, stored, out)
                 else:
-                    values = new_ids[new_ends[k] - new_counts[k] : new_ends[min(stop, len(lengths)) - 1]]
-                    counts = token_counts[values]
-                    spans = np.repeat(token_starts[values] - (np.cumsum(counts) - counts), counts)
+                    spans = np.repeat(token_starts[values] - (np.cumsum(value_tokens) - value_tokens), value_tokens)
                     block_tokens = token_ids[spans + np.arange(len(spans))]
                     segment_min(tokens, lambda a, b: token_rows[block_tokens[a:b]], out)
                     # A second buffer only where a block mixes both kinds of value.

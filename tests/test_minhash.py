@@ -93,14 +93,16 @@ class TestSignature:
         assert (a == b).all()
 
 
-def test_unkept_signing_builds_no_value_rows():
-    # 20,000 distinct single-value records, each three of 60 tokens: their
-    # value rows alone would take 10.24 MB.  numpy reports its allocations
-    # to tracemalloc.
+def distinct_single_values(n):
+    """``n`` distinct single-value records, each three of 60 tokens."""
     words = [a + b + "word" for a in "abcdef" for b in "abcdefghij"]
-    records = [[" ".join(words[k // 60**p % 60] for p in range(3))] for k in range(20_000)]
+    return [[" ".join(words[k // 60**p % 60] for p in range(3))] for k in range(n)]
+
+
+def unkept_signing_peak(records):
+    """The tracemalloc peak of signing ``records`` with ``keep=False``; numpy
+    reports its allocations to tracemalloc."""
     computer = SignatureComputer(count=64, seed=3)
-    value_rows = len(records) * computer.count * 8
     tracemalloc.start()
     try:
         for _ in computer.signatures(records, tokenize, keep=False):
@@ -108,7 +110,23 @@ def test_unkept_signing_builds_no_value_rows():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < value_rows / 2
+    return peak
+
+
+def test_unkept_signing_builds_no_value_rows():
+    # 20,000 records: their value rows alone would take 10.24 MB.
+    records = distinct_single_values(20_000)
+    assert unkept_signing_peak(records) < len(records) * 64 * 8 / 2
+
+
+def test_unkept_signing_index_work_grows_by_block():
+    # The index arithmetic is done a record block at a time, so the peak grows
+    # per record only by what the batch holds for it: its dict entry, its ids
+    # and its tokens' ids, 94 bytes here, against 163 with index arrays as
+    # long as the whole batch.
+    small, large = distinct_single_values(20_000), distinct_single_values(80_000)
+    grown = unkept_signing_peak(large) - unkept_signing_peak(small)
+    assert grown / (len(large) - len(small)) < 128
 
 
 def test_unkept_call_leaves_the_store_empty():

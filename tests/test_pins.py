@@ -1,4 +1,4 @@
-"""Today's outputs, pinned: the SHA-256 of every byte-stable file that five
+"""Today's outputs, pinned: the SHA-256 of every byte-stable file that six
 small seeded commands write.
 
 Compressed sizes decide which clusters are accepted, so the outputs depend on
@@ -89,6 +89,16 @@ def ga(tmp: Path) -> list[str]:
     return ["--input", str(corpus), "--seed", "88", "--ga-pop", "8", "--ga-gens", "3"]
 
 
+def ga_dynamics(tmp: Path) -> list[str]:
+    # Seven fields, so 64 masks, of which pop x (gens + 1) = 30 draws score 16,
+    # and the best-fitness history rises once: the files depend on the GA's
+    # operators and elitism.  The 50 families give 50-cluster evaluations,
+    # whose 1,225 between-cluster pairs are sampled down to 1,000.
+    records = ga_provider_corpus(n_records=200, n_families=50, seed=90, extra_fields=4)
+    corpus = write_corpus(tmp / "c.ndjson", records)
+    return ["--input", str(corpus), "--seed", "91", "--ga-pop", "6", "--ga-gens", "4"]
+
+
 def levels_80_40(tmp: Path) -> list[str]:
     records = hierarchical_corpus(n_works=20, seed=31, noise_records=10)
     corpus = write_corpus(tmp / "c.ndjson", records + number_families(12, 3, seed=34))
@@ -101,7 +111,7 @@ def bz2(tmp: Path) -> list[str]:
     return ["--input", str(corpus), "--levels", "100,80,60", "--compressor", "bz2", "--seed", "42"]
 
 
-COMMANDS = {f.__name__: f for f in (dedup, hierarchy, ga, levels_80_40, bz2)}
+COMMANDS = {f.__name__: f for f in (dedup, hierarchy, ga, ga_dynamics, levels_80_40, bz2)}
 
 
 def run_digests(name: str, tmp: Path) -> dict[str, str]:
@@ -159,6 +169,25 @@ PINS = {
         "unclustered_level_60.txt": "4b2118aeba7537a638cebccebfecf460f31b471bf3fc35fe65c6fbbaed7e8db5",
         "unclustered_level_80.txt": "2ec3bfcd22c785a94be7b56c70c85b24e3f1def2fc11f62e9f5d3025b7a7d3e3",
     },
+    "ga_dynamics": {
+        "artificial_records.ndjson": "8870181f6b5057f1ba3d96793a7a17ce03b08d88df3c22a6e26cd3bb71e36a03",
+        "clusters_level_100.ndjson": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "clusters_level_20.ndjson": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "clusters_level_40.ndjson": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "clusters_level_60.ndjson": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "clusters_level_80.ndjson": "3ec9170f81d9e7739006ae71e3e5239470f25e51a610c2499b9c6b77a31f2e1a",
+        "duplicate_report.ndjson": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "field_selection_report.json": "e9ef4495e0af9cf31f0a0340949d650d166109ca5b7d1d24564da36993980e05",
+        "forest.ndjson": "ada4669b901b72fd1f30ada6ec8df323b8adba04b1e26041111431c8a2342d40",
+        "masks.ndjson": "e34f72b5549d7fee7078405c62bad1ad3ce231b0894d6f8fc92c3ec00c02110a",
+        "rejects.ndjson": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "summary.json": "892f1bb2bcbfaf5b75287dc7944ddadcaca39ede4e3d96cef9580d61d871f2b2",
+        "unclustered_level_100.txt": "0ed7f24a2fd409ead78d0a88339f3bdcdb82498e2906a2b47ce916f73311fa60",
+        "unclustered_level_20.txt": "5312c17ee7b332f05fd9dcfe563b4692eb81b350f16e0dfacfad70113b4dc0e3",
+        "unclustered_level_40.txt": "5312c17ee7b332f05fd9dcfe563b4692eb81b350f16e0dfacfad70113b4dc0e3",
+        "unclustered_level_60.txt": "5312c17ee7b332f05fd9dcfe563b4692eb81b350f16e0dfacfad70113b4dc0e3",
+        "unclustered_level_80.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
     "hierarchy": {
         "artificial_records.ndjson": "45405b7821974bc040da84806299b7eff5c5b87cc0adda554a6d15927a2400f8",
         "clusters_level_100.ndjson": "a763e189005331f428669f68039224c6fc91282a235a94c336d38afb8149fb05",
@@ -198,3 +227,14 @@ def test_outputs_pinned(name, tmp_path):
     assert not differing, (
         f"{name}: {differing} differ from the pins, which were taken on {BUILD}; this build is {THIS_BUILD}"
     )
+
+
+def test_ga_dynamics_scores_part_of_the_mask_space_and_improves(tmp_path):
+    # What makes the ga_dynamics pin depend on the GA's operators.  A mutant
+    # that records the generation's best instead of the best so far stays
+    # equivalent while ELITISM = 1, since the elite carries the best forward.
+    out = tmp_path / "out"
+    assert main(["cluster", *ga_dynamics(tmp_path), "--out", str(out)]) == 0
+    (entry,) = json.loads((out / rundir.FIELD_REPORT_FILE).read_text(encoding="utf-8"))["ga_providers"].values()
+    assert entry["evaluations"] < 64  # 7 fields, dc:title always on: 64 masks
+    assert entry["best_history"][-1] > entry["best_history"][0]
